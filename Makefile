@@ -1,6 +1,6 @@
 .PHONY: all test examples bench smoke proptest margin trace chaos server \
 	server-restart loadgen restart-recovery portfolio portfolio-bench \
-	metrics metrics-overhead ci clean
+	metrics metrics-overhead perfbench ci clean
 
 all:
 	dune build
@@ -78,6 +78,14 @@ loadgen:
 # overhead against the 5% budget).
 restart-recovery:
 	dune exec bench/main.exe -- restart-recovery
+
+# The COMPACT benchmark (BENCHMARK.json): Table-I synthesis plus
+# compactd miss and hit traffic, attributed layer by layer.  A ten-seed
+# sweep of every workload, appended to perfbench.jsonl; single runs and
+# comparisons go through perfbench/run.py directly (see
+# perfbench/README.md).  Not part of ci.
+perfbench:
+	python3 perfbench/run.py sweep --out perfbench.jsonl
 
 # Tier-1 runs twice: once sequential, once with a 4-wide domain pool.
 # Every parallel consumer is bit-identical across jobs counts, so the

@@ -750,13 +750,13 @@ let run_metrics_overhead ?json () =
    racing [Portfolio] on a kernel whose first Auto rung (the MIP)
    exhausts its time limit.  Auto pays the failed rung and then the
    heuristic rung back to back; the portfolio runs them concurrently
-   under staggered deadlines, so its wall time is the slowest member of
-   the deciding prefix, not the sum.  Deadline-bound rungs burn wall
-   time rather than exclusive CPU, so the overlap wins even on one
-   core — the cost there is anytime quality, not wall time: entrants
-   share cycles inside their windows, so the raced semiperimeter can
-   sit slightly above sequential Auto's.  The JSON records both
-   semiperimeters alongside the speedup.
+   under the same rung budgets, so its wall time is the slowest member
+   of the deciding prefix (here the MIP's full limit), not the sum.
+   Deadline-bound rungs burn wall time rather than exclusive CPU, so
+   the overlap wins even on one core — the cost there is anytime
+   quality, not wall time: entrants share cycles inside their windows,
+   so the raced semiperimeter can sit above sequential Auto's.  The
+   JSON records both semiperimeters alongside the speedup.
 
    Kernel 2 — bdd/sift-mult8: in-place Rudell sifting versus the
    anneal-rebuild order search on the 8-bit multiplier.  Sifting moves

@@ -22,11 +22,7 @@ type source =
   | Src_circuit of string
 
 let netlist_of_source = function
-  | Src_expr s ->
-    let e = Logic.Parse.expr s in
-    let inputs = Logic.Expr.vars e in
-    Logic.Netlist.create ~name:"expr" ~inputs ~outputs:[ "f" ]
-      [ Logic.Netlist.n_expr "f" e ]
+  | Src_expr s -> Logic.Netlist.of_expr ~name:"expr" (Logic.Parse.expr s)
   | Src_blif path -> Logic.Blif.parse_file path
   | Src_pla path -> Logic.Pla.to_netlist (Logic.Pla.parse_file path)
   | Src_verilog path -> Logic.Verilog.parse_file path

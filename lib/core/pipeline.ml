@@ -102,237 +102,160 @@ let auto_ladder bg =
   in
   primary :: List.filter (fun s -> s <> primary) [ Heuristic; Oct_greedy ]
 
+(* Every rung attempt gets its own span, so the ladder is auditable in
+   the trace, including rungs that raise. *)
+let run_rung ~budget options bg s =
+  Obs.Span.with_ ("rung:" ^ solver_name s) (fun () ->
+      let l = run_one ~budget options bg s in
+      Obs.Span.add_attr "optimal" (string_of_bool l.Types.optimal);
+      Obs.Span.add_attr "method" l.Types.method_name;
+      l)
+
 (* ------------------------------------------------------------------ *)
-(* Racing portfolio ([Portfolio] mode): the Auto ladder's rungs — times
-   up to [race_orders] candidate variable orders — run concurrently on
-   the domain pool instead of sequentially, so wall time is the fastest
-   acceptable entrant instead of the sum of timed-out rungs. The winner
-   is decided by the jobs-independent staged rule of {!Parallel.race}
-   (solver priority is the group order) plus a deterministic within-group
-   tie-break (semiperimeter, then order index) — never wall-clock — so
-   the chosen design is byte-identical at any [-j]. *)
+(* The labeling ladder behind [Auto] and [Portfolio]: the rungs of
+   [auto_ladder] — times the candidate orders under the portfolio — run
+   as entrants of one {!Parallel.race}. The race's staged rule picks the
+   labeling (rung priority, then semiperimeter, then order index), never
+   wall-clock, so the result is byte-identical at any [-j].
+
+   Auto is the one-order case on a 1-job pool: the race then evaluates
+   rung by rung and stops at the first accepted one — the sequential
+   watchdog — while each entrant keeps [options.jobs] for the MIP's
+   branch & bound. Portfolio races on an [options.jobs] pool with
+   sequential entrants, because the race already owns the domains.
+
+   One budget rule for both: a non-terminal rung gets half the race's
+   remaining wall budget, never more than [time_limit]; the terminal
+   rung keeps the race's cancel but no wall deadline, so it always
+   completes. A rung is accepted when it proved optimality or finished
+   inside its own wall deadline; a rung that spent its budget has only
+   a best-so-far incumbent and the next cheaper rung is preferred.
+   Acceptance reads the deadline alone ([Budget.remaining] ignores the
+   cancel latch), so a winner's cancel landing just as a loser finishes
+   cannot flip that loser's verdict. *)
 
 let c_races = Obs.Counter.make "portfolio.races"
 let c_entrants = Obs.Counter.make "portfolio.entrants"
 let c_entrants_cut = Obs.Counter.make "portfolio.entrants_cut"
 let c_entrants_failed = Obs.Counter.make "portfolio.entrants_failed"
 
-type entrant_result = {
-  er_order : int;
-  er_labeling : Types.labeling;
-  er_accepted : bool;
-}
+type entrant_result = { er_labeling : Types.labeling; er_accepted : bool }
 
-let run_portfolio ~budget options (graphs : Types.bdd_graph array) =
+let run_ladder ~budget options (graphs : Types.bdd_graph array) =
+  let racing = options.solver = Portfolio in
   (* One ladder for the whole race, derived from the order-0 graph, so
-     the group structure (and with it the decision rule) does not depend
-     on which candidate orders happened to be available. *)
+     the group structure does not depend on which candidate orders
+     happened to be available. *)
   let ladder = auto_ladder graphs.(0) in
-  let terminal_rank = List.length ladder - 1 in
-  let norders = Array.length graphs in
+  let terminal = List.length ladder - 1 in
+  let norders = if racing then Array.length graphs else 1 in
   let entrants =
     Array.of_list
       (List.concat
          (List.mapi
-            (fun rank s -> List.init norders (fun oi -> rank, s, oi))
+            (fun rung s -> List.init norders (fun oi -> rung, s, oi))
             ladder))
   in
-  let groups = Array.map (fun (rank, _, _) -> rank) entrants in
-  (* Entrants must not open nested pools: the race already owns the
-     domain-level parallelism. *)
-  let solve_opts = { options with jobs = 1 } in
-  let thunk (rank, s, oi) rb =
-    (* Non-terminal entrants get half the race's remaining wall budget
-       capped at a staggered share of [time_limit]: rank r of R
-       non-terminal ranks is cut off at (r+1)/R of the limit. The race
-       cannot decide before every higher-priority group has reported, so
-       a stuck primary would otherwise stall the decision for the full
-       limit even though its fallback finished long ago — the staggering
-       bounds that stall at half the limit while the last non-terminal
-       rank keeps the full per-rung budget sequential Auto gives it.
-       (The tradeoff, documented on {!Portfolio}: a primary proof that
-       needs more than its share loses to the fallback, where Auto would
-       have waited for it.) Terminal-rung entrants keep the race's
-       cooperative cancel but no wall deadline — some entrant must be
-       able to finish. *)
-    let eb =
-      if rank = terminal_rank then Resilience.Budget.untimed rb
-      else
-        let cap =
-          options.time_limit
-          *. float_of_int (rank + 1)
-          /. float_of_int terminal_rank
-        in
-        Resilience.Budget.limited (Resilience.Budget.slice rb ~frac:0.5) cap
-    in
-    Obs.Span.with_
-      (Printf.sprintf "entrant:%s@%d" (solver_name s) oi)
-      (fun () ->
-         let l = run_one ~budget:eb solve_opts graphs.(oi) s in
-         (* Acceptance mirrors the Auto keep rule but is judged here, by
-            the entrant's own wall deadline only ([Budget.remaining]
-            ignores cancellation): the winner's cancel latch arriving
-            between an entrant finishing and the outcome scan must not
-            flip a completed loser's verdict, or the outcome array would
-            depend on the jobs count. *)
-         let accepted =
-           l.Types.optimal || Resilience.Budget.remaining eb > 0.
-         in
-         Obs.Span.add_attr "optimal" (string_of_bool l.Types.optimal);
-         Obs.Span.add_attr "accepted" (string_of_bool accepted);
-         { er_order = oi; er_labeling = l; er_accepted = accepted })
+  let pool_jobs, solve_opts =
+    if racing then options.jobs, { options with jobs = 1 } else 1, options
   in
-  Obs.Counter.incr c_races;
-  Obs.Counter.add c_entrants (Array.length entrants);
-  let outcomes =
-    Parallel.with_pool ~jobs:options.jobs (fun pool ->
-        Parallel.race ~budget ~groups pool
-          (Array.map (fun e rb -> thunk e rb) entrants)
+  let thunk (rung, s, oi) rb =
+    let eb =
+      if rung = terminal then Resilience.Budget.untimed rb
+      else
+        Resilience.Budget.limited
+          (Resilience.Budget.slice rb ~frac:0.5)
+          options.time_limit
+    in
+    let l = run_rung ~budget:eb solve_opts graphs.(oi) s in
+    {
+      er_labeling = l;
+      er_accepted = l.Types.optimal || Resilience.Budget.remaining eb > 0.;
+    }
+  in
+  let semiperimeter er = Types.semiperimeter er.er_labeling in
+  let winner, outcomes =
+    Parallel.with_pool ~jobs:pool_jobs (fun pool ->
+        Parallel.race ~budget
+          ~groups:(Array.map (fun (rung, _, _) -> rung) entrants)
+          ~prefer:(fun a b -> compare (semiperimeter a) (semiperimeter b))
+          pool (Array.map thunk entrants)
           ~acceptable:(fun er -> er.er_accepted))
   in
-  Array.iter
-    (function
-      | Parallel.Cut -> Obs.Counter.incr c_entrants_cut
-      | Parallel.Failed _ -> Obs.Counter.incr c_entrants_failed
-      | Parallel.Finished _ -> ())
-    outcomes;
-  (* Winner: within the deciding group — the earliest group that ran
-     completely (no member cut) and holds an accepted result — the
-     accepted labeling with the smallest semiperimeter, then the
-     smallest order index. Mirrors [Parallel.race]'s decision scan, so
-     the index found here is the entrant whose completion latched the
-     cancel. *)
-  let n = Array.length outcomes in
-  let winner = ref (-1) in
-  let s = ref 0 in
-  while !winner < 0 && !s < n do
-    let e = ref !s in
-    while !e < n && groups.(!e) = groups.(!s) do incr e done;
-    let cut = ref false in
-    let best = ref None in
-    for j = !s to !e - 1 do
-      match outcomes.(j) with
-      | Parallel.Cut -> cut := true
-      | Parallel.Finished er when er.er_accepted ->
-        let key = (Types.semiperimeter er.er_labeling, er.er_order) in
-        (match !best with
-         | Some (bk, _) when bk <= key -> ()
-         | _ -> best := Some (key, j))
-      | Parallel.Finished _ | Parallel.Failed _ -> ()
-    done;
-    (match !best with
-     | Some (_, j) when not !cut -> winner := j
-     | _ -> ());
-    s := !e
-  done;
-  (* The full raced field goes into the report: every entrant with its
-     outcome, so a portfolio run is as auditable as a watchdog ladder. *)
-  let path =
-    Array.to_list
-      (Array.mapi
-         (fun i o ->
-            let _, s, oi = entrants.(i) in
-            let tag =
-              match o with
-              | Parallel.Cut -> "cut"
-              | Parallel.Failed _ -> "error"
-              | Parallel.Finished er ->
-                if i = !winner then "win"
-                else if er.er_accepted then "ok"
-                else "partial"
-            in
-            Printf.sprintf "%s@%d:%s" (solver_name s) oi tag)
-         outcomes)
+  if racing then begin
+    Obs.Counter.incr c_races;
+    Obs.Counter.add c_entrants (Array.length entrants);
+    Array.iter
+      (function
+        | Parallel.Cut -> Obs.Counter.incr c_entrants_cut
+        | Parallel.Failed _ -> Obs.Counter.incr c_entrants_failed
+        | Parallel.Finished _ -> ())
+      outcomes
+  end;
+  (* Auto lists the rungs that ran ("mip->heuristic"); the portfolio
+     lists every entrant with its outcome ("mip@0:win"), so a race is
+     as auditable as the watchdog. *)
+  let entry (_, s, oi) tag =
+    if racing then Some (Printf.sprintf "%s@%d:%s" (solver_name s) oi tag)
+    else if tag = "cut" then None
+    else Some (solver_name s)
   in
-  if !winner >= 0 then
-    match outcomes.(!winner) with
-    | Parallel.Finished er -> er.er_labeling, er.er_order, path
-    | _ -> assert false
-  else begin
-    (* Rescue: every entrant timed out, failed or was cut (e.g. the
-       caller's own deadline expired mid-race). Run the terminal rung
-       directly and unbudgeted so the portfolio, like Auto, always ends
-       with a labeling. *)
-    Obs.Span.event "portfolio-rescue" ~attrs:[ "entrants", string_of_int n ];
+  let path =
+    List.filter_map
+      (fun i ->
+         entry entrants.(i)
+           (match outcomes.(i) with
+            | Parallel.Cut -> "cut"
+            | Parallel.Failed _ -> "error"
+            | Parallel.Finished er ->
+              if Some i = winner then "win"
+              else if er.er_accepted then "ok"
+              else "partial"))
+      (List.init (Array.length entrants) Fun.id)
+  in
+  match winner with
+  | Some w ->
+    let _, _, oi = entrants.(w) in
+    (match outcomes.(w) with
+     | Parallel.Finished er -> er.er_labeling, oi, path
+     | Parallel.Cut | Parallel.Failed _ -> assert false)
+  | None ->
+    (* Rescue: every entrant spent its budget, failed or was cut (e.g.
+       the caller's deadline expired before or during the ladder). Run
+       the terminal rung directly and unbudgeted, so the ladder always
+       ends with a labeling. *)
+    Obs.Span.event "ladder-rescue"
+      ~attrs:[ "entrants", string_of_int (Array.length entrants) ];
     let l =
-      Obs.Span.with_ ("rung:" ^ solver_name Oct_greedy) (fun () ->
-          run_one ~budget:Resilience.Budget.unlimited solve_opts graphs.(0)
-            Oct_greedy)
+      run_rung ~budget:Resilience.Budget.unlimited solve_opts graphs.(0)
+        Oct_greedy
     in
-    l, 0, path @ [ solver_name Oct_greedy ^ "@0:win" ]
-  end
+    l, 0, path @ Option.to_list (entry (terminal, Oct_greedy, 0) "win")
 
 (* Returns the labeling, the index of the graph it labels (always 0
    outside the portfolio), and the path of solver rungs attempted.
-   Under [Auto] a watchdog ladder applies: a rung whose labeling is not
-   proven optimal and whose wall time reached the budget has merely
-   returned its best-so-far incumbent ("partial"), so the next cheaper
-   rung runs instead; [Oct_greedy], the terminal rung, has no internal
-   budget and always completes. A rung that raises (other than the last)
-   also falls through. [Portfolio] races the same ladder concurrently —
-   see {!run_portfolio}. Explicitly chosen solvers run exactly once —
-   the user asked for that method and a substitution would be silent —
-   and capacity-constrained runs always use the MIP, the only
-   formulation that can express them. *)
+   [Auto] and [Portfolio] run the ladder above. Explicitly chosen
+   solvers run exactly once — the user asked for that method and a
+   substitution would be silent — and capacity-constrained runs always
+   use the MIP, the only formulation that can express them. *)
 let run_labeler ~budget options (graphs : Types.bdd_graph array) =
   let { time_limit; max_rows; max_cols; _ } = options in
-  let bg = graphs.(0) in
-  let constrained = max_rows <> None || max_cols <> None in
-  (* A rung's budget: a deterministic fraction of the run's remaining
-     wall budget, never more than the per-rung [time_limit]. With no
-     global deadline the slice is unlimited and the cap is exactly the
-     old per-solver time limit. *)
-  let rung_budget frac =
-    Resilience.Budget.limited (Resilience.Budget.slice budget ~frac) time_limit
+  let single s =
+    (* A deterministic share of the run's remaining wall budget, never
+       more than [time_limit]: with no global deadline this is exactly
+       the per-solver time limit. *)
+    let b =
+      Resilience.Budget.limited
+        (Resilience.Budget.slice budget ~frac:1.0)
+        time_limit
+    in
+    run_rung ~budget:b options graphs.(0) s, 0, [ solver_name s ]
   in
-  (* Every rung attempt gets its own span (watchdog behaviour is then
-     visually auditable in the trace), including rungs that raise. *)
-  let run_rung ~budget:b s =
-    Obs.Span.with_ ("rung:" ^ solver_name s) (fun () ->
-        let l = run_one ~budget:b options bg s in
-        Obs.Span.add_attr "optimal" (string_of_bool l.Types.optimal);
-        Obs.Span.add_attr "method" l.Types.method_name;
-        l)
-  in
-  if constrained then
-    run_rung ~budget:(rung_budget 1.0) Mip, 0, [ solver_name Mip ]
+  if max_rows <> None || max_cols <> None then single Mip
   else
     match options.solver with
-    | (Oct_exact | Oct_greedy | Mip | Heuristic) as s ->
-      run_rung ~budget:(rung_budget 1.0) s, 0, [ solver_name s ]
-    | Portfolio -> run_portfolio ~budget options graphs
-    | Auto ->
-      let fall_through s reason =
-        Obs.Span.event "watchdog-fallback"
-          ~attrs:[ "after", solver_name s; "reason", reason ]
-      in
-      let rec attempt path = function
-        | [] -> assert false
-        | [ last ] ->
-          (* Terminal rung: deterministic and internally unbudgeted, so
-             the ladder always ends with a labeling. *)
-          run_rung ~budget:Resilience.Budget.unlimited last,
-          0,
-          List.rev (solver_name last :: path)
-        | s :: rest ->
-          (* Half the remaining wall budget per non-terminal rung: two
-             rungs can both time out and the terminal rung still runs
-             inside the global deadline. *)
-          let rb = rung_budget 0.5 in
-          (match run_rung ~budget:rb s with
-           | labeling ->
-             if labeling.Types.optimal
-                || not (Resilience.Budget.exhausted rb)
-             then labeling, 0, List.rev (solver_name s :: path)
-             else begin
-               fall_through s "budget";
-               attempt (solver_name s :: path) rest
-             end
-           | exception _ ->
-             fall_through s "exception";
-             attempt (solver_name s :: path) rest)
-      in
-      attempt [] (auto_ladder bg)
+    | (Oct_exact | Oct_greedy | Mip | Heuristic) as s -> single s
+    | Auto | Portfolio -> run_ladder ~budget options graphs
 
 (* The shared back half of every entry point: label (racing across
    [graphs] under the portfolio, on [graphs.(0)] otherwise), map the

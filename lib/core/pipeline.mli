@@ -19,41 +19,44 @@ type solver =
   | Mip  (** §VI-B: weighted objective, branch & bound *)
   | Heuristic  (** OCT + Fig 7 local search on the weighted objective *)
   | Auto
-      (** Mip below {!mip_node_threshold} graph nodes, otherwise
-          [Heuristic] *)
+      (** the labeling ladder: [Mip] below {!mip_node_threshold} graph
+          nodes, otherwise [Heuristic], then the cheaper rungs down to
+          [Oct_greedy], which always completes. A rung that spends its
+          budget without an optimality proof has only a best-so-far
+          incumbent, so the next rung runs instead; a rung that raises
+          also falls through. {!Report.t.solver_path} lists the rungs
+          that ran, e.g. ["mip->heuristic"]. [Auto] is the one-order,
+          one-job case of the [Portfolio] race: the race then runs rung
+          by rung and stops at the first accepted one, and the rungs
+          keep [jobs] for the MIP's branch & bound. *)
   | Portfolio
-      (** the [Auto] ladder raced concurrently on the domain pool —
+      (** the [Auto] ladder raced on a [jobs]-wide domain pool,
           optionally across several candidate variable orders
-          ([race_orders]) — instead of run sequentially. Wall time is
-          the fastest acceptable entrant, not the sum of timed-out
-          rungs; the winner is picked by a deterministic staged rule
-          (solver priority, then semiperimeter, then order index —
-          never wall-clock), so the design is byte-identical at any
-          [jobs] count. Every entrant and its outcome is recorded in
-          {!Report.t.solver_path} as ["solver@order:outcome"].
-
-          Entrant deadlines are staggered: non-terminal rank [r] of [R]
-          is cut off at [(r+1)/R] of [time_limit] (the last non-terminal
-          rank keeps the full per-rung limit Auto would give it). A
-          stuck primary therefore stalls the decision for at most half
-          the limit instead of all of it — the price is that a primary
-          needing more than its share to prove optimality loses to its
-          fallback, where sequential [Auto] would have waited. *)
+          ([race_orders]); each entrant runs sequentially. Wall time is
+          the slowest entrant the decision waits for, not the sum of the
+          rungs that ran. The winner is picked by {!Parallel.race}'s
+          deterministic staged rule (rung priority, then semiperimeter,
+          then order index — never wall-clock), so the design is
+          byte-identical at any [jobs] count. With [race_orders = 1] the
+          entrants are [Auto]'s rungs under [Auto]'s budgets (see
+          [time_limit]), so the two pick the same rung unless a time
+          limit decides. Every entrant and its outcome is recorded in
+          {!Report.t.solver_path} as ["solver@order:outcome"]. *)
 
 type options = {
   gamma : float;  (** objective weight (default 0.5, §VIII-A) *)
   solver : solver;  (** default [Auto] *)
   alignment : bool;  (** Eq 7 port alignment (default true, §VIII) *)
   time_limit : float;
-      (** per-rung labeling cap in seconds (default 60). Under [Auto] a
-          watchdog guards it: a rung that exhausts its budget without an
-          optimality proof has only a best-so-far partial incumbent,
-          which is discarded in favour of the next cheaper method
-          (primary → [Heuristic] → [Oct_greedy]; the last always
-          completes). Explicit solver choices and capacity-constrained
-          runs are exempt — substituting a different method there would
-          be silent. The rungs attempted are recorded in
-          {!Report.t.solver_path}. *)
+      (** per-rung labeling cap in seconds (default 60). One rule covers
+          [Auto] and [Portfolio]: each non-terminal rung gets half the
+          run's remaining wall budget, never more than [time_limit], and
+          the terminal [Oct_greedy] rung runs untimed. A rung that
+          exhausts its budget without an optimality proof is discarded
+          in favour of the next rung. Explicit solver choices and
+          capacity-constrained runs get the whole remaining budget up
+          to [time_limit] and are never substituted — a different
+          method there would be silent. *)
   deadline : float option;
       (** end-to-end wall deadline in seconds for the whole run
           (default [None]). Opens a {!Resilience.Budget} that every
@@ -62,7 +65,9 @@ type options = {
           must complete to produce anything), each non-terminal labeling
           rung gets half the remaining wall time (still capped by
           [time_limit]), and the terminal [Oct_greedy] rung always
-          completes — so an expired deadline yields a verified degraded
+          completes. A rung is not started once the deadline has
+          passed; if none produced a labeling, [Oct_greedy] runs
+          unbudgeted — so an expired deadline yields a verified degraded
           design with {!Report.t.deadline_hit} set, never a wedged run.
           An explicit [?budget] argument to the entry points overrides
           this field. *)
@@ -74,9 +79,10 @@ type options = {
   max_cols : int option;  (** same for bitlines *)
   jobs : int;
       (** domain-pool width for the parallelisable stages (the MIP
-          branch & bound, and the [Portfolio] race; default 1, the exact
-          sequential path). See {!Milp.Branch_bound.solve} and
-          {!Parallel.race} for the determinism contracts. *)
+          branch & bound, or the [Portfolio] race, whose entrants then
+          run sequentially; default 1, the exact sequential path). See
+          {!Milp.Branch_bound.solve} and {!Parallel.race} for the
+          determinism contracts. *)
   race_orders : int;
       (** under [Portfolio], how many candidate variable orders to race
           per solver rung (default 1: the build order only). Additional

@@ -45,7 +45,10 @@ type t = {
           of [win] (the deterministic winner), [ok] (acceptable loser),
           [partial] (hit its own wall deadline), [error] (raised) or
           [cut] (deterministically skipped). *)
-  solver_retries : int;  (** [List.length solver_path - 1] *)
+  solver_retries : int;
+      (** the rungs that ran and lost: [List.length solver_path - 1] for
+          a watchdog path; the [partial] and [error] entrants of a
+          portfolio path, so a clean race retried nothing *)
   deadline_hit : bool;
       (** the run's work budget (e.g. a [--deadline]) exhausted during
           synthesis: the design is the verified degraded incumbent, not
@@ -88,8 +91,9 @@ val path_pristine : string list -> bool
     any future identical request. *)
 
 val check : t -> t
-(** Assert the [solver_retries = List.length solver_path - 1] invariant
-    (the one place it is enforced) and return the report. *)
+(** Assert that [solver_retries] counts the rungs of [solver_path] that
+    ran and lost (the one place it is enforced) and return the
+    report. *)
 
 val header : string
 (** Column header for {!pp_row}. *)

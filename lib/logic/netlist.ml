@@ -41,6 +41,18 @@ let n_xor wire a b = { wire; func = Expr.xor (Expr.var a) (Expr.var b) }
 let n_xnor wire a b = { wire; func = Expr.xnor (Expr.var a) (Expr.var b) }
 let n_not wire a = { wire; func = Expr.not_ (Expr.var a) }
 let n_buf wire a = { wire; func = Expr.var a }
+
+(* The output wire must not shadow an input variable (an expression
+   over "f" is legal), so probe f, f0, f1, … deterministically. *)
+let of_expr ~name e =
+  let inputs = Expr.vars e in
+  let rec pick i =
+    let w = Printf.sprintf "f%d" i in
+    if List.mem w inputs then pick (i + 1) else w
+  in
+  let out = if List.mem "f" inputs then pick 0 else "f" in
+  create ~name ~inputs ~outputs:[ out ] [ n_expr out e ]
+
 let num_inputs t = List.length t.inputs
 let num_outputs t = List.length t.outputs
 let num_nodes t = List.length t.nodes

@@ -29,6 +29,12 @@ val create :
     nodes. Outputs must be primary inputs or driven wires.
     @raise Ill_formed when validation fails. *)
 
+val of_expr : name:string -> Expr.t -> t
+(** The single-output netlist computing the expression over its
+    variables ({!Expr.vars}). The output wire is ["f"] unless ["f"] is
+    one of the variables; then it is the first of ["f0"], ["f1"], …
+    that is not. *)
+
 (** {1 Node constructors} *)
 
 val n_expr : string -> Expr.t -> node

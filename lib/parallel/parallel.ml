@@ -105,6 +105,46 @@ let seq_poll budget =
   Resilience.Inject.poison_pool ();
   Resilience.Budget.check budget
 
+(* The pooled batch machinery shared by [run] and [race].  [record]
+   stores a task's outcome into its slot exactly once (the async
+   second-chance recorder may race the first), runs [k] under the mutex
+   after a fresh store, and wakes the submitter when the batch's last
+   slot lands.  [submit_and_help] queues the batch and has the submitter
+   execute queued tasks until the batch drains, then wait for the
+   in-flight stragglers on the other domains. *)
+let record p ~remaining slots i v k =
+  Mutex.lock p.mutex;
+  (match slots.(i) with
+   | None ->
+     slots.(i) <- Some v;
+     decr remaining;
+     k ();
+     if !remaining = 0 then Condition.broadcast p.batch_done
+   | Some _ -> ());
+  Mutex.unlock p.mutex
+
+let submit_and_help p ~remaining tasks =
+  Obs.Counter.add c_submitted (Array.length tasks);
+  Mutex.lock p.mutex;
+  Array.iter (fun t -> Queue.push t p.queue) tasks;
+  Condition.broadcast p.work;
+  let rec help () =
+    if !remaining = 0 then Mutex.unlock p.mutex
+    else if not (Queue.is_empty p.queue) then begin
+      let task = Queue.pop p.queue in
+      Mutex.unlock p.mutex;
+      Obs.Counter.incr c_helped;
+      (try task () with _ -> ());
+      Mutex.lock p.mutex;
+      help ()
+    end
+    else begin
+      Condition.wait p.batch_done p.mutex;
+      help ()
+    end
+  in
+  help ()
+
 let run (type a) ?(budget = Resilience.Budget.unlimited) p
     (thunks : (unit -> a) array) : a array =
   if p.closed then invalid_arg "Parallel.run: pool is shut down";
@@ -124,16 +164,8 @@ let run (type a) ?(budget = Resilience.Budget.unlimited) p
        record land at the same logical path for every jobs count — the
        drained span tree is then jobs-independent by construction. *)
     let ctx = Obs.context () in
-    let record i outcome =
-      Mutex.lock p.mutex;
-      if results.(i) = None then begin
-        results.(i) <- Some outcome;
-        decr remaining;
-        if !remaining = 0 then Condition.broadcast p.batch_done
-      end;
-      Mutex.unlock p.mutex
-    in
     let task i () =
+      let record = record p ~remaining results i in
       match
         let outcome =
           (* Poll the budget before starting: a cancelled or expired
@@ -158,38 +190,15 @@ let run (type a) ?(budget = Resilience.Budget.unlimited) p
                Resilience.Budget.cancel budget;
                Error (e, Printexc.get_raw_backtrace ()))
         in
-        record i outcome
+        record outcome ignore
       with
       | () -> ()
       | exception e ->
         (* Async exception escaped even the handler above; make sure the
            slot still lands so the batch drains. *)
-        record i (Error (e, Printexc.get_raw_backtrace ()))
+        record (Error (e, Printexc.get_raw_backtrace ())) ignore
     in
-    Obs.Counter.add c_submitted n;
-    Mutex.lock p.mutex;
-    for i = 0 to n - 1 do
-      Queue.push (task i) p.queue
-    done;
-    Condition.broadcast p.work;
-    (* The submitter helps: execute queued tasks until the batch drains,
-       then wait for the in-flight stragglers on the other domains. *)
-    let rec help () =
-      if !remaining = 0 then Mutex.unlock p.mutex
-      else if not (Queue.is_empty p.queue) then begin
-        let task = Queue.pop p.queue in
-        Mutex.unlock p.mutex;
-        Obs.Counter.incr c_helped;
-        (try task () with _ -> ());
-        Mutex.lock p.mutex;
-        help ()
-      end
-      else begin
-        Condition.wait p.batch_done p.mutex;
-        help ()
-      end
-    in
-    help ();
+    submit_and_help p ~remaining (Array.init n task);
     (* Re-raise the earliest root failure.  Cancellation skips are a
        consequence of some other task failing (or the deadline passing
        before the batch started), so a real error at a lower index —
@@ -222,15 +231,16 @@ let run (type a) ?(budget = Resilience.Budget.unlimited) p
 (* First-acceptable racing.
 
    Entrants are grouped (nondecreasing [groups]; default one group per
-   entrant, i.e. a pure priority order). The decision rule is staged so
-   the outcome array is jobs-independent: a group may decide the race
-   only once it — and every group before it — is fully recorded, and it
-   decides iff it ran completely (no member was cut) and contains an
-   acceptable [Finished] result. The first decision latches a cancel on
-   the race-local budget fork, so unstarted losers skip; after the
-   drain, every entrant in a group after the deciding one is
-   reclassified [Cut] even if it happened to finish first — exactly the
-   entrants a sequential evaluation would never have started.
+   entrant, i.e. a pure priority order).  [decide] is the staged
+   decision rule, and the only statement of it: the sequential path
+   applies it after each group, the pooled path after every recorded
+   outcome (its first decision latches a cancel on the race-local
+   budget fork, so unstarted losers skip), and both apply it once more
+   after the drain to name the winner and reclassify every entrant
+   after the deciding group as [Cut] — even one that happened to finish
+   first, since a sequential evaluation would never have started it.
+   The rule only ever reads a fully recorded prefix of groups, so the
+   outcome array and the winner are jobs-independent.
 
    Entrant exceptions never escape: they land as [Failed] and cannot
    wedge the pool or the race (chaos-battery contract). *)
@@ -244,9 +254,41 @@ let group_end groups n s =
   done;
   !e
 
-let race (type a) ?(budget = Resilience.Budget.unlimited) ?groups p
-    (thunks : (Resilience.Budget.t -> a) array) ~(acceptable : a -> bool) :
-    a outcome array =
+(* Scan the groups in priority order over [results] ([None]: not yet
+   recorded).  A group with an unrecorded member ends the scan
+   undecided.  A fully recorded group decides iff none of its members
+   was cut and it holds an acceptable [Finished] result; its winner is
+   the acceptable result [prefer] ranks first, ties to the lower index.
+   Otherwise the scan moves on to the next group. *)
+let decide groups ~acceptable ~prefer results =
+  let n = Array.length results in
+  let rec scan s =
+    if s >= n then None
+    else begin
+      let e = group_end groups n s in
+      let recorded = ref true and cut = ref false and best = ref None in
+      for j = s to e - 1 do
+        match results.(j) with
+        | None -> recorded := false
+        | Some Cut -> cut := true
+        | Some (Finished v) when acceptable v ->
+          (match !best with
+           | Some (_, b) when prefer v b >= 0 -> ()
+           | _ -> best := Some (j, v))
+        | Some (Finished _ | Failed _) -> ()
+      done;
+      if not !recorded then None
+      else
+        match !best with
+        | Some (j, _) when not !cut -> Some j
+        | _ -> scan e
+    end
+  in
+  scan 0
+
+let race (type a) ?(budget = Resilience.Budget.unlimited) ?groups
+    ?(prefer = fun _ _ -> 0) p (thunks : (Resilience.Budget.t -> a) array)
+    ~(acceptable : a -> bool) : int option * a outcome array =
   if p.closed then invalid_arg "Parallel.race: pool is shut down";
   let n = Array.length thunks in
   let groups =
@@ -266,148 +308,58 @@ let race (type a) ?(budget = Resilience.Budget.unlimited) ?groups p
      touching the caller's budget, which still reaches every entrant
      through the fork's parent link. *)
   let rb = Resilience.Budget.fork budget in
-  if n = 0 then [||]
-  else if p.n_jobs = 1 || n = 1 then begin
-    (* Priority-order sequential evaluation with early exit across
-       groups: a group runs completely, then decides. *)
-    let results = Array.make n Cut in
-    let decided = ref false in
-    let s = ref 0 in
-    while !s < n && not !decided do
-      let e = group_end groups n !s in
-      for j = !s to e - 1 do
-        results.(j) <-
-          (match Resilience.Budget.state rb with
-           | Some _ -> Cut
-           | None ->
-             (match
-                Resilience.Inject.poison_pool ();
-                thunks.(j) rb
-              with
-              | v -> Finished v
-              | exception exn -> Failed exn))
-      done;
-      for j = !s to e - 1 do
-        match results.(j) with
-        | Finished v when acceptable v -> decided := true
-        | _ -> ()
-      done;
-      (* a cut member (caller budget exhausted mid-group) voids the
-         group's decision, mirroring the pooled rule *)
-      for j = !s to e - 1 do
-        if results.(j) = Cut then decided := false
-      done;
-      s := e
-    done;
-    results
-  end
-  else begin
-    let results : a outcome option array = Array.make n None in
-    let remaining = ref n in
-    let ctx = Obs.context () in
-    (* Under the mutex: is there a deciding group among the fully
-       recorded prefix? *)
-    let decision_ready () =
-      let rec scan s =
-        if s >= n then false
-        else begin
-          let e = group_end groups n s in
-          let all = ref true and ok = ref false and cut = ref false in
-          for j = s to e - 1 do
-            match results.(j) with
-            | None -> all := false
-            | Some (Finished v) -> if acceptable v then ok := true
-            | Some Cut -> cut := true
-            | Some (Failed _) -> ()
-          done;
-          if not !all then false
-          else if !ok && not !cut then true
-          else scan e
-        end
-      in
-      scan 0
-    in
-    let record i outcome =
-      Mutex.lock p.mutex;
-      (match results.(i) with
-       | None ->
-         results.(i) <- Some outcome;
-         decr remaining;
-         if decision_ready () then Resilience.Budget.cancel rb;
-         if !remaining = 0 then Condition.broadcast p.batch_done
-       | Some _ -> ());
-      Mutex.unlock p.mutex
-    in
-    let task i () =
-      match
-        let outcome =
-          match Resilience.Budget.state rb with
-          | Some _ ->
-            Obs.Counter.incr c_skipped;
-            Cut
-          | None ->
-            (match
-               Obs.with_context ctx (fun () ->
-                   Resilience.Inject.poison_pool ();
-                   thunks.(i) rb)
-             with
-             | v -> Finished v
-             | exception exn -> Failed exn)
-        in
-        record i outcome
-      with
-      | () -> ()
-      | exception exn -> record i (Failed exn)
-    in
-    Obs.Counter.add c_submitted n;
-    Mutex.lock p.mutex;
-    for i = 0 to n - 1 do
-      Queue.push (task i) p.queue
-    done;
-    Condition.broadcast p.work;
-    let rec help () =
-      if !remaining = 0 then Mutex.unlock p.mutex
-      else if not (Queue.is_empty p.queue) then begin
-        let task = Queue.pop p.queue in
-        Mutex.unlock p.mutex;
-        Obs.Counter.incr c_helped;
-        (try task () with _ -> ());
-        Mutex.lock p.mutex;
-        help ()
-      end
-      else begin
-        Condition.wait p.batch_done p.mutex;
-        help ()
-      end
-    in
-    help ();
-    let out =
-      Array.map
-        (function Some o -> o | None -> assert false)
-        results
-    in
-    (* Deterministic discard: everything after the deciding group is a
-       loser a sequential race would never have started. *)
-    let rec finalize s =
+  let results : a outcome option array = Array.make n None in
+  let decide () = decide groups ~acceptable ~prefer results in
+  (* One entrant, started only while the race is undecided and the
+     caller's budget lives. *)
+  let start i =
+    match Resilience.Budget.state rb with
+    | Some _ -> Cut
+    | None ->
+      (match
+         Resilience.Inject.poison_pool ();
+         thunks.(i) rb
+       with
+       | v -> Finished v
+       | exception exn -> Failed exn)
+  in
+  if p.n_jobs = 1 || n <= 1 then begin
+    (* Priority-order sequential evaluation with early exit: a group
+       runs completely, then the rule decides — no domain, mutex or
+       cancellation involved. *)
+    let rec go s =
       if s < n then begin
         let e = group_end groups n s in
-        let ok = ref false and cut = ref false in
         for j = s to e - 1 do
-          match out.(j) with
-          | Finished v -> if acceptable v then ok := true
-          | Cut -> cut := true
-          | Failed _ -> ()
+          results.(j) <- Some (start j)
         done;
-        if !ok && not !cut then
-          for j = e to n - 1 do
-            out.(j) <- Cut
-          done
-        else finalize e
+        if decide () = None then go e
       end
     in
-    finalize 0;
-    out
+    go 0
   end
+  else begin
+    let remaining = ref n in
+    let ctx = Obs.context () in
+    let latch () = if decide () <> None then Resilience.Budget.cancel rb in
+    let task i () =
+      let record = record p ~remaining results i in
+      match
+        let outcome = Obs.with_context ctx (fun () -> start i) in
+        (match outcome with Cut -> Obs.Counter.incr c_skipped | _ -> ());
+        record outcome latch
+      with
+      | () -> ()
+      | exception exn -> record (Failed exn) latch
+    in
+    submit_and_help p ~remaining (Array.init n task)
+  end;
+  let winner = decide () in
+  let last = match winner with Some w -> group_end groups n w | None -> n in
+  ( winner,
+    Array.mapi
+      (fun i o -> match o with Some o when i < last -> o | _ -> Cut)
+      results )
 
 let chunks_of ~chunk xs =
   let rec take k acc rest =

@@ -77,11 +77,13 @@ type 'a outcome =
 val race :
   ?budget:Resilience.Budget.t ->
   ?groups:int array ->
+  ?prefer:('a -> 'a -> int) ->
   pool ->
   (Resilience.Budget.t -> 'a) array ->
   acceptable:('a -> bool) ->
-  'a outcome array
-(** First-acceptable racing with a jobs-independent outcome array.
+  int option * 'a outcome array
+(** First-acceptable racing with a jobs-independent winner and outcome
+    array.
 
     Entrants are partitioned by [groups] (nondecreasing ints, same
     length as the thunk array; default: one group per entrant, a pure
@@ -92,20 +94,24 @@ val race :
 
     Decision rule: the {e earliest} group that ran completely (every
     member [Finished] or [Failed] — none cut) and contains an
-    acceptable [Finished] result decides the race; when it does, the
-    race budget is cancelled, unstarted entrants are skipped, and after
-    the drain every entrant in a later group is reported [Cut] even if
-    it happened to finish — exactly the set a sequential evaluation
-    would never have started. Members of the deciding group keep their
-    real outcomes, so the caller applies its own within-group
-    tie-break over the acceptable results.
+    acceptable [Finished] result decides the race, and its winner is
+    the acceptable member that [prefer] ranks first (a negative
+    [prefer a b] puts [a] ahead; ties and the default go to the lower
+    index). Once a group decides, the race budget is cancelled,
+    unstarted entrants are skipped, and after the drain every entrant
+    in a later group is reported [Cut] even if it happened to finish —
+    exactly the set a sequential evaluation would never have started.
+    The result pairs the winner's index ([None] when no group decided)
+    with every entrant's outcome.
 
     At jobs = 1 (or a single entrant) this degrades to priority-order
     sequential evaluation with early exit after the first deciding
-    group — no domain, mutex, or cancellation involved — so outcome
-    arrays are byte-comparable across jobs counts for deterministic
-    thunks. Entrant exceptions land as [Failed] and never wedge the
-    pool; the race itself never raises. *)
+    group — no domain, mutex, or cancellation involved — so results are
+    byte-comparable across jobs counts for deterministic thunks. An
+    entrant is [Cut] without starting whenever the race budget is
+    already exhausted (e.g. the caller's deadline passed). Entrant
+    exceptions land as [Failed] and never wedge the pool; the race
+    itself never raises. *)
 
 val map :
   ?budget:Resilience.Budget.t ->

@@ -181,22 +181,7 @@ let error_of_exn id exn : Protocol.error =
   | exn -> mk Protocol.Internal (Printexc.to_string exn)
 
 let netlist_of_source = function
-  | Protocol.Expr s ->
-    let e = Logic.Parse.expr s in
-    let inputs = Logic.Expr.vars e in
-    (* The output wire must not shadow an input variable (an expression
-       over "f" is legal), so probe f, f0, f1, … deterministically. *)
-    let out =
-      if not (List.mem "f" inputs) then "f"
-      else
-        let rec pick i =
-          let n = Printf.sprintf "f%d" i in
-          if List.mem n inputs then pick (i + 1) else n
-        in
-        pick 0
-    in
-    Logic.Netlist.create ~name:"expr" ~inputs ~outputs:[ out ]
-      [ Logic.Netlist.n_expr out e ]
+  | Protocol.Expr s -> Logic.Netlist.of_expr ~name:"expr" (Logic.Parse.expr s)
   | Protocol.Circuit name ->
     (match Circuits.Suite.find name with
      | entry -> entry.Circuits.Suite.generate ()

@@ -415,6 +415,34 @@ let watchdog_tests =
          check ti "path length matches retries"
            (report.solver_retries + 1)
            (List.length report.solver_path));
+    Alcotest.test_case "MIP-primary ladder walks every rung" `Quick
+      (fun () ->
+         (* <=160 graph nodes so Auto starts on the MIP; a zero budget
+            rejects both timed rungs, and Auto's path lists the bare
+            rung names, not the race's "solver@order:outcome". *)
+         List.iter
+           (fun name ->
+              let nl = (Circuits.Suite.find name).generate () in
+              List.iter
+                (fun jobs ->
+                   let options =
+                     { Compact.Pipeline.default_options with
+                       time_limit = 0.;
+                       jobs }
+                   in
+                   let report =
+                     (Compact.Pipeline.synthesize ~options nl)
+                       .Compact.Pipeline.report
+                   in
+                   let label = Printf.sprintf "%s jobs=%d" name jobs in
+                   check
+                     Alcotest.(list string)
+                     (label ^ " path")
+                     [ "mip"; "heuristic"; "oct-greedy" ]
+                     report.solver_path;
+                   check ti (label ^ " retries") 2 report.solver_retries)
+                [ 1; 4 ])
+           [ "ctrl"; "cavlc" ]);
     Alcotest.test_case "generous budget keeps the first rung" `Quick
       (fun () ->
          let r = synth_expr "(a & b) | c" in

@@ -296,6 +296,23 @@ let netlist_tests =
             [ "f", e "(a & b) | c"; "g", e "(a & b) ^ c" ]
         in
         check tb "equal" true (Logic.Truth_table.equal tt expected));
+    Alcotest.test_case "of_expr names its output f when f is free" `Quick
+      (fun () ->
+         let nl = Logic.Netlist.of_expr ~name:"x" (e "(a & b) | c") in
+         check (Alcotest.list Alcotest.string) "outputs" [ "f" ]
+           nl.Logic.Netlist.outputs;
+         check (Alcotest.list Alcotest.string) "inputs" [ "a"; "b"; "c" ]
+           nl.Logic.Netlist.inputs);
+    Alcotest.test_case "of_expr over a variable named f" `Quick (fun () ->
+        let nl = Logic.Netlist.of_expr ~name:"x" (e "f & a") in
+        check (Alcotest.list Alcotest.string) "f taken" [ "f0" ]
+          nl.Logic.Netlist.outputs;
+        check tb "computes f & a" true
+          (Logic.Expr.semantically_equal
+             (List.assoc "f0" (Logic.Netlist.output_exprs nl))
+             (e "f & a"));
+        check (Alcotest.list Alcotest.string) "f and f0 taken" [ "f1" ]
+          (Logic.Netlist.of_expr ~name:"x" (e "f & f0")).Logic.Netlist.outputs);
     Alcotest.test_case "rejects undefined wires" `Quick (fun () ->
         check tb "raises" true
           (match

@@ -100,7 +100,7 @@ let show_outcomes a = String.concat "," (Array.to_list (Array.map show_outcome a
 
 let race_at ~jobs ?groups thunks ~acceptable =
   Parallel.with_pool ~jobs (fun pool ->
-      Parallel.race ?groups pool thunks ~acceptable)
+      snd (Parallel.race ?groups pool thunks ~acceptable))
 
 let race_tests =
   [
@@ -141,6 +141,33 @@ let race_tests =
           (show_outcomes (race_at ~jobs:1 ~groups thunks ~acceptable));
         check ts "jobs=4" "F2,F4,C"
           (show_outcomes (race_at ~jobs:4 ~groups thunks ~acceptable)));
+    Alcotest.test_case "winner is the preferred member of the deciding group"
+      `Quick (fun () ->
+        (* Group 0 holds 5, 3, 8 (8 unacceptable) and a tie at 3; the
+           preference ranks the smallest first and the tie goes to the
+           lower index. Group 1 is never reached. *)
+        let thunks = Array.map (fun v _rb -> v) [| 5; 3; 8; 3; 1 |] in
+        let groups = [| 0; 0; 0; 0; 1 |] in
+        let acceptable v = v < 8 in
+        List.iter
+          (fun jobs ->
+             let winner, out =
+               Parallel.with_pool ~jobs (fun pool ->
+                   Parallel.race ~groups ~prefer:compare pool thunks
+                     ~acceptable)
+             in
+             let label = Printf.sprintf "jobs=%d" jobs in
+             check ts label "F5,F3,F8,F3,C" (show_outcomes out);
+             check (Alcotest.option ti) (label ^ " winner") (Some 1) winner;
+             check (Alcotest.option ti) (label ^ " no preference") (Some 0)
+               (fst
+                  (Parallel.with_pool ~jobs (fun pool ->
+                       Parallel.race ~groups pool thunks ~acceptable))))
+          [ 1; 4 ];
+        check (Alcotest.option ti) "undecided race" None
+          (fst
+             (Parallel.with_pool ~jobs:4 (fun pool ->
+                  Parallel.race pool thunks ~acceptable:(fun _ -> false)))));
     Alcotest.test_case "failed entrant lands as Failed, race unharmed"
       `Quick (fun () ->
         let thunks =
@@ -152,7 +179,8 @@ let race_tests =
           (show_outcomes (race_at ~jobs:1 ~groups thunks ~acceptable));
         Parallel.with_pool ~jobs:4 (fun pool ->
             check ts "jobs=4" "E,F2,C"
-              (show_outcomes (Parallel.race ~groups pool thunks ~acceptable));
+              (show_outcomes
+                 (snd (Parallel.race ~groups pool thunks ~acceptable)));
             (* the pool survives a failing entrant *)
             check tb "usable after race" true
               (Parallel.run pool (Array.init 5 (fun i () -> i))

@@ -94,8 +94,41 @@ let determinism_tests =
                    [ ":win"; ":ok"; ":partial"; ":error"; ":cut" ]))
            path;
          ignore (winner_of path);
-         check ti "retries invariant" (List.length path - 1)
+         check ti "retries count the entrants that ran and lost"
+           (List.length
+              (List.filter
+                 (fun e ->
+                    List.exists (Filename.check_suffix e)
+                      [ ":partial"; ":error" ])
+                 path))
            r.report.Report.solver_retries);
+    Alcotest.test_case "Auto is the one-order race" `Quick (fun () ->
+        (* With race_orders = 1 the portfolio races exactly Auto's
+           ladder on the build order, so both land on the same rung and
+           the same design at every jobs count. *)
+        List.iter
+          (fun (name, nl) ->
+             List.iter
+               (fun jobs ->
+                  let label = Printf.sprintf "%s jobs=%d" name jobs in
+                  let auto =
+                    Pipeline.synthesize
+                      ~options:{ Pipeline.default_options with jobs }
+                      nl
+                  in
+                  let raced = synth jobs nl in
+                  check ts (label ^ " design") (design_bytes auto.design)
+                    (design_bytes raced.design);
+                  let path = auto.report.Report.solver_path in
+                  check ts (label ^ " winning rung")
+                    (List.nth path (List.length path - 1))
+                    (fst (winner_of raced.report.Report.solver_path)))
+               [ 1; 4 ])
+          [
+            "pf", small_nl;
+            "ctrl", (Circuits.Suite.find "ctrl").generate ();
+            "cavlc", (Circuits.Suite.find "cavlc").generate ();
+          ]);
     Alcotest.test_case "verifies functionally" `Quick (fun () ->
         let r = synth ~race_orders:2 4 small_nl in
         check tb "verified" true
@@ -123,7 +156,9 @@ let pristine_tests =
       (fun () ->
         let r = synth ~race_orders:2 4 small_nl in
         check tb "pristine" true
-          (Report.path_pristine r.report.Report.solver_path))
+          (Report.path_pristine r.report.Report.solver_path);
+        check ti "a clean race retried nothing" 0
+          r.report.Report.solver_retries)
   ]
 
 (* The server must treat the portfolio like any other solver: identical

@@ -164,6 +164,15 @@ let engine_tests =
               Alcotest.failf "unexpected code %s"
                 (match c with Some v -> J.to_string v | None -> "<none>"))
          | None -> Alcotest.fail "no error object");
+    Alcotest.test_case "an expression over a variable named f solves"
+      `Quick (fun () ->
+          Resilience.Inject.disable ();
+          let e = Engine.create Engine.default_config in
+          let resp =
+            Engine.handle e {|{"op":"synth","id":1,"expr":"f & a"}|}
+          in
+          check tb "ok" true
+            (J.member "ok" (J.parse resp) = Some (J.Bool true)));
   ]
 
 (* ------------------------------------------------------------------ *)
