@@ -10,13 +10,6 @@
      main.exe perf --json F   also dump kernel estimates as JSON to F
      main.exe --time-limit S  labeling budget per circuit *)
 
-let usage () =
-  print_endline
-    "usage: main.exe [--quick] [--time-limit S] [--json FILE] [--jobs N] \
-     [--trace FILE] \
-     [all|table1|table2|table3|table4|fig9|fig10|fig11|fig12|fig13|robustness|variation|ablation|perf|obs-overhead|resilience-overhead|loadgen|restart-recovery|portfolio|metrics-overhead]...";
-  exit 1
-
 (* The jobs knob: --jobs N, defaulting to COMPACT_JOBS then 1. Read by
    the experiment config and by the parallel perf kernels below. *)
 let bench_jobs = ref (Parallel.default_jobs ())
@@ -890,6 +883,25 @@ let run_portfolio_bench ?json () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The measurement kernels; the paper's experiments come from
+   [Harness.Targets]. *)
+let kernels =
+  [ "perf", run_perf;
+    "obs-overhead", run_obs_overhead;
+    "resilience-overhead", run_resilience_overhead;
+    "loadgen", run_loadgen;
+    "restart-recovery", run_restart_recovery;
+    "portfolio", run_portfolio_bench;
+    "metrics-overhead", run_metrics_overhead ]
+
+let usage () =
+  Printf.printf
+    "usage: main.exe [--quick] [--time-limit S] [--json FILE] [--jobs N] \
+     [--trace FILE] [%s]...\n"
+    (String.concat "|"
+       (("all" :: List.map fst Harness.Targets.all) @ List.map fst kernels));
+  exit 1
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
@@ -929,28 +941,15 @@ let () =
   in
   let dispatch = function
     | "all" -> Harness.Experiments.run_all config
-    | "table1" -> ignore (Harness.Experiments.table1 config)
-    | "table2" -> ignore (Harness.Experiments.table2 config)
-    | "table3" -> ignore (Harness.Experiments.table3 config)
-    | "table4" -> ignore (Harness.Experiments.table4 config)
-    | "fig9" -> ignore (Harness.Experiments.fig9 config)
-    | "fig10" -> ignore (Harness.Experiments.fig10 config)
-    | "fig11" -> ignore (Harness.Experiments.fig11 config)
-    | "fig12" -> ignore (Harness.Experiments.fig12 config)
-    | "fig13" -> ignore (Harness.Experiments.fig13 config)
-    | "robustness" -> ignore (Harness.Experiments.robustness config)
-    | "variation" -> ignore (Harness.Experiments.variation config)
-    | "ablation" -> Harness.Ablation.run_all config
-    | "perf" -> run_perf ?json:!json ()
-    | "obs-overhead" -> run_obs_overhead ?json:!json ()
-    | "resilience-overhead" -> run_resilience_overhead ?json:!json ()
-    | "loadgen" -> run_loadgen ?json:!json ()
-    | "restart-recovery" -> run_restart_recovery ?json:!json ()
-    | "portfolio" -> run_portfolio_bench ?json:!json ()
-    | "metrics-overhead" -> run_metrics_overhead ?json:!json ()
-    | other ->
-      Printf.eprintf "unknown target %s\n" other;
-      usage ()
+    | name ->
+      (match
+         List.assoc_opt name Harness.Targets.all, List.assoc_opt name kernels
+       with
+       | Some run, _ -> run config
+       | None, Some kernel -> kernel ?json:!json ()
+       | None, None ->
+         Printf.eprintf "unknown target %s\n" name;
+         usage ())
   in
   (match !trace with
    | None -> ()

@@ -1,75 +1,144 @@
 (* COMPACT command-line interface.
 
-   Subcommands:
-     synth      synthesise a crossbar from an expression / BLIF / PLA /
-                built-in benchmark
-     sweep      gamma sweep, printing the non-dominated designs
-     validate   synthesise then verify digitally (+ optionally analog)
-     suite      list the built-in benchmark circuits
-     export     write a built-in benchmark as BLIF/PLA, or its BDD as DOT
-     experiments  regenerate the paper's tables and figures *)
+   Pipeline subcommands, each over one input source (--expr, --blif,
+   --pla, --verilog or --circuit) and the shared synthesis options:
+     synth        synthesise a crossbar design
+     sweep        gamma sweep, printing the non-dominated designs
+     validate     synthesise then verify digitally (+ optionally analog)
+     repair       fit the design onto a faulty array given as a defect map
+     yield        repair yield over random faulty arrays, or one map
+     margin       read-margin corners and Monte-Carlo yield under variation
+     harden       pick the variant and placement with the best margin
+     profile      per-phase time/allocation table (or replay a trace)
+   Tools:
+     trace-check  validate a --trace output file
+     suite        list the built-in benchmark circuits
+     export       write a built-in benchmark as BLIF/PLA/Verilog, or its
+                  BDD as DOT
+     experiments  regenerate the paper's tables and figures
+   compactd, the synthesis server:
+     serve        run it on a Unix-domain socket
+     client       send it requests
+     metrics      fetch its metrics or health snapshot
+     loadgen      drive a seeded mixed workload against it
+
+   Bad input (an unparsable source, an unknown name, an out-of-range
+   value) is an argument error whose message names the option, exit
+   124; exit 125, an uncaught exception, is left to bugs. *)
 
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
+(* Converters *)
+
+(* [conv] restricted to the values satisfying [ok]. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+
+let non_negative_int =
+  checked Arg.int ~expected:"an integer >= 0" (fun n -> n >= 0)
+
+let positive_seconds =
+  checked Arg.float ~expected:"a positive number of seconds" (fun s -> s > 0.)
+
+let probability =
+  checked Arg.float ~expected:"a probability in [0, 1]" (fun p ->
+      p >= 0. && p <= 1.)
+
+(* Exact names only: [Arg.enum] would also accept unambiguous prefixes. *)
+let named what table =
+  let parse s =
+    match List.assoc_opt s table with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %s" what s))
+  in
+  let print ppf v =
+    Format.pp_print_string ppf (fst (List.find (fun (_, v') -> v' == v) table))
+  in
+  Arg.conv (parse, print)
+
+(* ------------------------------------------------------------------ *)
 (* Input selection *)
 
-type source =
-  | Src_expr of string
-  | Src_blif of string
-  | Src_pla of string
-  | Src_verilog of string
-  | Src_circuit of string
+(* A source is read into its netlist while the arguments are parsed, so
+   a bad one is an argument error, worded the way compactd words it.
+   lib/logic and lib/circuits record no spans, so reading before
+   [with_trace] arms tracing leaves every trace unchanged. *)
+let netlist_conv read =
+  let parse s =
+    match read s with
+    | r -> r
+    | exception Logic.Parse.Error msg -> Error (`Msg ("bad expression: " ^ msg))
+    | exception Logic.Blif.Parse_error { line; message } ->
+      Error (`Msg (Printf.sprintf "bad BLIF (line %d): %s" line message))
+    | exception Logic.Pla.Parse_error { line; message } ->
+      Error (`Msg (Printf.sprintf "bad PLA (line %d): %s" line message))
+    | exception Logic.Verilog.Parse_error { line; message } ->
+      Error (`Msg (Printf.sprintf "bad Verilog (line %d): %s" line message))
+    | exception Logic.Netlist.Ill_formed msg ->
+      Error (`Msg ("ill-formed netlist: " ^ msg))
+    | exception Sys_error msg -> Error (`Msg msg)
+  in
+  let print ppf (nl : Logic.Netlist.t) = Format.pp_print_string ppf nl.name in
+  Arg.conv (parse, print)
 
-let netlist_of_source = function
-  | Src_expr s -> Logic.Netlist.of_expr ~name:"expr" (Logic.Parse.expr s)
-  | Src_blif path -> Logic.Blif.parse_file path
-  | Src_pla path -> Logic.Pla.to_netlist (Logic.Pla.parse_file path)
-  | Src_verilog path -> Logic.Verilog.parse_file path
-  | Src_circuit name -> (Circuits.Suite.find name).generate ()
+let circuit_conv =
+  netlist_conv (fun name ->
+      match Circuits.Suite.find name with
+      | e -> Ok (e.Circuits.Suite.generate ())
+      | exception Not_found ->
+        Error (`Msg (Printf.sprintf "unknown circuit %S" name)))
 
-let source_term =
+let file_conv read =
+  netlist_conv (fun path -> Result.map read (Arg.conv_parser Arg.file path))
+
+(* [profile] alone also accepts [--from FILE] instead of a source, so it
+   consumes the optional form. *)
+let source_opt_term =
+  let source names c ~docv ~doc =
+    Arg.(value & opt (some c) None & info names ~docv ~doc)
+  in
   let expr =
-    Arg.(value & opt (some string) None
-         & info [ "e"; "expr" ] ~docv:"EXPR" ~doc:"Boolean expression, e.g. '(a & b) | c'.")
+    source [ "e"; "expr" ] ~docv:"EXPR"
+      ~doc:"Boolean expression, e.g. '(a & b) | c'."
+      (netlist_conv (fun s ->
+           Ok (Logic.Netlist.of_expr ~name:"expr" (Logic.Parse.expr s))))
   in
   let blif =
-    Arg.(value & opt (some file) None
-         & info [ "blif" ] ~docv:"FILE" ~doc:"BLIF netlist file.")
+    source [ "blif" ] ~docv:"FILE" ~doc:"BLIF netlist file."
+      (file_conv Logic.Blif.parse_file)
   in
   let pla =
-    Arg.(value & opt (some file) None
-         & info [ "pla" ] ~docv:"FILE" ~doc:"PLA file.")
+    source [ "pla" ] ~docv:"FILE" ~doc:"PLA file."
+      (file_conv (fun f -> Logic.Pla.to_netlist (Logic.Pla.parse_file f)))
   in
   let verilog =
-    Arg.(value & opt (some file) None
-         & info [ "verilog" ] ~docv:"FILE"
-             ~doc:"Structural Verilog netlist file.")
+    source [ "verilog" ] ~docv:"FILE" ~doc:"Structural Verilog netlist file."
+      (file_conv Logic.Verilog.parse_file)
   in
   let circuit =
-    Arg.(value & opt (some string) None
-         & info [ "c"; "circuit" ] ~docv:"NAME"
-             ~doc:"Built-in benchmark (see the suite subcommand).")
+    source [ "c"; "circuit" ] ~docv:"NAME"
+      ~doc:"Built-in benchmark (see the suite subcommand)." circuit_conv
   in
-  let combine expr blif pla verilog circuit =
-    match expr, blif, pla, verilog, circuit with
-    | Some e, None, None, None, None -> Ok (Some (Src_expr e))
-    | None, Some f, None, None, None -> Ok (Some (Src_blif f))
-    | None, None, Some f, None, None -> Ok (Some (Src_pla f))
-    | None, None, None, Some f, None -> Ok (Some (Src_verilog f))
-    | None, None, None, None, Some c -> Ok (Some (Src_circuit c))
-    | None, None, None, None, None -> Ok None
+  let one expr blif pla verilog circuit =
+    match List.filter_map Fun.id [ expr; blif; pla; verilog; circuit ] with
+    | [] -> Ok None
+    | [ nl ] -> Ok (Some nl)
     | _ -> Error (`Msg "give exactly one input source")
   in
-  Term.(term_result (const combine $ expr $ blif $ pla $ verilog $ circuit))
-
-(* Most subcommands require an input; [profile] alone also accepts
-   [--from FILE] instead, so it consumes the optional variant. *)
-let source_opt_term = source_term
+  Term.(term_result (const one $ expr $ blif $ pla $ verilog $ circuit))
 
 let source_term =
   let require = function
-    | Some s -> Ok s
+    | Some nl -> Ok nl
     | None ->
       Error
         (`Msg "one of --expr, --blif, --pla, --verilog, --circuit is required")
@@ -95,7 +164,7 @@ let solver_conv =
 let jobs_term =
   let arg =
     Arg.(value
-         & opt (some int) None
+         & opt (some positive_int) None
          & info [ "j"; "jobs" ] ~docv:"N"
              ~env:(Cmd.Env.info "COMPACT_JOBS"
                      ~doc:"Default worker-domain count when $(b,-j) is absent.")
@@ -104,17 +173,7 @@ let jobs_term =
                    are identical for every jobs count; 1 (the default) is \
                    the sequential path.")
   in
-  let check = function
-    | None -> Ok 1
-    | Some n when n >= 1 -> Ok n
-    | Some n ->
-      Error
-        (`Msg
-           (Printf.sprintf
-              "invalid jobs count %d: -j/--jobs (or COMPACT_JOBS) needs an \
-               integer >= 1" n))
-  in
-  Term.(term_result (const check $ arg))
+  Term.(const (Option.value ~default:1) $ arg)
 
 (* [--trace] rides on every pipeline subcommand.  The run executes with
    recording enabled and the drained events are written at exit: a
@@ -159,21 +218,23 @@ let prepare_trace_file file =
   with Sys_error msg ->
     Error (`Msg (Printf.sprintf "--trace %s: not writable (%s)" file msg))
 
+(* The runtime failures a run can end in, as structured CLI errors: a
+   budget that exhausts in a stage with no partial result (BDD build,
+   memory) and unsatisfiable design constraints.  Any other exception
+   is a bug and still escapes loudly. *)
+let guarded k =
+  match k () with
+  | r -> r
+  | exception Resilience.Budget.Exhausted r ->
+    Error
+      (`Msg
+         (Format.asprintf "budget exhausted (%a) before a result was produced"
+            Resilience.Budget.pp_reason r))
+  | exception Compact.Label_mip.Infeasible msg ->
+    Error (`Msg ("design constraints are infeasible: " ^ msg))
+
 let with_trace trace k =
-  (* All pipeline work happens under this wrapper, so a budget that
-     exhausts in a stage with no partial result (BDD build, memory)
-     surfaces here as a structured CLI error instead of an uncaught
-     exception. *)
-  let k () =
-    match k () with
-    | r -> r
-    | exception Resilience.Budget.Exhausted r ->
-      Error
-        (`Msg
-           (Format.asprintf
-              "budget exhausted (%a) before a result was produced"
-              Resilience.Budget.pp_reason r))
-  in
+  let k () = guarded k in
   match trace with
   | None -> k ()
   | Some file ->
@@ -217,20 +278,11 @@ let options_term =
                    count).")
   in
   let race_orders =
-    let arg =
-      Arg.(value & opt int 1
-           & info [ "race-orders" ] ~docv:"K"
-               ~doc:"Under --solver portfolio, race each solver rung on up \
-                     to $(docv) candidate variable orders (default 1: the \
-                     build order only).")
-    in
-    let check n =
-      if n >= 1 then Ok n
-      else
-        Error
-          (`Msg (Printf.sprintf "invalid --race-orders %d: needs >= 1" n))
-    in
-    Term.(term_result (const check $ arg))
+    Arg.(value & opt positive_int 1
+         & info [ "race-orders" ] ~docv:"K"
+             ~doc:"Under --solver portfolio, race each solver rung on up \
+                   to $(docv) candidate variable orders (default 1: the \
+                   build order only).")
   in
   let time_limit =
     Arg.(value & opt float 30.
@@ -238,29 +290,16 @@ let options_term =
              ~doc:"Labeling time budget in seconds.")
   in
   let deadline =
-    let arg =
-      Arg.(value & opt (some float) None
-           & info [ "deadline" ] ~docv:"SEC"
-               ~env:(Cmd.Env.info "COMPACT_DEADLINE"
-                       ~doc:"Default end-to-end deadline when \
-                             $(b,--deadline) is absent.")
-               ~doc:"End-to-end wall deadline in seconds for the whole \
-                     run. When it expires the pipeline degrades \
-                     gracefully to the cheapest labeling method and \
-                     returns a verified design with DEADLINE HIT in the \
-                     report (non-zero exit); it never wedges.")
-    in
-    let check = function
-      | None -> Ok None
-      | Some s when s > 0. -> Ok (Some s)
-      | Some s ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "invalid deadline %g: --deadline (or COMPACT_DEADLINE) \
-                 needs a positive number of seconds" s))
-    in
-    Term.(term_result (const check $ arg))
+    Arg.(value & opt (some positive_seconds) None
+         & info [ "deadline" ] ~docv:"SEC"
+             ~env:(Cmd.Env.info "COMPACT_DEADLINE"
+                     ~doc:"Default end-to-end deadline when \
+                           $(b,--deadline) is absent.")
+             ~doc:"End-to-end wall deadline in seconds for the whole \
+                   run. When it expires the pipeline degrades \
+                   gracefully to the cheapest labeling method and \
+                   returns a verified design with DEADLINE HIT in the \
+                   report (non-zero exit); it never wedges.")
   in
   let no_alignment =
     Arg.(value & flag
@@ -296,6 +335,25 @@ let options_term =
     $ no_alignment $ max_rows $ max_cols $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
+(* Subcommand wiring *)
+
+(* A subcommand whose body returns a result; an [Error] is a CLI error
+   (exit 124). *)
+let cmd name ~doc body = Cmd.v (Cmd.info name ~doc) (Term.term_result body)
+
+(* A subcommand whose body runs under --trace and [guarded]. *)
+let traced_cmd name ~doc body =
+  cmd name ~doc Term.(const with_trace $ trace_term $ body)
+
+(* A pipeline subcommand: [body] takes its own flags and returns a run
+   over the source's netlist and the shared synthesis options. *)
+let pipeline_cmd name ~doc body =
+  traced_cmd name ~doc
+    Term.(
+      const (fun nl options run () -> run nl options)
+      $ source_term $ options_term $ body)
+
+(* ------------------------------------------------------------------ *)
 
 let print_grid =
   Arg.(value & flag
@@ -313,21 +371,12 @@ let print_stats =
    once under the best static candidate order and runs in-place Rudell
    sifting; [anneal] is the older rebuild-per-move annealing search,
    retained as a cross-check. *)
-let reorder_conv =
-  let parse = function
-    | "none" -> Ok `None
-    | "sift" -> Ok `Sift
-    | "anneal" -> Ok `Anneal
-    | s -> Error (`Msg (Printf.sprintf "unknown reorder mode %s" s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf
-      (match m with `None -> "none" | `Sift -> "sift" | `Anneal -> "anneal")
-  in
-  Arg.conv (parse, print)
-
 let reorder_term =
-  Arg.(value & opt reorder_conv `None
+  Arg.(value
+       & opt
+           (named "reorder mode"
+              [ "none", `None; "sift", `Sift; "anneal", `Anneal ])
+           `None
        & info [ "reorder" ] ~docv:"MODE"
            ~doc:"Variable-order optimisation before synthesis: none \
                  (default), sift (build once, then in-place Rudell \
@@ -348,48 +397,35 @@ let reordered_order reorder options nl =
     in
     Some order
 
-let report_stats result =
-  match (result : Compact.Pipeline.result).report.bdd_stats with
-  | Some s -> Format.printf "%a@." Bdd.Manager.pp_stats s
-  | None -> Format.printf "no BDD engine statistics recorded@."
-
-let synth_run trace source options reorder grid stats =
-  with_trace trace @@ fun () ->
-  let nl = netlist_of_source source in
-  let options = { options with Compact.Pipeline.order = reordered_order reorder options nl } in
-  match Compact.Pipeline.synthesize ~options nl with
-  | result ->
-    Format.printf "%a@." Compact.Report.pp result.report;
-    if stats then report_stats result;
-    if grid then Format.printf "%a@." Crossbar.Design.pp result.design;
-    if result.report.Compact.Report.deadline_hit then
-      Error
-        (`Msg
-           (Printf.sprintf
-              "deadline hit: returned the degraded incumbent (solver path: \
-               %s)"
-              (String.concat " -> "
-                 result.report.Compact.Report.solver_path)))
-    else Ok ()
-  | exception Compact.Label_mip.Infeasible msg ->
-    Error (`Msg ("design constraints are infeasible: " ^ msg))
+let synth_run reorder grid stats nl options =
+  let options =
+    { options with Compact.Pipeline.order = reordered_order reorder options nl }
+  in
+  let result = Compact.Pipeline.synthesize ~options nl in
+  Format.printf "%a@." Compact.Report.pp result.report;
+  if stats then begin
+    match result.report.bdd_stats with
+    | Some s -> Format.printf "%a@." Bdd.Manager.pp_stats s
+    | None -> Format.printf "no BDD engine statistics recorded@."
+  end;
+  if grid then Format.printf "%a@." Crossbar.Design.pp result.design;
+  if result.report.Compact.Report.deadline_hit then
+    Error
+      (`Msg
+         (Printf.sprintf
+            "deadline hit: returned the degraded incumbent (solver path: \
+             %s)"
+            (String.concat " -> "
+               result.report.Compact.Report.solver_path)))
+  else Ok ()
 
 let synth_cmd =
-  let term =
-    Term.(
-      term_result
-        (const synth_run $ trace_term $ source_term $ options_term
-         $ reorder_term $ print_grid $ print_stats))
-  in
-  Cmd.v
-    (Cmd.info "synth" ~doc:"Synthesise a crossbar design with COMPACT")
-    term
+  pipeline_cmd "synth" ~doc:"Synthesise a crossbar design with COMPACT"
+    Term.(const synth_run $ reorder_term $ print_grid $ print_stats)
 
 (* ------------------------------------------------------------------ *)
 
-let sweep_run trace source options steps =
-  with_trace trace @@ fun () ->
-  let nl = netlist_of_source source in
+let sweep_run steps nl options =
   let points = ref [] in
   for i = 0 to steps do
     let gamma = float_of_int i /. float_of_int steps in
@@ -421,21 +457,13 @@ let sweep_cmd =
     Arg.(value & opt int 10
          & info [ "steps" ] ~docv:"N" ~doc:"Number of gamma steps.")
   in
-  let term =
-    Term.(
-      term_result
-        (const sweep_run $ trace_term $ source_term $ options_term $ steps))
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Sweep gamma and report the non-dominated (rows, cols) designs")
-    term
+  pipeline_cmd "sweep"
+    ~doc:"Sweep gamma and report the non-dominated (rows, cols) designs"
+    Term.(const sweep_run $ steps)
 
 (* ------------------------------------------------------------------ *)
 
-let validate_run trace source options analog trials =
-  with_trace trace @@ fun () ->
-  let nl = netlist_of_source source in
+let validate_run analog trials nl options =
   let result = Compact.Pipeline.synthesize ~options nl in
   Format.printf "%a@." Compact.Report.pp result.report;
   let digital =
@@ -478,15 +506,8 @@ let validate_cmd =
     Arg.(value & opt int 256
          & info [ "trials" ] ~docv:"N" ~doc:"Random trials for large circuits.")
   in
-  let term =
-    Term.(
-      term_result
-        (const validate_run $ trace_term $ source_term $ options_term $ analog
-         $ trials))
-  in
-  Cmd.v
-    (Cmd.info "validate" ~doc:"Synthesise and verify a design functionally")
-    term
+  pipeline_cmd "validate" ~doc:"Synthesise and verify a design functionally"
+    Term.(const validate_run $ analog $ trials)
 
 (* ------------------------------------------------------------------ *)
 
@@ -500,116 +521,103 @@ let suite_run () =
           | Circuits.Suite.Iscas85 -> "iscas85"
           | Circuits.Suite.Epfl_control -> "epfl-control")
          e.paper_inputs e.paper_outputs e.description)
-    Circuits.Suite.all
+    Circuits.Suite.all;
+  Ok ()
 
 let suite_cmd =
-  Cmd.v
-    (Cmd.info "suite" ~doc:"List the built-in benchmark circuits")
+  cmd "suite" ~doc:"List the built-in benchmark circuits"
     Term.(const suite_run $ const ())
 
 (* ------------------------------------------------------------------ *)
 
-let export_run name format path =
-  match Circuits.Suite.find name with
-  | exception Not_found -> Error (`Msg (Printf.sprintf "unknown circuit %s" name))
-  | e ->
-    let nl = e.generate () in
-    (match format with
-     | "blif" ->
-       Logic.Blif.write_file path nl;
-       Ok ()
-     | "pla" ->
-       if Logic.Netlist.num_inputs nl > 14 then
-         Error (`Msg "pla export needs <= 14 inputs")
-       else begin
-         Logic.Pla.write_file path
-           (Logic.Pla.of_truth_table (Logic.Netlist.to_truth_table nl));
-         Ok ()
-       end
-     | "verilog" ->
-       Logic.Verilog.write_file path nl;
-       Ok ()
-     | "dot" ->
-       let sbdd = Bdd.Sbdd.of_netlist nl in
-       Bdd.Dot.write_file path sbdd;
-       Ok ()
-     | f -> Error (`Msg (Printf.sprintf "unknown format %s" f)))
+let export_run nl format path =
+  match format with
+  | `Blif ->
+    Logic.Blif.write_file path nl;
+    Ok ()
+  | `Pla ->
+    if Logic.Netlist.num_inputs nl > 14 then
+      Error (`Msg "pla export needs <= 14 inputs")
+    else begin
+      Logic.Pla.write_file path
+        (Logic.Pla.of_truth_table (Logic.Netlist.to_truth_table nl));
+      Ok ()
+    end
+  | `Verilog ->
+    Logic.Verilog.write_file path nl;
+    Ok ()
+  | `Dot ->
+    Bdd.Dot.write_file path (Bdd.Sbdd.of_netlist nl);
+    Ok ()
 
 let export_cmd =
   let circuit_arg =
-    Arg.(required & pos 0 (some string) None
+    Arg.(required & pos 0 (some circuit_conv) None
          & info [] ~docv:"CIRCUIT" ~doc:"Benchmark name.")
   in
   let format_arg =
-    Arg.(value & opt string "blif"
+    Arg.(value
+         & opt
+             (named "format"
+                [ "blif", `Blif; "pla", `Pla; "verilog", `Verilog; "dot", `Dot ])
+             `Blif
          & info [ "f"; "format" ] ~docv:"FMT" ~doc:"blif, pla, verilog or dot.")
   in
   let path_arg =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"FILE" ~doc:"Output file.")
   in
-  let term =
-    Term.term_result
-      Term.(const export_run $ circuit_arg $ format_arg $ path_arg)
-  in
-  Cmd.v
-    (Cmd.info "export" ~doc:"Write a benchmark as BLIF/PLA or its BDD as DOT")
-    term
+  cmd "export" ~doc:"Write a benchmark as BLIF/PLA or its BDD as DOT"
+    Term.(const export_run $ circuit_arg $ format_arg $ path_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Defect-aware repair *)
 
-let defects_of_file file =
-  match Crossbar.Defect_map.parse_file file with
-  | map -> Ok map
-  | exception Crossbar.Defect_map.Parse_error { line; msg } ->
+let defects_conv =
+  let parse file =
+    match Crossbar.Defect_map.parse_file file with
+    | map -> Ok map
+    | exception Crossbar.Defect_map.Parse_error { line; msg } ->
+      Error
+        (`Msg
+           (if line > 0 then Printf.sprintf "%s: line %d: %s" file line msg
+            else Printf.sprintf "%s: %s" file msg))
+    | exception Failure msg -> Error (`Msg (file ^ ": " ^ msg))
+    | exception Invalid_argument msg -> Error (`Msg (file ^ ": " ^ msg))
+    | exception Sys_error msg -> Error (`Msg msg)
+  in
+  Arg.conv
+    ( (fun s -> Result.bind (Arg.conv_parser Arg.file s) parse),
+      Crossbar.Defect_map.pp )
+
+let repair_run defects grid nl options =
+  let { Compact.Pipeline.base; repair } =
+    Compact.Pipeline.repair ~options ~defects nl
+  in
+  Format.printf "%a@." Compact.Report.pp base.report;
+  Format.printf "array: %a@." Crossbar.Defect_map.pp defects;
+  Format.printf "%a@." Compact.Repair.pp repair;
+  match repair.outcome with
+  | Compact.Repair.Repaired { design; _ } ->
+    if grid then Format.printf "%a@." Crossbar.Design.pp design;
+    Ok ()
+  | Compact.Repair.Degraded { correct; failed; _ } ->
     Error
       (`Msg
-         (if line > 0 then Printf.sprintf "%s: line %d: %s" file line msg
-          else Printf.sprintf "%s: %s" file msg))
-  | exception Failure msg -> Error (`Msg (file ^ ": " ^ msg))
-  | exception Invalid_argument msg -> Error (`Msg (file ^ ": " ^ msg))
-  | exception Sys_error msg -> Error (`Msg msg)
-
-let repair_run trace source options defects_file grid =
-  Result.bind (defects_of_file defects_file) @@ fun defects ->
-  with_trace trace @@ fun () ->
-  let nl = netlist_of_source source in
-  match Compact.Pipeline.repair ~options ~defects nl with
-  | { base; repair } ->
-    Format.printf "%a@." Compact.Report.pp base.report;
-    Format.printf "array: %a@." Crossbar.Defect_map.pp defects;
-    Format.printf "%a@." Compact.Repair.pp repair;
-    (match repair.outcome with
-     | Compact.Repair.Repaired { design; _ } ->
-       if grid then Format.printf "%a@." Crossbar.Design.pp design;
-       Ok ()
-     | Compact.Repair.Degraded { correct; failed; _ } ->
-       Error
-         (`Msg
-            (Printf.sprintf "degraded: %d output(s) lost, %d survive"
-               (List.length failed) (List.length correct)))
-     | Compact.Repair.Unplaceable msg -> Error (`Msg ("unplaceable: " ^ msg)))
-  | exception Compact.Label_mip.Infeasible msg ->
-    Error (`Msg ("design constraints are infeasible: " ^ msg))
+         (Printf.sprintf "degraded: %d output(s) lost, %d survive"
+            (List.length failed) (List.length correct)))
+  | Compact.Repair.Unplaceable msg -> Error (`Msg ("unplaceable: " ^ msg))
 
 let repair_cmd =
   let defects =
-    Arg.(required & opt (some file) None
+    Arg.(required & opt (some defects_conv) None
          & info [ "d"; "defects" ] ~docv:"FILE"
              ~doc:"Defect map of the physical array (see DESIGN.md for the \
                    text format).")
   in
-  let term =
-    Term.(
-      term_result
-        (const repair_run $ trace_term $ source_term $ options_term $ defects
-         $ print_grid))
-  in
-  Cmd.v
-    (Cmd.info "repair"
-       ~doc:"Synthesise and fit the design onto a faulty crossbar array")
-    term
+  pipeline_cmd "repair"
+    ~doc:"Synthesise and fit the design onto a faulty crossbar array"
+    Term.(const repair_run $ defects $ print_grid)
 
 (* ------------------------------------------------------------------ *)
 
@@ -697,53 +705,40 @@ let yield_monte_carlo base nl rate line_rate spare_rows spare_cols trials seed
     (100. *. float_of_int repaired /. float_of_int (max 1 trials));
   Ok ()
 
-let yield_run trace source (options : Compact.Pipeline.options) defects_file
-    rate line_rate spare_rows spare_cols trials seed =
-  if rate < 0. || rate > 1. then Error (`Msg "--rate must lie in [0, 1]")
-  else if line_rate < 0. || line_rate > 1. then
-    Error (`Msg "--line-rate must lie in [0, 1]")
-  else if spare_rows < 0 || spare_cols < 0 then
-    Error (`Msg "spare counts cannot be negative")
-  else
-  with_trace trace @@ fun () ->
-  let nl = netlist_of_source source in
-  match Compact.Pipeline.synthesize ~options nl with
-  | exception Compact.Label_mip.Infeasible msg ->
-    Error (`Msg ("design constraints are infeasible: " ^ msg))
-  | base ->
-    Format.printf "%a@." Compact.Report.pp base.report;
-    (match defects_file with
-     | Some file ->
-       Result.bind (defects_of_file file) @@ fun defects ->
-       yield_single base nl defects 256 seed
-     | None ->
-       yield_monte_carlo base nl rate line_rate spare_rows spare_cols trials
-         seed options.Compact.Pipeline.jobs)
+let yield_run defects rate line_rate spare_rows spare_cols trials seed nl
+    (options : Compact.Pipeline.options) =
+  let base = Compact.Pipeline.synthesize ~options nl in
+  Format.printf "%a@." Compact.Report.pp base.report;
+  match defects with
+  | Some defects -> yield_single base nl defects 256 seed
+  | None ->
+    yield_monte_carlo base nl rate line_rate spare_rows spare_cols trials
+      seed options.jobs
 
 let yield_cmd =
   let defects =
-    Arg.(value & opt (some file) None
+    Arg.(value & opt (some defects_conv) None
          & info [ "d"; "defects" ] ~docv:"FILE"
              ~doc:"Judge one concrete defect map (per-output survival, no \
                    repair) instead of the Monte-Carlo sweep.")
   in
   let rate =
-    Arg.(value & opt float 0.02
+    Arg.(value & opt probability 0.02
          & info [ "rate" ] ~docv:"P"
              ~doc:"Per-junction fault probability for random arrays.")
   in
   let line_rate =
-    Arg.(value & opt float 0.
+    Arg.(value & opt probability 0.
          & info [ "line-rate" ] ~docv:"P"
              ~doc:"Per-line broken-wire probability for random arrays.")
   in
   let spare_rows =
-    Arg.(value & opt int 1
+    Arg.(value & opt non_negative_int 1
          & info [ "spare-rows" ] ~docv:"N"
              ~doc:"Spare wordlines added to the random arrays.")
   in
   let spare_cols =
-    Arg.(value & opt int 1
+    Arg.(value & opt non_negative_int 1
          & info [ "spare-cols" ] ~docv:"N" ~doc:"Spare bitlines.")
   in
   let trials =
@@ -753,17 +748,12 @@ let yield_cmd =
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
   in
-  let term =
+  pipeline_cmd "yield"
+    ~doc:"Estimate repair yield over random faulty arrays, or judge one \
+          defect map"
     Term.(
-      term_result
-        (const yield_run $ trace_term $ source_term $ options_term $ defects
-         $ rate $ line_rate $ spare_rows $ spare_cols $ trials $ seed))
-  in
-  Cmd.v
-    (Cmd.info "yield"
-       ~doc:"Estimate repair yield over random faulty arrays, or judge one \
-             defect map")
-    term
+      const yield_run $ defects $ rate $ line_rate $ spare_rows $ spare_cols
+      $ trials $ seed)
 
 (* ------------------------------------------------------------------ *)
 (* Variation-aware margin analysis and hardening *)
@@ -816,58 +806,53 @@ let json_flag =
            ~doc:"Machine output: one JSON line per corner analysis plus \
                  one for the Monte-Carlo yield.")
 
-let margin_run trace source (options : Compact.Pipeline.options) spec seed
-    margin_spec mc_trials json =
-  with_trace trace @@ fun () ->
-  let nl = netlist_of_source source in
-  match Compact.Pipeline.synthesize ~options nl with
-  | exception Compact.Label_mip.Infeasible msg ->
-    Error (`Msg ("design constraints are infeasible: " ^ msg))
-  | result ->
-    let inputs = nl.Logic.Netlist.inputs and outputs = nl.Logic.Netlist.outputs in
-    let reference = Logic.Netlist.eval_point nl in
-    let corners =
-      Crossbar.Margin.corners ~seed ~spec result.design ~inputs ~reference
-        ~outputs
-    in
-    let mc =
-      if mc_trials <= 0 then None
-      else
-        Some
-          (Crossbar.Margin.monte_carlo ~seed ~max_trials:mc_trials
-             ~margin_spec ~jobs:options.Compact.Pipeline.jobs ~spec
-             result.design ~inputs ~reference ~outputs)
-    in
-    if json then begin
-      List.iter
-        (fun (c, a) ->
-           Format.printf "{\"corner\":\"%s\",\"analysis\":%s}@."
-             (Crossbar.Variation.corner_name c)
-             (Crossbar.Margin.json_of_analysis a))
-        corners;
-      Option.iter
-        (fun m -> Format.printf "%s@." (Crossbar.Margin.json_of_mc m))
-        mc
-    end
-    else begin
-      Format.printf "%a@." Compact.Report.pp result.report;
-      List.iter
-        (fun (c, a) ->
-           Format.printf "corner %-9s %a@."
-             (Crossbar.Variation.corner_name c)
-             Crossbar.Margin.pp_analysis a)
-        corners;
-      Format.printf "worst over corners: %+.4f@."
-        (Crossbar.Margin.worst_over_corners corners);
-      Option.iter (fun m -> Format.printf "%a@." Crossbar.Margin.pp_mc m) mc
-    end;
-    let worst = Crossbar.Margin.worst_over_corners corners in
-    if worst < margin_spec then
-      Error
-        (`Msg
-           (Printf.sprintf "worst corner margin %.4f misses the spec %.4f"
-              worst margin_spec))
-    else Ok ()
+let margin_run spec seed margin_spec mc_trials json nl
+    (options : Compact.Pipeline.options) =
+  let result = Compact.Pipeline.synthesize ~options nl in
+  let inputs = nl.Logic.Netlist.inputs and outputs = nl.Logic.Netlist.outputs in
+  let reference = Logic.Netlist.eval_point nl in
+  let corners =
+    Crossbar.Margin.corners ~seed ~spec result.design ~inputs ~reference
+      ~outputs
+  in
+  let mc =
+    if mc_trials <= 0 then None
+    else
+      Some
+        (Crossbar.Margin.monte_carlo ~seed ~max_trials:mc_trials
+           ~margin_spec ~jobs:options.jobs ~spec result.design ~inputs
+           ~reference ~outputs)
+  in
+  if json then begin
+    List.iter
+      (fun (c, a) ->
+         Format.printf "{\"corner\":\"%s\",\"analysis\":%s}@."
+           (Crossbar.Variation.corner_name c)
+           (Crossbar.Margin.json_of_analysis a))
+      corners;
+    Option.iter
+      (fun m -> Format.printf "%s@." (Crossbar.Margin.json_of_mc m))
+      mc
+  end
+  else begin
+    Format.printf "%a@." Compact.Report.pp result.report;
+    List.iter
+      (fun (c, a) ->
+         Format.printf "corner %-9s %a@."
+           (Crossbar.Variation.corner_name c)
+           Crossbar.Margin.pp_analysis a)
+      corners;
+    Format.printf "worst over corners: %+.4f@."
+      (Crossbar.Margin.worst_over_corners corners);
+    Option.iter (fun m -> Format.printf "%a@." Crossbar.Margin.pp_mc m) mc
+  end;
+  let worst = Crossbar.Margin.worst_over_corners corners in
+  if worst < margin_spec then
+    Error
+      (`Msg
+         (Printf.sprintf "worst corner margin %.4f misses the spec %.4f"
+            worst margin_spec))
+  else Ok ()
 
 let margin_cmd =
   let mc_trials =
@@ -875,53 +860,42 @@ let margin_cmd =
          & info [ "mc-trials" ] ~docv:"N"
              ~doc:"Monte-Carlo yield trial budget (0 disables).")
   in
-  let term =
+  pipeline_cmd "margin"
+    ~doc:"Read-margin corner analysis and Monte-Carlo functional yield \
+          under device variation"
     Term.(
-      term_result
-        (const margin_run $ trace_term $ source_term $ options_term $ spec_term
-         $ seed_term $ margin_spec_term $ mc_trials $ json_flag))
-  in
-  Cmd.v
-    (Cmd.info "margin"
-       ~doc:"Read-margin corner analysis and Monte-Carlo functional yield \
-             under device variation")
-    term
+      const margin_run $ spec_term $ seed_term $ margin_spec_term $ mc_trials
+      $ json_flag)
 
-let harden_run trace source (options : Compact.Pipeline.options) spec seed
-    margin_spec mc_trials grid =
-  with_trace trace @@ fun () ->
-  let nl = netlist_of_source source in
+let harden_run spec seed margin_spec mc_trials grid nl
+    (options : Compact.Pipeline.options) =
   let hopts =
     { Compact.Pipeline.default_harden_options with
-      spec; seed; margin_spec; mc_trials;
-      jobs = options.Compact.Pipeline.jobs }
+      spec; seed; margin_spec; mc_trials; jobs = options.jobs }
   in
-  match Compact.Pipeline.harden ~options ~hopts nl with
-  | exception Compact.Label_mip.Infeasible msg ->
-    Error (`Msg ("design constraints are infeasible: " ^ msg))
-  | r ->
-    Format.printf "%a@." Compact.Report.pp r.hardened_report;
-    Format.printf "candidates (worst corner margin):@.";
+  let r = Compact.Pipeline.harden ~options ~hopts nl in
+  Format.printf "%a@." Compact.Report.pp r.hardened_report;
+  Format.printf "candidates (worst corner margin):@.";
+  List.iter
+    (fun (c : Compact.Pipeline.candidate) ->
+       Format.printf "  %-30s %+.5f (typical %+.5f)%s@." c.cand_label
+         c.cand_worst c.cand_typical
+         (if c.cand_label = r.chosen.cand_label then "  <- chosen" else ""))
+    r.candidates;
+  Option.iter (fun m -> Format.printf "%a@." Crossbar.Margin.pp_mc m) r.mc;
+  if grid then Format.printf "%a@." Crossbar.Design.pp r.chosen.cand_design;
+  if r.meets_spec then Ok ()
+  else begin
     List.iter
-      (fun (c : Compact.Pipeline.candidate) ->
-         Format.printf "  %-30s %+.5f (typical %+.5f)%s@." c.cand_label
-           c.cand_worst c.cand_typical
-           (if c.cand_label = r.chosen.cand_label then "  <- chosen" else ""))
-      r.candidates;
-    Option.iter (fun m -> Format.printf "%a@." Crossbar.Margin.pp_mc m) r.mc;
-    if grid then Format.printf "%a@." Crossbar.Design.pp r.chosen.cand_design;
-    if r.meets_spec then Ok ()
-    else begin
-      List.iter
-        (fun (o, m) ->
-           Format.printf "  %-16s worst margin %+.4f misses spec %.4f@." o m
-             margin_spec)
-        r.failing_outputs;
-      Error
-        (`Msg
-           (Printf.sprintf "%d output(s) miss the margin spec"
-              (List.length r.failing_outputs)))
-    end
+      (fun (o, m) ->
+         Format.printf "  %-16s worst margin %+.4f misses spec %.4f@." o m
+           margin_spec)
+      r.failing_outputs;
+    Error
+      (`Msg
+         (Printf.sprintf "%d output(s) miss the margin spec"
+            (List.length r.failing_outputs)))
+  end
 
 let harden_cmd =
   let mc_trials =
@@ -930,134 +904,106 @@ let harden_cmd =
              ~doc:"Monte-Carlo yield budget on the chosen design (0 \
                    disables).")
   in
-  let term =
+  pipeline_cmd "harden"
+    ~doc:"Pick the synthesis variant and line placement maximising the \
+          worst-case read margin"
     Term.(
-      term_result
-        (const harden_run $ trace_term $ source_term $ options_term $ spec_term
-         $ seed_term $ margin_spec_term $ mc_trials $ print_grid))
-  in
-  Cmd.v
-    (Cmd.info "harden"
-       ~doc:"Pick the synthesis variant and line placement maximising the \
-             worst-case read margin")
-    term
+      const harden_run $ spec_term $ seed_term $ margin_spec_term $ mc_trials
+      $ print_grid)
 
 (* ------------------------------------------------------------------ *)
 
-let experiments_run trace quick targets =
-  with_trace trace @@ fun () ->
+let experiments_run quick targets () =
   let config =
     if quick then Harness.Experiments.quick_config
     else Harness.Experiments.default_config
   in
   (match targets with
    | [] -> Harness.Experiments.run_all config
-   | ts ->
-     List.iter
-       (fun t ->
-          match t with
-          | "table1" -> ignore (Harness.Experiments.table1 config)
-          | "table2" -> ignore (Harness.Experiments.table2 config)
-          | "table3" -> ignore (Harness.Experiments.table3 config)
-          | "table4" -> ignore (Harness.Experiments.table4 config)
-          | "fig9" -> ignore (Harness.Experiments.fig9 config)
-          | "fig10" -> ignore (Harness.Experiments.fig10 config)
-          | "fig11" -> ignore (Harness.Experiments.fig11 config)
-          | "fig12" -> ignore (Harness.Experiments.fig12 config)
-          | "fig13" -> ignore (Harness.Experiments.fig13 config)
-          | "robustness" -> ignore (Harness.Experiments.robustness config)
-          | "variation" -> ignore (Harness.Experiments.variation config)
-          | t -> Format.printf "unknown experiment %s@." t)
-       ts);
+   | runs -> List.iter (fun run -> run config) runs);
   Ok ()
 
 let experiments_cmd =
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Tight limits.") in
   let targets =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT")
+    Arg.(value & pos_all (named "experiment" Harness.Targets.all) []
+         & info [] ~docv:"EXPERIMENT")
   in
-  let term =
-    Term.(term_result (const experiments_run $ trace_term $ quick $ targets))
-  in
-  Cmd.v
-    (Cmd.info "experiments"
-       ~doc:"Regenerate the paper's tables and figures (same as bench/main.exe)")
-    term
+  traced_cmd "experiments"
+    ~doc:"Regenerate the paper's tables and figures (same as bench/main.exe)"
+    Term.(const experiments_run $ quick $ targets)
 
 (* ------------------------------------------------------------------ *)
 (* Profiling: synthesize once with tracing forced on and fold the
    span log into a per-phase time/allocation table. *)
 
-let profile_run source options =
-  let nl = netlist_of_source source in
+(* One row per phase, indented by its span depth below [base] levels;
+   shares are of [total] seconds. *)
+let print_phases ~title ~total ~base rows =
+  let mwords w = Printf.sprintf "%.2f" (w /. 1e6) in
+  let row (r : Obs.Agg.row) =
+    let depth =
+      if r.r_path = "" then 0
+      else List.length (String.split_on_char '/' r.r_path)
+    in
+    [ String.make (2 * (depth - base)) ' ' ^ r.r_name;
+      string_of_int r.r_count;
+      Printf.sprintf "%.4f" r.r_total;
+      Harness.Table.fmt_pct (if total > 0. then r.r_total /. total else 0.);
+      mwords r.r_minor_words;
+      mwords r.r_major_words ]
+  in
+  Harness.Table.print ~title
+    ~columns:
+      [ "phase", Harness.Table.L; "calls", Harness.Table.R;
+        "time(s)", Harness.Table.R; "share", Harness.Table.R;
+        "minor Mw", Harness.Table.R; "major Mw", Harness.Table.R ]
+    (List.map row rows)
+
+let profile_run nl options =
   Obs.set_enabled true;
   Obs.reset ();
-  match Compact.Pipeline.synthesize ~options nl with
-  | exception Compact.Label_mip.Infeasible msg ->
-    Obs.set_enabled false;
-    Error (`Msg ("design constraints are infeasible: " ^ msg))
-  | result ->
-    let snap = Obs.drain () in
-    Obs.set_enabled false;
-    Format.printf "%a@.@." Compact.Report.pp result.report;
-    let rows = Obs.Agg.phases snap in
-    let under_synth (r : Obs.Agg.row) =
-      r.r_path = "synthesize"
-      || (String.length r.r_path > 11
-          && String.sub r.r_path 0 11 = "synthesize/")
-    in
-    let phase_rows = List.filter under_synth rows in
-    let total = result.report.Compact.Report.synthesis_time in
-    let mwords w = Printf.sprintf "%.2f" (w /. 1e6) in
-    let table_rows =
+  let result = Compact.Pipeline.synthesize ~options nl in
+  let snap = Obs.drain () in
+  Obs.set_enabled false;
+  Format.printf "%a@.@." Compact.Report.pp result.report;
+  let phase_rows =
+    List.filter
+      (fun (r : Obs.Agg.row) ->
+         r.r_path = "synthesize"
+         || String.starts_with ~prefix:"synthesize/" r.r_path)
+      (Obs.Agg.phases snap)
+  in
+  let total = result.report.Compact.Report.synthesis_time in
+  print_phases ~title:(Printf.sprintf "profile: %s" result.report.circuit)
+    ~total ~base:1 phase_rows;
+  (* The top-level stages partition the synthesize span, so their sum
+     should track the report's synthesis time (small residual: report
+     construction and inter-stage glue). *)
+  let stage_sum =
+    List.fold_left
+      (fun acc (r : Obs.Agg.row) ->
+         if r.r_path = "synthesize" then acc +. r.r_total else acc)
+      0. phase_rows
+  in
+  Format.printf "stage coverage: %.4fs of %.4fs synthesis time (%s)@."
+    stage_sum total
+    (Harness.Table.fmt_pct (if total > 0. then stage_sum /. total else 0.));
+  if snap.Obs.counters <> [] then begin
+    let counter_rows =
       List.map
-        (fun (r : Obs.Agg.row) ->
-           let depth =
-             List.length (String.split_on_char '/' r.r_path) - 1
-           in
-           [ String.make (2 * depth) ' ' ^ r.r_name;
-             string_of_int r.r_count;
-             Printf.sprintf "%.4f" r.r_total;
-             Harness.Table.fmt_pct
-               (if total > 0. then r.r_total /. total else 0.);
-             mwords r.r_minor_words;
-             mwords r.r_major_words ])
-        phase_rows
+        (fun (name, v) ->
+           [ name;
+             (if Float.is_integer v then Printf.sprintf "%.0f" v
+              else Printf.sprintf "%g" v) ])
+        snap.Obs.counters
     in
-    Harness.Table.print
-      ~title:(Printf.sprintf "profile: %s" result.report.circuit)
-      ~columns:
-        [ "phase", Harness.Table.L; "calls", Harness.Table.R;
-          "time(s)", Harness.Table.R; "share", Harness.Table.R;
-          "minor Mw", Harness.Table.R; "major Mw", Harness.Table.R ]
-      table_rows;
-    (* The top-level stages partition the synthesize span, so their sum
-       should track the report's synthesis time (small residual: report
-       construction and inter-stage glue). *)
-    let stage_sum =
-      List.fold_left
-        (fun acc (r : Obs.Agg.row) ->
-           if r.r_path = "synthesize" then acc +. r.r_total else acc)
-        0. phase_rows
-    in
-    Format.printf "stage coverage: %.4fs of %.4fs synthesis time (%s)@."
-      stage_sum total
-      (Harness.Table.fmt_pct (if total > 0. then stage_sum /. total else 0.));
-    if snap.Obs.counters <> [] then begin
-      let counter_rows =
-        List.map
-          (fun (name, v) ->
-             [ name;
-               (if Float.is_integer v then Printf.sprintf "%.0f" v
-                else Printf.sprintf "%g" v) ])
-          snap.Obs.counters
-      in
-      Format.printf "@.";
-      Harness.Table.print ~title:"counters"
-        ~columns:[ "metric", Harness.Table.L; "value", Harness.Table.R ]
-        counter_rows
-    end;
-    Ok ()
+    Format.printf "@.";
+    Harness.Table.print ~title:"counters"
+      ~columns:[ "metric", Harness.Table.L; "value", Harness.Table.R ]
+      counter_rows
+  end;
+  Ok ()
 
 (* Replay mode: aggregate an existing JSONL trace (typically a
    flight-recorder dump) into the same per-phase table, no synthesis. *)
@@ -1076,31 +1022,10 @@ let profile_from_run file =
               if r.r_path = "" then acc +. r.r_total else acc)
            0. rows
        in
-       let mwords w = Printf.sprintf "%.2f" (w /. 1e6) in
-       let table_rows =
-         List.map
-           (fun (r : Obs.Agg.row) ->
-              let depth =
-                if r.r_path = "" then 0
-                else List.length (String.split_on_char '/' r.r_path)
-              in
-              [ String.make (2 * depth) ' ' ^ r.r_name;
-                string_of_int r.r_count;
-                Printf.sprintf "%.4f" r.r_total;
-                Harness.Table.fmt_pct
-                  (if total > 0. then r.r_total /. total else 0.);
-                mwords r.r_minor_words;
-                mwords r.r_major_words ])
-           rows
-       in
-       Harness.Table.print
+       print_phases
          ~title:(Printf.sprintf "profile: %s (replayed)"
                    (Filename.basename file))
-         ~columns:
-           [ "phase", Harness.Table.L; "calls", Harness.Table.R;
-             "time(s)", Harness.Table.R; "share", Harness.Table.R;
-             "minor Mw", Harness.Table.R; "major Mw", Harness.Table.R ]
-         table_rows;
+         ~total ~base:0 rows;
        Format.printf "%d events, %d distinct phases@."
          (List.length snap.Obs.events) (List.length rows);
        Ok ())
@@ -1115,20 +1040,16 @@ let profile_cmd =
   let run from source options =
     match from, source with
     | Some file, None -> profile_from_run file
-    | None, Some src -> profile_run src options
+    | None, Some nl -> guarded (fun () -> profile_run nl options)
     | Some _, Some _ ->
       Error (`Msg "--from conflicts with an input source")
     | None, None ->
       Error (`Msg "give an input source or --from FILE")
   in
-  let term =
-    Term.(term_result (const run $ from $ source_opt_term $ options_term))
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Synthesise with tracing on and print a per-phase time and \
-             allocation breakdown (or replay one with --from)")
-    term
+  cmd "profile"
+    ~doc:"Synthesise with tracing on and print a per-phase time and \
+          allocation breakdown (or replay one with --from)"
+    Term.(const run $ from $ source_opt_term $ options_term)
 
 (* ------------------------------------------------------------------ *)
 (* Trace validation: parse a file written by --trace and optionally
@@ -1207,18 +1128,13 @@ let trace_check_cmd =
              ~doc:"Fail unless the Fig-3 synthesis stage spans (bdd-build, \
                    preprocess, labeling, mapping) all appear.")
   in
-  let term =
-    Term.(term_result (const trace_check_run $ file_arg $ expect_stages))
-  in
-  Cmd.v
-    (Cmd.info "trace-check"
-       ~doc:"Parse a --trace output file and verify its structure")
-    term
+  cmd "trace-check" ~doc:"Parse a --trace output file and verify its structure"
+    Term.(const trace_check_run $ file_arg $ expect_stages)
 
 (* ------------------------------------------------------------------ *)
 (* compactd: synthesis-as-a-service over a Unix-domain socket. *)
 
-let socket_term ~required:_ =
+let socket_term =
   Arg.(required
        & opt (some string) None
        & info [ "socket" ] ~docv:"PATH"
@@ -1226,13 +1142,14 @@ let socket_term ~required:_ =
                    ~doc:"Default socket path when $(b,--socket) is absent.")
            ~doc:"Unix-domain socket path of the compactd server.")
 
-let serve_run options socket jobs max_queue request_deadline batch_window
-    cache_entries cache_bytes cache_dir fsync journal_ratio drain_deadline
-    read_deadline max_pending metrics_file metrics_interval flight_file =
+let serve_run (options : Compact.Pipeline.options) socket max_queue
+    request_deadline batch_window cache_entries cache_bytes cache_dir fsync
+    journal_ratio drain_deadline read_deadline max_pending metrics_file
+    metrics_interval flight_file =
   let engine =
     {
       Server.Engine.defaults = options;
-      jobs;
+      jobs = options.jobs;
       max_queue;
       request_deadline;
       verify_trials = Server.Engine.default_config.Server.Engine.verify_trials;
@@ -1257,7 +1174,8 @@ let serve_run options socket jobs max_queue request_deadline batch_window
       handle_signals = true; flight_path; metrics_path = metrics_file;
       metrics_interval }
   in
-  Printf.eprintf "compactd: serving on %s (jobs=%d%s%s)\n%!" socket jobs
+  Printf.eprintf "compactd: serving on %s (jobs=%d%s%s)\n%!" socket
+    options.jobs
     (match cache_dir with
      | None -> ""
      | Some d -> Printf.sprintf ", cache-dir=%s" d)
@@ -1367,19 +1285,24 @@ let serve_cmd =
                    error. Defaults to SOCKET.flight.jsonl; pass \
                    $(b,none) to disable the dump file.")
   in
-  let term =
+  cmd "serve" ~doc:"Run compactd: a JSONL synthesis server with a design cache"
     Term.(
-      term_result
-        (const serve_run $ options_term $ socket_term ~required:true
-         $ jobs_term $ max_queue $ request_deadline $ batch_window
-         $ cache_entries $ cache_bytes $ cache_dir $ fsync $ journal_ratio
-         $ drain_deadline $ read_deadline $ max_pending $ metrics_file
-         $ metrics_interval $ flight_file))
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run compactd: a JSONL synthesis server with a design cache")
-    term
+      const serve_run $ options_term $ socket_term $ max_queue
+      $ request_deadline $ batch_window $ cache_entries $ cache_bytes
+      $ cache_dir $ fsync $ journal_ratio $ drain_deadline $ read_deadline
+      $ max_pending $ metrics_file $ metrics_interval $ flight_file)
+
+(* A session with compactd: a socket it cannot reach, or a transport
+   failure the client's retries did not absorb, is reported naming the
+   socket instead of escaping. *)
+let reaching socket k =
+  match k () with
+  | r -> r
+  | exception Unix.Unix_error (err, _, _) ->
+    Error
+      (`Msg
+         (Printf.sprintf "cannot reach compactd at %s: %s" socket
+            (Unix.error_message err)))
 
 let client_run socket expr lines =
   let lines =
@@ -1396,21 +1319,14 @@ let client_run socket expr lines =
     @ lines
   in
   if lines = [] then Error (`Msg "give -e EXPR or raw JSONL request lines")
-  else begin
-    match Server.Client.connect socket with
-    | client ->
-      List.iter
-        (fun line ->
-           print_endline (Server.Client.request_idempotent client line))
-        lines;
-      Server.Client.close client;
-      Ok ()
-    | exception Unix.Unix_error (err, _, _) ->
-      Error
-        (`Msg
-           (Printf.sprintf "cannot reach compactd at %s: %s" socket
-              (Unix.error_message err)))
-  end
+  else
+    reaching socket @@ fun () ->
+    let client = Server.Client.connect socket in
+    List.iter
+      (fun line -> print_endline (Server.Client.request_idempotent client line))
+      lines;
+    Server.Client.close client;
+    Ok ()
 
 let client_cmd =
   let expr =
@@ -1425,74 +1341,55 @@ let client_cmd =
              ~doc:"Raw JSONL request lines sent verbatim (e.g. \
                    '{\"op\":\"stats\"}').")
   in
-  let term =
-    Term.(
-      term_result
-        (const client_run $ socket_term ~required:true $ expr $ lines))
-  in
-  Cmd.v
-    (Cmd.info "client" ~doc:"Send requests to a running compactd server")
-    term
+  cmd "client" ~doc:"Send requests to a running compactd server"
+    Term.(const client_run $ socket_term $ expr $ lines)
 
 (* One metrics (or health) round trip: connect, ask, render. Prometheus
    rendering happens client-side from the JSON reply — the wire stays
    one-line JSONL either way. *)
 let metrics_fetch socket ~health ~prometheus =
-  match Server.Client.connect socket with
-  | client ->
-    let op = if health then "health" else "metrics" in
-    let line =
-      Obs.Json.to_string
-        (Obs.Json.Obj
-           [ "op", Obs.Json.Str op; "id", Obs.Json.Str "cli" ])
-    in
-    let reply = Server.Client.request_idempotent client line in
-    Server.Client.close client;
-    (match Obs.Json.parse reply with
-     | exception Obs.Json.Parse_error msg ->
-       Error (`Msg (Printf.sprintf "malformed %s reply: %s" op msg))
-     | j ->
-       (match Obs.Json.member "ok" j with
-        | Some (Obs.Json.Bool true) ->
-          if prometheus && not health then
-            match Obs.Metrics.of_json j with
-            | Some view -> Ok (Obs.Metrics.prometheus view)
-            | None ->
-              Error (`Msg ("metrics reply missing sections: " ^ reply))
-          else Ok reply
-        | _ -> Error (`Msg (Printf.sprintf "server refused %s: %s" op reply))))
-  | exception Unix.Unix_error (err, _, _) ->
-    Error
-      (`Msg
-         (Printf.sprintf "cannot reach compactd at %s: %s" socket
-            (Unix.error_message err)))
+  reaching socket @@ fun () ->
+  let client = Server.Client.connect socket in
+  let op = if health then "health" else "metrics" in
+  let line =
+    Obs.Json.to_string
+      (Obs.Json.Obj [ "op", Obs.Json.Str op; "id", Obs.Json.Str "cli" ])
+  in
+  let reply = Server.Client.request_idempotent client line in
+  Server.Client.close client;
+  match Obs.Json.parse reply with
+  | exception Obs.Json.Parse_error msg ->
+    Error (`Msg (Printf.sprintf "malformed %s reply: %s" op msg))
+  | j ->
+    (match Obs.Json.member "ok" j with
+     | Some (Obs.Json.Bool true) ->
+       if prometheus && not health then
+         match Obs.Metrics.of_json j with
+         | Some view -> Ok (Obs.Metrics.prometheus view)
+         | None -> Error (`Msg ("metrics reply missing sections: " ^ reply))
+       else Ok reply
+     | _ -> Error (`Msg (Printf.sprintf "server refused %s: %s" op reply)))
 
 let metrics_run socket health prometheus watch =
+  let with_newline s = if String.ends_with ~suffix:"\n" s then s else s ^ "\n" in
   match watch with
   | None ->
-    Result.map print_string
-      (Result.map (fun s -> if String.length s > 0
-                            && s.[String.length s - 1] = '\n'
-                            then s else s ^ "\n")
-         (metrics_fetch socket ~health ~prometheus))
+    Result.map
+      (fun s -> print_string (with_newline s))
+      (metrics_fetch socket ~health ~prometheus)
   | Some interval ->
-    if interval <= 0. then Error (`Msg "--watch SEC must be positive")
-    else begin
-      (* Watch mode keeps polling through transient failures (a
-         restarting server) and only stops on ctrl-C. *)
-      let rec loop () =
-        (match metrics_fetch socket ~health ~prometheus with
-         | Ok s ->
-           print_string s;
-           if not (String.length s > 0 && s.[String.length s - 1] = '\n')
-           then print_newline ();
-           flush stdout
-         | Error (`Msg m) -> Printf.eprintf "metrics: %s\n%!" m);
-        Unix.sleepf interval;
-        loop ()
-      in
+    (* Watch mode keeps polling through transient failures (a
+       restarting server) and only stops on ctrl-C. *)
+    let rec loop () =
+      (match metrics_fetch socket ~health ~prometheus with
+       | Ok s ->
+         print_string (with_newline s);
+         flush stdout
+       | Error (`Msg m) -> Printf.eprintf "metrics: %s\n%!" m);
+      Unix.sleepf interval;
       loop ()
-    end
+    in
+    loop ()
 
 let metrics_cmd =
   let health =
@@ -1509,46 +1406,32 @@ let metrics_cmd =
                    instead of raw JSON.")
   in
   let watch =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some positive_seconds) None
          & info [ "watch" ] ~docv:"SEC"
              ~doc:"Keep polling every $(docv) seconds until interrupted.")
   in
-  let term =
-    Term.(
-      term_result
-        (const metrics_run $ socket_term ~required:true $ health
-         $ prometheus $ watch))
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:"Fetch the live metrics (or health) snapshot from a running \
-             compactd server")
-    term
+  cmd "metrics"
+    ~doc:"Fetch the live metrics (or health) snapshot from a running \
+          compactd server"
+    Term.(const metrics_run $ socket_term $ health $ prometheus $ watch)
 
 let loadgen_run socket requests hot_frac seed out no_retry =
-  match
+  reaching socket @@ fun () ->
+  let result =
     Server.Loadgen.run ~seed ~requests ~hot_frac ~retry:(not no_retry)
       ~socket ()
-  with
-  | result ->
-    Format.printf "%a@." Server.Loadgen.pp result;
-    (match out with
-     | None -> ()
-     | Some file ->
-       let doc =
-         Server.Loadgen.json_of_result ~seed ~hot:4 ~hot_frac result
-       in
-       let oc = open_out file in
-       output_string oc doc;
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "loadgen: wrote %s\n%!" file);
-    Ok ()
-  | exception Unix.Unix_error (err, _, _) ->
-    Error
-      (`Msg
-         (Printf.sprintf "loadgen against %s failed: %s" socket
-            (Unix.error_message err)))
+  in
+  Format.printf "%a@." Server.Loadgen.pp result;
+  (match out with
+   | None -> ()
+   | Some file ->
+     let doc = Server.Loadgen.json_of_result ~seed ~hot:4 ~hot_frac result in
+     let oc = open_out file in
+     output_string oc doc;
+     output_char oc '\n';
+     close_out oc;
+     Printf.eprintf "loadgen: wrote %s\n%!" file);
+  Ok ()
 
 let loadgen_cmd =
   let requests =
@@ -1577,17 +1460,12 @@ let loadgen_cmd =
              ~doc:"Disable idempotent replay: a dropped connection or shed \
                    request fails instead of being retried.")
   in
-  let term =
+  cmd "loadgen"
+    ~doc:"Drive a seeded mixed workload against compactd and report \
+          throughput, latency and cache behaviour"
     Term.(
-      term_result
-        (const loadgen_run $ socket_term ~required:true $ requests
-         $ hot_frac $ seed $ out $ no_retry))
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:"Drive a seeded mixed workload against compactd and report \
-             throughput, latency and cache behaviour")
-    term
+      const loadgen_run $ socket_term $ requests $ hot_frac $ seed $ out
+      $ no_retry)
 
 (* ------------------------------------------------------------------ *)
 
