@@ -13,21 +13,34 @@
     minority aligned nodes are upgraded to VH (always safe, §V-B).
 
     [balance] (default true) enables the flip optimisation; with it off,
-    free components keep their BFS colouring — the ablation baseline the
-    paper's Fig 6 improves on. *)
+    free components keep their canonical colouring — the ablation
+    baseline the paper's Fig 6 improves on. *)
 
 val orient :
   ?alignment:bool ->
   ?balance:bool ->
   Types.bdd_graph ->
   transversal:bool array ->
-  coloring:int array ->
   Types.label array
-(** [orient bg ~transversal ~coloring] produces a full label array:
-    transversal nodes become [VH]; each residual component is flipped to
-    balance rows against columns. [coloring.(v)] must be 0/1 for kept
-    nodes (a valid 2-colouring) and is ignored for transversal nodes.
-    @raise Invalid_argument on arity mismatch or invalid colouring. *)
+(** [orient bg ~transversal] produces a full label array: transversal
+    nodes become [VH]; each residual component is flipped to balance rows
+    against columns. The residual graph (the BDD graph minus the
+    transversal) is coloured and split into components by one
+    {!Graphs.Bipartite.residual} pass, whose colouring is canonical: a
+    component's smallest node has colour 0, and colour 0 maps to H in an
+    unflipped component.
+    @raise Invalid_argument on arity mismatch, or when the residual has
+    an odd cycle (the transversal is not one). *)
+
+val choose_signs : base:int -> int array -> int array
+(** [choose_signs ~base deltas] picks a sign [s_i ∈ {+1, −1}] per delta
+    so that [base + Σ s_i·deltas.(i)] is as close to 0 as possible; on a
+    tie the smaller sum wins. Exact when [k × (2·Σ|deltas.(i)| + 1)] is
+    at most {!exact_dp_limit} ([k] deltas): a subset-sum DP that keeps
+    one bitset of reachable partial sums per step and rebuilds the signs
+    from those bitsets, taking [t − |d|] as the parent of sum [t] when it
+    was reachable a step earlier, else [t + |d|]. Above the limit, a
+    greedy pass sets the signs largest [|delta|] first. *)
 
 val exact_dp_limit : int
 (** Components × range budget above which the solver falls back to the

@@ -1,4 +1,9 @@
 let exact_oct_node_threshold = 3000
+
+(* The search's size: at most [max_rounds] rounds, each trying the
+   [candidates_per_round] highest-degree nodes plus the aligned ones. *)
+let max_rounds = 25
+let candidates_per_round = 24
 let c_rounds = Obs.Counter.make "heuristic.rounds"
 
 let labels_objective ~gamma labels =
@@ -10,24 +15,8 @@ let labels_objective ~gamma labels =
     labels;
   Types.objective_of ~gamma ~rows:!rows ~cols:!cols, !rows, !cols
 
-(* Recolour the residual graph of a transversal; [None] if (impossibly)
-   not bipartite. *)
-let recolor (bg : Types.bdd_graph) transversal =
-  let keep = Array.map not transversal in
-  let sub, map = Graphs.Ugraph.induced bg.graph ~keep in
-  match Graphs.Bipartite.two_color sub with
-  | None -> None
-  | Some sub_colors ->
-    let n = Graphs.Ugraph.num_nodes bg.graph in
-    let colors = Array.make n (-1) in
-    for v = 0 to n - 1 do
-      if map.(v) >= 0 then colors.(v) <- sub_colors.(map.(v))
-    done;
-    Some colors
-
 let solve ?(budget = Resilience.Budget.unlimited) ?(alignment = false)
-    ?(gamma = 0.5) ?(max_rounds = 25) ?(candidates_per_round = 24)
-    (bg : Types.bdd_graph) =
+    ?(gamma = 0.5) (bg : Types.bdd_graph) =
   let start = Obs.Clock.now () in
   let elapsed () = Obs.Clock.now () -. start in
   let n = Graphs.Ugraph.num_nodes bg.graph in
@@ -83,16 +72,14 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(alignment = false)
       if (not transversal.(v)) && not (Resilience.Budget.exhausted budget)
       then begin
         transversal.(v) <- true;
-        (match recolor bg transversal with
-         | None -> ()
-         | Some coloring ->
-           let labels = Balance.orient ~alignment bg ~transversal ~coloring in
-           let obj, _, _ = labels_objective ~gamma labels in
-           if obj < !best_obj -. 1e-9 then begin
-             best_obj := obj;
-             best_labels := labels;
-             improved := true
-           end);
+        (* A superset of a transversal is one: [orient] cannot raise. *)
+        let labels = Balance.orient ~alignment bg ~transversal in
+        let obj, _, _ = labels_objective ~gamma labels in
+        if obj < !best_obj -. 1e-9 then begin
+          best_obj := obj;
+          best_labels := labels;
+          improved := true
+        end;
         (* Keep the upgrade only if it is (part of) the incumbent. *)
         if not (!best_labels.(v) = Types.VH) then transversal.(v) <- false
       end

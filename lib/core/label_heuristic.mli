@@ -12,14 +12,16 @@ val solve :
   ?budget:Resilience.Budget.t ->
   ?alignment:bool ->
   ?gamma:float ->
-  ?max_rounds:int ->
-  ?candidates_per_round:int ->
   Types.bdd_graph ->
   Types.labeling
-(** Defaults: [gamma = 0.5], [max_rounds = 25],
-    [candidates_per_round = 24]. Half the remaining [budget] goes to the
+(** Default [gamma = 0.5]. Half the remaining [budget] goes to the
     initial OCT (exact for graphs of ≤ [3000] nodes, greedy above), the
     rest to the local search; exhaustion mid-search returns the
-    incumbent labeling. *)
+    incumbent labeling. The search runs at most 25 rounds; each tries
+    the 24 highest-degree nodes outside the transversal plus the
+    terminal and the roots, in increasing node order, and keeps a move
+    only when it lowers the objective. A move costs one
+    {!Balance.orient}: one residual BFS over the graph and one flip
+    DP. *)
 
 val exact_oct_node_threshold : int

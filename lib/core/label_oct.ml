@@ -3,9 +3,7 @@ let of_oct_result ?(alignment = false) ~gamma ~method_name
   let n = Graphs.Ugraph.num_nodes bg.graph in
   let transversal = Array.make n false in
   List.iter (fun v -> transversal.(v) <- true) oct.transversal;
-  let labels =
-    Balance.orient ~alignment bg ~transversal ~coloring:oct.coloring
-  in
+  let labels = Balance.orient ~alignment bg ~transversal in
   (* Alignment may have upgraded extra nodes to VH beyond the OCT; claim
      optimality only when it did not. *)
   let upgrades =

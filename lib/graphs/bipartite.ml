@@ -59,6 +59,49 @@ let odd_cycle g =
     assert (lca >= 0);
     Some ((lca :: pu) @ List.rev pv)
 
+type residual = { color : int array; comp : int array; num_comps : int }
+
+exception Odd_cycle
+
+let residual g ~keep =
+  let n = Ugraph.num_nodes g in
+  if Array.length keep <> n then invalid_arg "Bipartite.residual: arity";
+  let color = Array.make n (-1) and comp = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  let k = ref 0 and head = ref 0 and tail = ref 0 and u = ref 0 in
+  let visit v =
+    if keep.(v) then
+      if comp.(v) < 0 then begin
+        comp.(v) <- !k;
+        color.(v) <- 1 - color.(!u);
+        queue.(!tail) <- v;
+        incr tail
+      end
+      else if color.(v) = color.(!u) then raise_notrace Odd_cycle
+  in
+  (* Roots are taken in increasing order, so each component is entered at
+     its smallest vertex; in a bipartite component the BFS colour of a
+     vertex is the parity of its distance from that root. *)
+  match
+    for s = 0 to n - 1 do
+      if keep.(s) && comp.(s) < 0 then begin
+        comp.(s) <- !k;
+        color.(s) <- 0;
+        queue.(0) <- s;
+        head := 0;
+        tail := 1;
+        while !head < !tail do
+          u := queue.(!head);
+          incr head;
+          Ugraph.iter_neighbors visit g !u
+        done;
+        incr k
+      end
+    done
+  with
+  | () -> Some { color; comp; num_comps = !k }
+  | exception Odd_cycle -> None
+
 let components g =
   let n = Ugraph.num_nodes g in
   let comp = Array.make n (-1) in

@@ -1,5 +1,24 @@
 (** Bipartiteness testing, 2-colouring and connected components. *)
 
+type residual = {
+  color : int array;  (** 0 or 1 on kept vertices, [-1] on dropped ones *)
+  comp : int array;  (** component index on kept vertices, [-1] on dropped *)
+  num_comps : int;
+}
+
+val residual : Ugraph.t -> keep:bool array -> residual option
+(** [residual g ~keep] 2-colours the subgraph induced by the kept vertices
+    and splits it into connected components, in one BFS over [g] itself
+    (no subgraph is built). [None] when that subgraph has an odd cycle.
+
+    Both results are canonical, so neighbour order does not matter:
+    components are numbered [0 .. num_comps-1] in the order of their
+    smallest vertex, that vertex gets colour 0, and every other vertex
+    the parity of its distance from it. This is exactly {!two_color} and
+    {!components} of [Ugraph.induced g ~keep], read back through the
+    vertex map.
+    @raise Invalid_argument if [keep] does not have one entry per vertex. *)
+
 val two_color : Ugraph.t -> int array option
 (** [two_color g] is [Some colors] with [colors.(v) ∈ {0, 1}] and no
     monochromatic edge, or [None] when [g] has an odd cycle. Isolated

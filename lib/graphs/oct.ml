@@ -8,15 +8,9 @@ type result = {
 
 let color_residual g transversal =
   let keep = Ugraph.complement_set g transversal in
-  let sub, map = Ugraph.induced g ~keep in
-  match Bipartite.two_color sub with
-  | None -> None
-  | Some sub_colors ->
-    let colors = Array.make (Ugraph.num_nodes g) (-1) in
-    Array.iteri
-      (fun v idx -> if idx >= 0 then colors.(v) <- sub_colors.(idx))
-      map;
-    Some colors
+  Option.map
+    (fun (r : Bipartite.residual) -> r.color)
+    (Bipartite.residual g ~keep)
 
 let is_transversal g transversal = color_residual g transversal <> None
 

@@ -8,7 +8,8 @@
 type result = {
   transversal : int list;  (** vertices labelled VH downstream *)
   coloring : int array;
-      (** 2-colouring of the residual graph; [colors.(v) ∈ {0, 1}] for kept
+      (** the canonical 2-colouring of the residual graph
+          ({!Bipartite.residual}); [colors.(v) ∈ {0, 1}] for kept
           vertices, [-1] for transversal vertices *)
   optimal : bool;
   lower_bound : int;  (** proven lower bound on the OCT size *)

@@ -46,6 +46,10 @@ let neighbors g v =
   check g v;
   List.rev g.adj.(v)
 
+let iter_neighbors f g v =
+  check g v;
+  List.iter f g.adj.(v)
+
 let iter_edges f g =
   for u = 0 to g.n - 1 do
     List.iter (fun v -> if u < v then f u v) g.adj.(u)

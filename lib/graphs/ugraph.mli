@@ -26,6 +26,12 @@ val degree : t -> int -> int
 val neighbors : t -> int -> int list
 (** In insertion order. *)
 
+val iter_neighbors : (int -> unit) -> t -> int -> unit
+(** [iter_neighbors f g v] applies [f] to every neighbour of [v], in
+    reverse insertion order, without building a list. Prefer it where
+    the result does not depend on neighbour order; loops whose result
+    does (a BFS that breaks ties by visit order) keep {!neighbors}. *)
+
 val iter_edges : (int -> int -> unit) -> t -> unit
 (** Each edge visited once, with the smaller endpoint first. *)
 

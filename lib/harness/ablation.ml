@@ -66,12 +66,12 @@ let balance_dp config =
        let balanced =
          dimension
            (Compact.Balance.orient ~alignment:true ~balance:true bg
-              ~transversal ~coloring:oct.coloring)
+              ~transversal)
        in
        let unbalanced =
          dimension
            (Compact.Balance.orient ~alignment:true ~balance:false bg
-              ~transversal ~coloring:oct.coloring)
+              ~transversal)
        in
        data := (name, balanced, unbalanced) :: !data;
        rows :=

@@ -255,6 +255,91 @@ let constrained_tests =
 
 (* ------------------------------------------------------------------ *)
 
+(* [Balance.choose_signs] as it was before the bitset DP: one parent per
+   step and partial sum, recorded by an ascending scan. The reference for
+   the bitset version, which must return the same signs. *)
+let reference_choose_signs ~base deltas =
+  let k = Array.length deltas in
+  let total = Array.fold_left (fun acc d -> acc + abs d) 0 deltas in
+  let range = (2 * total) + 1 in
+  if k = 0 then [||]
+  else if k * range <= Compact.Balance.exact_dp_limit then begin
+    let reach = Array.make range false in
+    let parent = Array.make_matrix k range 0 in
+    reach.(total) <- true;
+    for i = 0 to k - 1 do
+      let next = Array.make range false in
+      for s = 0 to range - 1 do
+        if reach.(s) then begin
+          let plus = s + deltas.(i) and minus = s - deltas.(i) in
+          if plus >= 0 && plus < range && not next.(plus) then begin
+            next.(plus) <- true;
+            parent.(i).(plus) <- s
+          end;
+          if minus >= 0 && minus < range && not next.(minus) then begin
+            next.(minus) <- true;
+            parent.(i).(minus) <- s
+          end
+        end
+      done;
+      Array.blit next 0 reach 0 range
+    done;
+    let target = -base + total in
+    let best = ref (-1) in
+    for s = 0 to range - 1 do
+      if
+        reach.(s)
+        && (!best < 0 || abs (s - target) < abs (!best - target))
+      then best := s
+    done;
+    let signs = Array.make k 1 in
+    let s = ref !best in
+    for i = k - 1 downto 0 do
+      let prev = parent.(i).(!s) in
+      signs.(i) <- (if !s - prev = deltas.(i) then 1 else -1);
+      s := prev
+    done;
+    signs
+  end
+  else begin
+    let order = Array.init k (fun i -> i) in
+    Array.sort (fun a b -> compare (abs deltas.(b)) (abs deltas.(a))) order;
+    let signs = Array.make k 1 in
+    let sum = ref base in
+    Array.iter
+      (fun i ->
+         if abs (!sum + deltas.(i)) <= abs (!sum - deltas.(i)) then begin
+           signs.(i) <- 1;
+           sum := !sum + deltas.(i)
+         end
+         else begin
+           signs.(i) <- -1;
+           sum := !sum - deltas.(i)
+         end)
+      order;
+    signs
+  end
+
+(* A base and up to 12 deltas, drawn so that negatives, zeros and
+   repeated values are common; 63 shifts the bitset by exactly one word
+   on 64-bit hosts. *)
+let signs_gen =
+  QCheck2.Gen.(
+    pair (int_range (-60) 60)
+      (array_size (int_range 0 12)
+         (frequency
+            [
+              3, int_range (-40) 40;
+              1, return 0;
+              1, oneofl [ 7; -7; 63; -64 ];
+            ])))
+
+(* [k] deltas of alternating sign whose magnitudes sum to [total]. *)
+let deltas_summing ~k ~total =
+  Array.init k (fun i ->
+      let d = if i = k - 1 then total - (total / k * (k - 1)) else total / k in
+      if i mod 2 = 0 then d else -d)
+
 let balance_tests =
   [
     Alcotest.test_case "balances two free components" `Quick (fun () ->
@@ -274,8 +359,7 @@ let balance_tests =
           }
         in
         let transversal = Array.make 8 false in
-        let coloring = [| 0; 1; 1; 1; 0; 1; 1; 1 |] in
-        let labels = Compact.Balance.orient bg ~transversal ~coloring in
+        let labels = Compact.Balance.orient bg ~transversal in
         let rows =
           Array.fold_left
             (fun acc l ->
@@ -284,24 +368,47 @@ let balance_tests =
             0 labels
         in
         check ti "balanced rows" 4 rows);
-    Alcotest.test_case "invalid colouring rejected" `Quick (fun () ->
-        let g = Graphs.Ugraph.of_edges ~n:2 [ 0, 1 ] in
+    Alcotest.test_case "a transversal that leaves an odd cycle is rejected"
+      `Quick (fun () ->
+        let g = Graphs.Ugraph.of_edges ~n:4 [ 0, 1; 1, 2; 2, 0; 2, 3 ] in
         let bg =
           {
             Compact.Types.graph = g;
             edge_literals = [];
             terminal = 0;
             roots = [];
-            node_names = Array.make 2 "x";
+            node_names = Array.make 4 "x";
           }
         in
-        check tb "raises" true
-          (match
-             Compact.Balance.orient bg ~transversal:(Array.make 2 false)
-               ~coloring:[| 0; 0 |]
-           with
-           | exception Invalid_argument _ -> true
-           | _ -> false));
+        let orient transversal =
+          match Compact.Balance.orient bg ~transversal with
+          | exception Invalid_argument _ -> None
+          | labels -> Some labels
+        in
+        check tb "triangle kept: raises" true
+          (orient [| false; false; false; true |] = None);
+        check tb "triangle cut: labels" true
+          (orient [| false; false; true; false |] <> None));
+    qcheck_case "bitset sign DP matches the parent-matrix DP" ~count:200
+      signs_gen (fun (base, deltas) ->
+        Compact.Balance.choose_signs ~base deltas
+        = reference_choose_signs ~base deltas);
+    Alcotest.test_case "sign DP on both sides of exact_dp_limit" `Quick
+      (fun () ->
+         (* 50 deltas: k × (2·total + 1) is 4_999_950 at total 49_999 (the
+            DP) and 5_000_050 at total 50_000 (the greedy fallback). *)
+         List.iter
+           (fun (total, exact) ->
+              let deltas = deltas_summing ~k:50 ~total in
+              check tb "side of the limit" exact
+                (50 * ((2 * total) + 1) <= Compact.Balance.exact_dp_limit);
+              List.iter
+                (fun base ->
+                   check (Alcotest.array ti) "signs"
+                     (reference_choose_signs ~base deltas)
+                     (Compact.Balance.choose_signs ~base deltas))
+                [ 0; 17; -999; 60_000 ])
+           [ 49_999, true; 50_000, false ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -474,6 +581,35 @@ let pipeline_tests =
          end);
   ]
 
+(* MD5 of [Protocol.synth_payload] for [Pipeline.synthesize] at default
+   options, on Table-I circuits the heuristic rung labels. A change that
+   moves any of these designs fails here; a deliberate one re-pins the
+   digest and says why. *)
+let payload_goldens =
+  [
+    "dec", "884f9c9079ea27f55ef7cd2944ebc4a4";
+    "priority", "35503f3a903f914bfb6e41608a3a58b9";
+    "router", "67344944ebc84c3918d00f6f2e596d60";
+    "c7552", "67bb66c8ff01ed39ec15f04726dbef56";
+    "c2670", "29b522c8100a1bdbf41f7633706ff311";
+    "c5315", "4e3dd4bd02e01b8f2b9a73d064ab7479";
+    "i2c", "37cc9029cc40e0836c946e0c4f370177";
+  ]
+
+let golden_tests =
+  List.map
+    (fun (name, digest) ->
+       Alcotest.test_case ("payload of " ^ name) `Quick (fun () ->
+           let nl = (Circuits.Suite.find name).generate () in
+           let r = Compact.Pipeline.synthesize nl in
+           let payload =
+             Server.Protocol.synth_payload ~key:name ~design:r.design
+               ~report:r.report
+           in
+           check Alcotest.string "md5" digest
+             (Digest.to_hex (Digest.string payload))))
+    payload_goldens
+
 let metamorphic_tests =
   [
     qcheck_case "complement metamorphic: f and !f both verify" ~count:30
@@ -631,6 +767,7 @@ let () =
       "balance", balance_tests;
       "mapping", mapping_tests;
       "pipeline", pipeline_tests;
+      "goldens", golden_tests;
       "metamorphic", metamorphic_tests;
       "differential", differential_tests;
       "oracle", oracle_tests;

@@ -5,8 +5,16 @@ let check = Alcotest.check
 let tb = Alcotest.bool
 let ti = Alcotest.int
 
+(* The @proptest alias re-runs the property tests with QCHECK_MULT-times
+   the default case count (see test/dune). *)
+let qcheck_mult =
+  match Option.bind (Sys.getenv_opt "QCHECK_MULT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 let qcheck_case ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:(count * qcheck_mult) ~name gen prop)
 
 (* Random simple graph on [3, 10] vertices. *)
 let graph_gen =
@@ -20,6 +28,13 @@ let graph_gen =
     return (n, edges))
 
 let make_graph (n, edges) = Graphs.Ugraph.of_edges ~n edges
+
+(* A random graph with a random set of kept vertices. *)
+let residual_gen =
+  QCheck2.Gen.(
+    let* ((n, _) as spec) = graph_gen in
+    let* keep = list_repeat n bool in
+    return (spec, Array.of_list keep))
 
 let cycle n =
   Graphs.Ugraph.of_edges ~n (List.init n (fun i -> i, (i + 1) mod n))
@@ -146,6 +161,35 @@ let bipartite_tests =
         let g = make_graph spec in
         Graphs.Bipartite.is_bipartite g
         = (Graphs.Bipartite.odd_cycle g = None));
+    Alcotest.test_case "residual of a path without its middle" `Quick
+      (fun () ->
+         match
+           Graphs.Bipartite.residual (path 5)
+             ~keep:[| true; true; false; true; true |]
+         with
+         | None -> Alcotest.fail "expected a colouring"
+         | Some r ->
+           check ti "components" 2 r.num_comps;
+           check (Alcotest.array ti) "comp" [| 0; 0; -1; 1; 1 |] r.comp;
+           check (Alcotest.array ti) "color" [| 0; 1; -1; 0; 1 |] r.color);
+    (* The oracle: colour and components of the induced subgraph, read
+       back through its vertex map. *)
+    qcheck_case "residual matches two_color and components of induced"
+      residual_gen (fun (spec, keep) ->
+        let g = make_graph spec in
+        let sub, map = Graphs.Ugraph.induced g ~keep in
+        match
+          Graphs.Bipartite.residual g ~keep, Graphs.Bipartite.two_color sub
+        with
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+        | Some r, Some color ->
+          let comp, k = Graphs.Bipartite.components sub in
+          let agrees v i =
+            if i < 0 then r.color.(v) = -1 && r.comp.(v) = -1
+            else r.color.(v) = color.(i) && r.comp.(v) = comp.(i)
+          in
+          r.num_comps = k && Array.for_all Fun.id (Array.mapi agrees map));
   ]
 
 let matching_tests =
