@@ -81,13 +81,38 @@ let semiperimeter t = t.rows + t.cols
 let max_dimension t = max t.rows t.cols
 let area t = t.rows * t.cols
 
+(* Stable counting sort of the parallel arrays [keys]/[lits] on
+   [bucket key], a value in [0, buckets), into [keys']/[lits']. *)
+let counting_sort buckets bucket keys lits keys' lits' =
+  let start = Array.make (buckets + 1) 0 in
+  Array.iter (fun k -> start.(bucket k + 1) <- start.(bucket k + 1) + 1) keys;
+  for b = 1 to buckets do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  Array.iteri
+    (fun i k ->
+       let b = bucket k in
+       keys'.(start.(b)) <- k;
+       lits'.(start.(b)) <- lits.(i);
+       start.(b) <- start.(b) + 1)
+    keys
+
 let iter_programmed t f =
-  (* Deterministic order (row-major) so downstream output is stable. *)
-  let entries =
-    Hashtbl.fold (fun k l acc -> (k, l) :: acc) t.cells []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter (fun (k, l) -> f (k / t.cols) (k mod t.cols) l) entries
+  (* Deterministic order (row-major) so downstream output is stable:
+     one counting pass by column, then a stable one by row. *)
+  let n = Hashtbl.length t.cells in
+  let keys = Array.make n 0 and lits = Array.make n Literal.Off in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun k l ->
+       keys.(!i) <- k;
+       lits.(!i) <- l;
+       incr i)
+    t.cells;
+  let by_col = Array.make n 0 and by_col_lits = Array.make n Literal.Off in
+  counting_sort t.cols (fun k -> k mod t.cols) keys lits by_col by_col_lits;
+  counting_sort t.rows (fun k -> k / t.cols) by_col by_col_lits keys lits;
+  Array.iteri (fun i k -> f (k / t.cols) (k mod t.cols) lits.(i)) keys
 
 let count t pred =
   Hashtbl.fold (fun _ l acc -> if pred l then acc + 1 else acc) t.cells 0

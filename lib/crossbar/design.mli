@@ -67,10 +67,14 @@ val permute : t -> row_perm:int array -> col_perm:int array -> t
     design's dimensions. *)
 
 val iter_programmed : t -> (int -> int -> Literal.t -> unit) -> unit
-(** Visit every junction whose value is not [Off]. Designs are sparse —
-    O(BDD edges) programmed junctions on O(n²) area — so consumers that
-    only care about devices (evaluation, power models) should use this
-    rather than scanning the full matrix. *)
+(** Visit every junction whose value is not [Off], in row-major order
+    (row, then column, ascending). Designs are sparse — O(BDD edges)
+    programmed junctions on O(n²) area — so consumers that only care
+    about devices (evaluation, power models) should use this rather than
+    scanning the full matrix. Costs O(junctions + rows + cols): two
+    counting passes, by column and then stably by row, and no comparison
+    sort. The junctions are collected before [f] first runs, so [f] may
+    modify the design. *)
 
 val delay_steps : t -> int
 (** The paper's computation-delay model: one time step per wordline to

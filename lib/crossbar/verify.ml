@@ -15,32 +15,47 @@ exception Found of counterexample
 type points = Rows | Draws of Random.State.t * int
 
 (* Evaluate [d] at each point and pass every output that disagrees
-   with [reference] to [mismatch], in design-output order.  The input
-   and output indexes are built once per call. *)
+   with [reference] to [mismatch], in design-output order.  The design
+   is compiled once, which checks the preconditions before the first
+   point: every design variable is a reference input and every design
+   output a reference output.  Points fill the lanes of one sweep in
+   order; after the sweep the lanes are checked in that order, so
+   [reference] sees the same points, in the same order, as one
+   evaluation per point would give it. *)
 let scan d ~inputs ~reference ~outputs points mismatch =
   let n = List.length inputs in
   let in_index = Hashtbl.create 16 in
   List.iteri (fun i v -> Hashtbl.replace in_index v i) inputs;
   let out_index = Hashtbl.create 16 in
   List.iteri (fun i o -> Hashtbl.replace out_index o i) outputs;
-  let point = Array.make n false in
-  let env v =
-    match Hashtbl.find_opt in_index v with
-    | Some i -> point.(i)
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Verify: design variable %s not a reference input" v)
+  let compiled =
+    Eval.compile d ~index:(fun v ->
+        match Hashtbl.find_opt in_index v with
+        | Some i -> i
+        | None ->
+          invalid_arg
+            (Printf.sprintf "Verify: design variable %s not a reference input"
+               v))
   in
-  let eval = Eval.evaluator d in
-  let check () =
+  let checks =
+    List.map
+      (fun (o, w) ->
+         match Hashtbl.find_opt out_index o with
+         | Some i -> o, Eval.wire compiled w, i
+         | None -> invalid_arg (Printf.sprintf "Verify: unknown output %s" o))
+      (Design.outputs d)
+  in
+  let point = Array.make n false in
+  let words = Array.make n 0 in
+  let check reach lane =
+    for i = 0 to n - 1 do
+      point.(i) <- (words.(i) lsr lane) land 1 = 1
+    done;
     let expected = reference point in
     List.iter
-      (fun (o, got) ->
-         let e =
-           match Hashtbl.find_opt out_index o with
-           | Some i -> expected.(i)
-           | None -> invalid_arg (Printf.sprintf "Verify: unknown output %s" o)
-         in
+      (fun (o, w, i) ->
+         let got = (reach.(w) lsr lane) land 1 = 1 in
+         let e = expected.(i) in
          if got <> e then
            mismatch
              {
@@ -49,23 +64,38 @@ let scan d ~inputs ~reference ~outputs points mismatch =
                expected = e;
                got;
              })
-      (eval env)
+      checks
+  in
+  (* [next k] writes the [k]-th point into [point]. *)
+  let run total next =
+    let base = ref 0 in
+    while !base < total do
+      let batch = min Eval.lanes (total - !base) in
+      Array.fill words 0 n 0;
+      for lane = 0 to batch - 1 do
+        next (!base + lane);
+        for i = 0 to n - 1 do
+          if point.(i) then words.(i) <- words.(i) lor (1 lsl lane)
+        done
+      done;
+      let reach = Eval.sweep compiled words ~batch in
+      for lane = 0 to batch - 1 do
+        check reach lane
+      done;
+      base := !base + batch
+    done
   in
   match points with
   | Rows ->
-    for row = 0 to (1 lsl n) - 1 do
-      for i = 0 to n - 1 do
-        point.(i) <- row land (1 lsl i) <> 0
-      done;
-      check ()
-    done
+    run (1 lsl n) (fun row ->
+        for i = 0 to n - 1 do
+          point.(i) <- row land (1 lsl i) <> 0
+        done)
   | Draws (rng, trials) ->
-    for _ = 1 to trials do
-      for i = 0 to n - 1 do
-        point.(i) <- Random.State.bool rng
-      done;
-      check ()
-    done
+    run trials (fun _ ->
+        for i = 0 to n - 1 do
+          point.(i) <- Random.State.bool rng
+        done)
 
 let first_failure d ~inputs ~reference ~outputs points =
   match

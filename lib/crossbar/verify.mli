@@ -3,7 +3,19 @@
     The paper verifies every synthesised design with SPICE; here designs
     are checked exhaustively (small input counts) or by random sampling
     against the reference function, and optionally re-checked electrically
-    with {!module:Analog}. *)
+    with {!module:Analog}.
+
+    Every check compiles the design once ({!Eval.compile}) and evaluates
+    {!Eval.lanes} assignments per sweep. Before the first assignment it
+    checks its preconditions: every design variable must be a reference
+    input ([Invalid_argument "Verify: design variable v not a reference
+    input"]) and every design output a reference output
+    ([Invalid_argument "Verify: unknown output o"]), whether or not any
+    assignment reaches the junction, and even when there is no assignment
+    to check. Assignments are taken in a fixed order (ascending rows, or
+    a seeded stream trial by trial) and checked in that order, outputs in
+    design-output order, so [reference] is called on exactly the points
+    up to the first failure, and that failure is the counterexample. *)
 
 type counterexample = {
   assignment : (string * bool) list;
@@ -19,7 +31,8 @@ val against_table :
 (** Exhaustive check on all [2^n] assignments of the reference's inputs.
     Design outputs are matched to reference outputs by name. Design
     variables must be a subset of the reference inputs.
-    @raise Invalid_argument if an output name is missing. *)
+    @raise Invalid_argument if a design variable or output name is
+    missing from the reference. *)
 
 val random :
   ?seed:int ->

@@ -60,20 +60,52 @@ let num_nodes t = List.length t.nodes
 let literal_count t =
   List.fold_left (fun acc n -> acc + Expr.size n.func) 0 t.nodes
 
-let eval t env =
-  let values = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace values v (env v)) t.inputs;
-  let lookup v = Hashtbl.find values v in
-  List.iter
-    (fun n -> Hashtbl.replace values n.wire (Expr.eval lookup n.func))
-    t.nodes;
-  List.map (fun o -> o, lookup o) t.outputs
+(* Staged: the first application resolves every wire name to a slot of
+   a value array (inputs first, then nodes in order) and compiles each
+   node expression to a closure over that array; each point then costs
+   one pass over the nodes. *)
+let eval_point t =
+  let n = List.length t.inputs in
+  let slots = Hashtbl.create 64 in
+  List.iteri (fun i v -> Hashtbl.replace slots v i) t.inputs;
+  let slot v = Hashtbl.find slots v in
+  let rec compile = function
+    | Expr.Const b -> fun _ -> b
+    | Expr.Var v ->
+      let i = slot v in
+      fun values -> values.(i)
+    | Expr.Not e ->
+      let f = compile e in
+      fun values -> not (f values)
+    | Expr.And es ->
+      let fs = List.map compile es in
+      fun values -> List.for_all (fun f -> f values) fs
+    | Expr.Or es ->
+      let fs = List.map compile es in
+      fun values -> List.exists (fun f -> f values) fs
+    | Expr.Xor (a, b) ->
+      let fa = compile a and fb = compile b in
+      fun values -> fa values <> fb values
+  in
+  let nodes =
+    Array.of_list
+      (List.mapi
+         (fun k node ->
+            let f = compile node.func in
+            Hashtbl.replace slots node.wire (n + k);
+            f)
+         t.nodes)
+  in
+  let outputs = Array.of_list (List.map slot t.outputs) in
+  fun point ->
+    let values = Array.make (n + Array.length nodes) false in
+    Array.blit point 0 values 0 n;
+    Array.iteri (fun k f -> values.(n + k) <- f values) nodes;
+    Array.map (fun i -> values.(i)) outputs
 
-let eval_point t point =
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace index v i) t.inputs;
-  let results = eval t (fun v -> point.(Hashtbl.find index v)) in
-  Array.of_list (List.map snd results)
+let eval t env =
+  let values = eval_point t (Array.of_list (List.map env t.inputs)) in
+  List.mapi (fun i o -> o, values.(i)) t.outputs
 
 let output_exprs t =
   let defs = Hashtbl.create 64 in

@@ -62,7 +62,12 @@ val eval : t -> (string -> bool) -> (string * bool) list
 
 val eval_point : t -> bool array -> bool array
 (** [eval_point t point] evaluates with [point.(i)] as the value of the
-    [i]-th input (in [inputs] order); returns outputs in [outputs] order. *)
+    [i]-th input (in [inputs] order); returns outputs in [outputs] order.
+    Staged: [eval_point t] resolves every wire name to a slot of a value
+    array and compiles the node expressions once, and returns a closure
+    that costs one pass over the nodes per point. Partially apply it when
+    evaluating many points (a verification [~reference]). The closure
+    keeps no state between calls, so domains may share it. *)
 
 val output_exprs : t -> (string * Expr.t) list
 (** Flattened expression per output, obtained by substituting node

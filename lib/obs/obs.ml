@@ -609,25 +609,31 @@ module Json = struct
     if !pos <> n then fail "trailing garbage";
     v
 
+  let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
   let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
+    if not (String.exists needs_escape s) then s
+    else begin
+      let buf = Buffer.create (String.length s + 2) in
+      String.iter
+        (fun c ->
+          match c with
+          | '"' -> Buffer.add_string buf "\\\""
+          | '\\' -> Buffer.add_string buf "\\\\"
+          | '\n' -> Buffer.add_string buf "\\n"
+          | '\r' -> Buffer.add_string buf "\\r"
+          | '\t' -> Buffer.add_string buf "\\t"
+          | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+          | c -> Buffer.add_char buf c)
+        s;
+      Buffer.contents buf
+    end
 
   let num_to_string f =
-    if Float.is_nan f || Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" (if Float.is_nan f then 0. else f)
+    if Float.is_integer f && Float.abs f < 1e15 then
+      if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
+    else if Float.is_nan f then "0"
     else Printf.sprintf "%.9g" f
 
   let rec write buf = function

@@ -171,8 +171,14 @@ let wire_json = function
 let design_json d =
   let cells = ref [] in
   Crossbar.Design.iter_programmed d (fun r c lit ->
-      cells := (r, c, lit) :: !cells);
-  let cells = List.sort compare !cells in
+      cells :=
+        J.Arr
+          [
+            J.Num (float_of_int r);
+            J.Num (float_of_int c);
+            J.Str (Crossbar.Literal.to_string lit);
+          ]
+        :: !cells);
   J.Obj
     [
       "rows", J.Num (float_of_int (Crossbar.Design.rows d));
@@ -183,17 +189,8 @@ let design_json d =
           (List.map
              (fun (name, w) -> J.Arr [ J.Str name; wire_json w ])
              (Crossbar.Design.outputs d)) );
-      ( "cells",
-        J.Arr
-          (List.map
-             (fun (r, c, lit) ->
-                J.Arr
-                  [
-                    J.Num (float_of_int r);
-                    J.Num (float_of_int c);
-                    J.Str (Crossbar.Literal.to_string lit);
-                  ])
-             cells) );
+      (* iter_programmed's row-major order is the canonical one. *)
+      "cells", J.Arr (List.rev !cells);
     ]
 
 (* Wall-clock fields (synthesis_time, label_time) are deliberately

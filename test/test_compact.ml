@@ -739,7 +739,6 @@ let oracle_tests =
            let sbdd = Bdd.Sbdd.of_exprs ~inputs [ "root", f ] in
            let root = List.assoc "root" sbdd.Bdd.Sbdd.roots in
            let r = Compact.Pipeline.synthesize_expr ~name:"orc" f in
-           let eval_design = Crossbar.Eval.evaluator r.design in
            let env = index_env inputs in
            let ok = ref true in
            for m = 0 to (1 lsl n) - 1 do
@@ -750,7 +749,9 @@ let oracle_tests =
                Bdd.Manager.eval sbdd.Bdd.Sbdd.man root (fun lvl ->
                    lookup sbdd.Bdd.Sbdd.input_order.(lvl))
              in
-             let xbar_v = List.assoc "orc_out" (eval_design lookup) in
+             let xbar_v =
+               List.assoc "orc_out" (Crossbar.Eval.evaluate r.design lookup)
+             in
              if expr_v <> bdd_v || expr_v <> xbar_v then ok := false
            done;
            !ok

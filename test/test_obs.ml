@@ -211,6 +211,67 @@ let test_json_parse () =
   check bool "to_string round-trips" true
     (json_equal (parse (to_string doc)) doc)
 
+(* The writer's number and string printers as they were before their
+   fast paths, kept as references: the fast paths must not move a byte. *)
+let reference_num_to_string f =
+  if Float.is_nan f || Float.is_integer f && Float.abs f < 1e15 then
+    Printf.sprintf "%.0f" (if Float.is_nan f then 0. else f)
+  else Printf.sprintf "%.9g" f
+
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let number_gen =
+  let open QCheck2.Gen in
+  let e15 = 1_000_000_000_000_000 in
+  frequency
+    [
+      4, map float_of_int (int_range (-e15) e15);
+      2, map float_of_int (int_range (-1000) 1000);
+      1, oneofl [ -0.; 0.; 1e15; -1e15; 1e15 -. 1.; nan; infinity; neg_infinity ];
+      3, float;
+      2, map (fun x -> x +. 0.5) (map float_of_int (int_range (-1000) 1000));
+    ]
+
+let string_gen =
+  let open QCheck2.Gen in
+  string_size ~gen:
+    (frequency
+       [
+         8, printable;
+         1, oneofl [ '"'; '\\' ];
+         1, map Char.chr (int_range 0 0x1f);
+         1, map Char.chr (int_range 0x7f 0xff);
+       ])
+    (int_range 0 12)
+
+let json_fast_path_tests =
+  let case name gen prop =
+    QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen prop)
+  in
+  [
+    case "numbers print as before" number_gen (fun f ->
+        Obs.Json.to_string (Obs.Json.Num f) = reference_num_to_string f);
+    case "strings and keys escape as before" string_gen (fun s ->
+        let quoted = "\"" ^ reference_escape s ^ "\"" in
+        Obs.Json.to_string (Obs.Json.Str s) = quoted
+        && Obs.Json.to_string (Obs.Json.Obj [ s, Obs.Json.Null ])
+           = "{" ^ quoted ^ ":null}");
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
@@ -398,7 +459,9 @@ let () =
           Alcotest.test_case "worker spans under submitter" `Quick
             test_worker_spans_have_submitter_path;
         ] );
-      "json", [ Alcotest.test_case "parse and print" `Quick test_json_parse ];
+      ( "json",
+        Alcotest.test_case "parse and print" `Quick test_json_parse
+        :: json_fast_path_tests );
       ( "export",
         [
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
