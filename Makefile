@@ -1,5 +1,5 @@
 .PHONY: all test examples bench smoke proptest margin trace chaos server \
-	server-restart loadgen restart-recovery portfolio portfolio-bench \
+	server-restart restart-recovery portfolio portfolio-bench \
 	metrics metrics-overhead perfbench ci clean
 
 all:
@@ -67,11 +67,6 @@ metrics:
 # vs armed, against the 5% budget).
 metrics-overhead:
 	dune exec bench/main.exe -- metrics-overhead
-
-# Seeded mixed workload against a live compactd; regenerates
-# BENCH_pr7.json (throughput, latency percentiles, cache hit rate).
-loadgen:
-	dune exec bench/main.exe -- loadgen -j 4
 
 # Durable-cache costs; regenerates BENCH_pr8.json (recovery time vs
 # cache size for the journal and snapshot paths, hit-path persistence

@@ -930,7 +930,7 @@ let experiments_cmd =
          & info [] ~docv:"EXPERIMENT")
   in
   traced_cmd "experiments"
-    ~doc:"Regenerate the paper's tables and figures (same as bench/main.exe)"
+    ~doc:"Regenerate the paper's tables and figures"
     Term.(const experiments_run $ quick $ targets)
 
 (* ------------------------------------------------------------------ *)

@@ -68,20 +68,17 @@ let sbdd_of config (e : Circuits.Suite.entry) =
   | exception Bdd.Manager.Size_limit _ -> None
 
 let verify config (e : Circuits.Suite.entry) design =
-  if not config.verify_designs then true
-  else begin
+  if config.verify_designs then begin
     let nl = netlist_of e in
-    let outcome =
-      Crossbar.Verify.random ~trials:64 design ~inputs:nl.inputs
-        ~reference:(Logic.Netlist.eval_point nl)
-        ~outputs:nl.outputs
-    in
-    match outcome with
-    | Crossbar.Verify.Ok -> true
+    match
+      Crossbar.Verify.auto ~trials:64 design ~inputs:nl.inputs
+        ~reference:(Logic.Netlist.eval_point nl) ~outputs:nl.outputs
+    with
+    | Crossbar.Verify.Ok -> ()
     | Crossbar.Verify.Failed cex ->
-      Format.printf "  !! %s verification failed: %a@." e.name
-        Crossbar.Verify.pp_counterexample cex;
-      false
+      failwith
+        (Format.asprintf "%s: verification failed: %a" e.name
+           Crossbar.Verify.pp_counterexample cex)
   end
 
 let synth ?(gamma = 0.5) ?solver ?max_cols config (e : Circuits.Suite.entry) =
@@ -107,8 +104,7 @@ let synth ?(gamma = 0.5) ?solver ?max_cols config (e : Circuits.Suite.entry) =
       in
       match Compact.Pipeline.synthesize_graph ~options ~name:e.name bg with
       | result ->
-        let ok = verify config e result.design in
-        ignore ok;
+        verify config e result.design;
         Some result
       | exception Compact.Label_mip.Infeasible _ -> None
     end

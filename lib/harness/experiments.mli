@@ -13,7 +13,7 @@ type config = {
   max_graph_nodes : int;
       (** skip a circuit/mode when its BDD graph exceeds this bound *)
   verify_designs : bool;
-      (** sample-verify every synthesised design against its netlist *)
+      (** check every synthesised design against its netlist ({!verify}) *)
   anneal_budget : int;
       (** variable-order annealing rebuilds per circuit (0 = heuristic
           orders only); applied to circuits below {!anneal_threshold}
@@ -34,6 +34,15 @@ val quick_config : config
 val sbdd_of : config -> Circuits.Suite.entry -> Bdd.Sbdd.t option
 (** Build the benchmark's SBDD under the best candidate order; [None] if
     every order exceeds the node limit. *)
+
+val verify : config -> Circuits.Suite.entry -> Crossbar.Design.t -> unit
+(** Check a design synthesised for [e] against [e]'s netlist, when
+    [verify_designs] is set: on every assignment up to
+    {!Crossbar.Verify.exhaustive_threshold} inputs, on 64 seeded random
+    ones above ({!Crossbar.Verify.auto}). Every experiment that
+    synthesises a design runs it before tabulating the design.
+    @raise Failure naming the circuit and the counterexample when the
+    design computes the wrong value. *)
 
 val table1 : config -> (string * int * int * int * int) list
 (** Benchmark properties: (name, inputs, outputs, SBDD nodes, SBDD edges),

@@ -55,6 +55,44 @@ let experiment_tests =
         List.iter
           (fun (_, gap) -> check tb "range" true (gap >= 0. && gap <= 1.))
           gaps);
+    Alcotest.test_case "verify raises on every junction drop that breaks ctrl"
+      `Quick (fun () ->
+        let e = Circuits.Suite.find "ctrl" in
+        let nl = e.generate () in
+        let d = (Compact.Pipeline.synthesize nl).Compact.Pipeline.design in
+        let verify config d = Harness.Experiments.verify config e d in
+        verify tiny_config d;
+        let cells = ref [] in
+        Crossbar.Design.iter_programmed d (fun row col _ ->
+            cells := (row, col) :: !cells);
+        (* Drop one programmed junction at a time; ctrl has 7 inputs, so
+           verify checks every row and must raise exactly when some row
+           computes the wrong value. *)
+        let broken =
+          List.filter_map
+            (fun (row, col) ->
+               let m = Crossbar.Design.copy d in
+               Crossbar.Design.set m ~row ~col Crossbar.Literal.Off;
+               let wrong =
+                 Crossbar.Verify.exhaustive m ~inputs:nl.inputs
+                   ~reference:(Logic.Netlist.eval_point nl)
+                   ~outputs:nl.outputs
+                 <> Crossbar.Verify.Ok
+               in
+               match verify tiny_config m with
+               | () ->
+                 check tb "a passing drop is correct" false wrong;
+                 None
+               | exception Failure msg ->
+                 check tb "a raising drop is wrong" true wrong;
+                 check tb "names the circuit" true
+                   (String.starts_with ~prefix:"ctrl: " msg);
+                 Some m)
+            !cells
+        in
+        check tb "some drop breaks ctrl" true (broken <> []);
+        let unchecked = { tiny_config with verify_designs = false } in
+        List.iter (fun m -> verify unchecked m) broken);
     Alcotest.test_case "fig13 covers only EPFL circuits" `Quick (fun () ->
         let data = Harness.Experiments.fig13 tiny_config in
         List.iter
