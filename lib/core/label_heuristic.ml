@@ -6,15 +6,6 @@ let max_rounds = 25
 let candidates_per_round = 24
 let c_rounds = Obs.Counter.make "heuristic.rounds"
 
-let labels_objective ~gamma labels =
-  let rows = ref 0 and cols = ref 0 in
-  Array.iter
-    (fun l ->
-       (match l with Types.H | Types.VH -> incr rows | Types.V -> ());
-       match l with Types.V | Types.VH -> incr cols | Types.H -> ())
-    labels;
-  Types.objective_of ~gamma ~rows:!rows ~cols:!cols, !rows, !cols
-
 let solve ?(budget = Resilience.Budget.unlimited) ?(alignment = false)
     ?(gamma = 0.5) (bg : Types.bdd_graph) =
   let start = Obs.Clock.now () in
@@ -74,7 +65,8 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(alignment = false)
         transversal.(v) <- true;
         (* A superset of a transversal is one: [orient] cannot raise. *)
         let labels = Balance.orient ~alignment bg ~transversal in
-        let obj, _, _ = labels_objective ~gamma labels in
+        let _, rows, cols = Types.counts labels in
+        let obj = Types.objective_of ~gamma ~rows ~cols in
         if obj < !best_obj -. 1e-9 then begin
           best_obj := obj;
           best_labels := labels;

@@ -6,12 +6,8 @@ let of_oct_result ?(alignment = false) ~gamma ~method_name
   let labels = Balance.orient ~alignment bg ~transversal in
   (* Alignment may have upgraded extra nodes to VH beyond the OCT; claim
      optimality only when it did not. *)
-  let upgrades =
-    let vh = ref 0 in
-    Array.iter (fun l -> if l = Types.VH then incr vh) labels;
-    !vh - List.length oct.transversal
-  in
-  let optimal = oct.optimal && upgrades = 0 in
+  let vh, _, _ = Types.counts labels in
+  let optimal = oct.optimal && vh = List.length oct.transversal in
   let lower_bound =
     float_of_int (n + oct.lower_bound)
     |> fun s_lb ->

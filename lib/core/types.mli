@@ -48,6 +48,10 @@ val max_dimension : labeling -> int
 val objective_of : gamma:float -> rows:int -> cols:int -> float
 (** γ·S + (1−γ)·D. *)
 
+val counts : label array -> int * int * int
+(** [(#VH, rows, cols)] of a label array, with rows = #H + #VH and
+    cols = #V + #VH: the counts {!make_labeling} stores. *)
+
 val check_labeling :
   ?alignment:bool -> bdd_graph -> label array -> (unit, string) Stdlib.result
 (** Validates the connection constraints of Eq 2: no edge joins two

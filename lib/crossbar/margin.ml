@@ -327,7 +327,7 @@ let monte_carlo ?params ?opts ?(seed = Rng.default_seed) ?(max_trials = 200)
 
 let jf v = Printf.sprintf "%.17g" v
 let jb b = if b then "true" else "false"
-let js s = "\"" ^ String.concat "\\\"" (String.split_on_char '"' s) ^ "\""
+let js s = Obs.Json.to_string (Obs.Json.Str s)
 
 let json_of_analysis a =
   let buf = Buffer.create 256 in

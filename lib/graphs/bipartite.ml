@@ -125,11 +125,3 @@ let components g =
     end
   done;
   comp, !k
-
-let component_members g =
-  let comp, k = components g in
-  let members = Array.make k [] in
-  for v = Ugraph.num_nodes g - 1 downto 0 do
-    members.(comp.(v)) <- v :: members.(comp.(v))
-  done;
-  members

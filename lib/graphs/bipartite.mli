@@ -33,6 +33,3 @@ val odd_cycle : Ugraph.t -> int list option
 val components : Ugraph.t -> int array * int
 (** [(comp, k)] where [comp.(v)] is the component index of [v],
     [0 <= comp.(v) < k]. *)
-
-val component_members : Ugraph.t -> int list array
-(** Vertices of each component, using the numbering of {!components}. *)

@@ -66,34 +66,6 @@ let matching_size mate =
   Array.iteri (fun v m -> if m > v then incr c) mate;
   !c
 
-let koenig_cover g ~left ~mate =
-  let n = Ugraph.num_nodes g in
-  let reached = Array.make n false in
-  let queue = Queue.create () in
-  for u = 0 to n - 1 do
-    if left.(u) && mate.(u) < 0 then begin
-      reached.(u) <- true;
-      Queue.add u queue
-    end
-  done;
-  (* Alternate: unmatched edges left→right, matched edges right→left. *)
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    List.iter
-      (fun v ->
-         if not reached.(v) && mate.(u) <> v then begin
-           reached.(v) <- true;
-           let w = mate.(v) in
-           if w >= 0 && not reached.(w) then begin
-             reached.(w) <- true;
-             Queue.add w queue
-           end
-         end)
-      (Ugraph.neighbors g u)
-  done;
-  Array.init n (fun v ->
-      if left.(v) then not reached.(v) else reached.(v))
-
 let perfect_bipartite ~left ~right ~compatible =
   if left < 0 || right < 0 then
     invalid_arg "Matching.perfect_bipartite: negative side";

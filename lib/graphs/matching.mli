@@ -1,4 +1,5 @@
-(** Maximum bipartite matching (Hopcroft–Karp) and König covers. *)
+(** Maximum bipartite matching (Hopcroft–Karp) and greedy maximal
+    matching. *)
 
 val hopcroft_karp : Ugraph.t -> left:bool array -> int array
 (** [hopcroft_karp g ~left] computes a maximum matching of the bipartite
@@ -8,11 +9,6 @@ val hopcroft_karp : Ugraph.t -> left:bool array -> int array
 
 val matching_size : int array -> int
 (** Number of matched pairs in a mate array. *)
-
-val koenig_cover : Ugraph.t -> left:bool array -> mate:int array -> bool array
-(** Minimum vertex cover from a maximum matching via König's theorem:
-    alternating reachability from unmatched left vertices; the cover is
-    (unreached left) ∪ (reached right). Size equals the matching size. *)
 
 val perfect_bipartite :
   left:int -> right:int -> compatible:(int -> int -> bool) -> int array option
@@ -26,4 +22,6 @@ val perfect_bipartite :
 
 val greedy_maximal : Ugraph.t -> (int * int) list
 (** A maximal (not maximum) matching of an arbitrary graph; |M| lower-bounds
-    any vertex cover and 2·|M| upper-bounds the minimum cover. *)
+    any vertex cover and 2·|M| upper-bounds the minimum cover. Edges are
+    taken in {!Ugraph.iter_edges} order, each vertex's newest first, so
+    on [Oct.with_k2 g] (rungs added last) the matching is the n rungs. *)

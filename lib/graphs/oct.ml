@@ -1,38 +1,42 @@
 type result = {
   transversal : int list;
-  coloring : int array;
   optimal : bool;
   lower_bound : int;
   elapsed : float;
 }
 
-let color_residual g transversal =
-  let keep = Ugraph.complement_set g transversal in
-  Option.map
-    (fun (r : Bipartite.residual) -> r.color)
-    (Bipartite.residual g ~keep)
+let with_k2 g =
+  let n = Ugraph.num_nodes g in
+  let p = Ugraph.create (2 * n) in
+  Ugraph.iter_edges
+    (fun u v ->
+       Ugraph.add_edge p u v;
+       Ugraph.add_edge p (u + n) (v + n))
+    g;
+  for v = 0 to n - 1 do
+    Ugraph.add_edge p v (v + n)
+  done;
+  p
 
-let is_transversal g transversal = color_residual g transversal <> None
-
-let finish g transversal ~optimal ~lower_bound ~elapsed =
-  match color_residual g transversal with
-  | None -> invalid_arg "Oct: internal error, residual not bipartite"
-  | Some coloring -> { transversal; coloring; optimal; lower_bound; elapsed }
+let is_transversal g transversal =
+  Bipartite.residual g ~keep:(Ugraph.complement_set g transversal) <> None
 
 let solve ?budget g =
   let start = Obs.Clock.now () in
   let n = Ugraph.num_nodes g in
-  let p = Product.with_k2 g in
-  let vc = Vertex_cover.solve ?budget p in
+  let vc = Vertex_cover.solve ?budget (with_k2 g) in
   let transversal = ref [] in
   for v = n - 1 downto 0 do
     if vc.cover.(v) && vc.cover.(v + n) then transversal := v :: !transversal
   done;
   (* The cover has size n + k for some k ≥ 0; the transversal is exactly
      the doubly-covered vertices. Lemma 1 guarantees bipartiteness. *)
-  let lower_bound = max 0 (vc.lower_bound - n) in
-  finish g !transversal ~optimal:vc.optimal ~lower_bound
-    ~elapsed:(Obs.Clock.now () -. start)
+  {
+    transversal = !transversal;
+    optimal = vc.optimal;
+    lower_bound = max 0 (vc.lower_bound - n);
+    elapsed = Obs.Clock.now () -. start;
+  }
 
 let greedy g =
   let start = Obs.Clock.now () in
@@ -88,6 +92,9 @@ let greedy g =
   for v = n - 1 downto 0 do
     if in_oct.(v) then transversal := v :: !transversal
   done;
-  let optimal = !transversal = [] in
-  finish g !transversal ~optimal ~lower_bound:0
-    ~elapsed:(Obs.Clock.now () -. start)
+  {
+    transversal = !transversal;
+    optimal = !transversal = [];
+    lower_bound = 0;
+    elapsed = Obs.Clock.now () -. start;
+  }

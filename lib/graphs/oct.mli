@@ -3,23 +3,27 @@
 
     Implements Lemma 1 of the paper: G on [n] vertices has an OCT of size
     [k] iff G□K2 has a vertex cover of size [n + k]; a vertex belongs to
-    the OCT exactly when both of its product copies are in the cover. *)
+    the OCT exactly when both of its product copies are in the cover.
+    {!solve} builds the product with {!with_k2} and covers it with
+    {!Vertex_cover.solve}. *)
 
 type result = {
   transversal : int list;  (** vertices labelled VH downstream *)
-  coloring : int array;
-      (** the canonical 2-colouring of the residual graph
-          ({!Bipartite.residual}); [colors.(v) ∈ {0, 1}] for kept
-          vertices, [-1] for transversal vertices *)
   optimal : bool;
   lower_bound : int;  (** proven lower bound on the OCT size *)
   elapsed : float;
 }
 
+val with_k2 : Ugraph.t -> Ugraph.t
+(** [with_k2 g] is G□K2: two copies of [g] (vertex [v] becomes [v] in
+    copy 0 and [v + n] in copy 1) plus a rung edge [(v, v + n)] for every
+    vertex, added after all copy edges. *)
+
 val solve : ?budget:Resilience.Budget.t -> Ugraph.t -> result
 (** Exact (anytime under a budget) minimum OCT via vertex cover of
-    G□K2. The residual graph is always bipartite and [coloring] is a valid
-    2-colouring of it. *)
+    G□K2. The residual graph is always bipartite; {!Compact.Balance}
+    2-colours it. On exhaustion [lower_bound] is 0: the cover's root
+    bound is n, the rung matching (see {!Vertex_cover}). *)
 
 val greedy : Ugraph.t -> result
 (** Fast heuristic: BFS 2-colouring that moves conflict vertices into the

@@ -3,8 +3,6 @@ type result = {
   size : int;
   lower_bound : int;
   optimal : bool;
-  nodes_explored : int;
-  elapsed : float;
 }
 
 let is_cover g cover =
@@ -32,44 +30,20 @@ let prune_redundant g cover =
     done
   done
 
-let greedy_cover g =
-  let n = Ugraph.num_nodes g in
-  let cover = Array.make n false in
+(* The endpoints of a greedy maximal matching, pruned, and the matching's
+   size: every cover needs one endpoint of each matched edge. *)
+let greedy g =
+  let cover = Array.make (Ugraph.num_nodes g) false in
+  let matching = Matching.greedy_maximal g in
   List.iter
     (fun (u, v) ->
        cover.(u) <- true;
        cover.(v) <- true)
-    (Matching.greedy_maximal g);
+    matching;
   prune_redundant g cover;
-  cover
+  cover, List.length matching
 
-(* Bipartite double cover: vertex v becomes L_v = 2v and R_v = 2v+1; each
-   edge (u, v) becomes (L_u, R_v) and (L_v, R_u). König gives its minimum
-   cover; halving yields the half-integral LP optimum of the original. *)
-let double_cover g =
-  let n = Ugraph.num_nodes g in
-  let dc = Ugraph.create (2 * n) in
-  Ugraph.iter_edges
-    (fun u v ->
-       Ugraph.add_edge dc (2 * u) ((2 * v) + 1);
-       Ugraph.add_edge dc (2 * v) ((2 * u) + 1))
-    g;
-  dc
-
-let lp_solution g =
-  (* x.(v) ∈ {0, 1, 2} in half units. *)
-  let n = Ugraph.num_nodes g in
-  let dc = double_cover g in
-  let left = Array.init (2 * n) (fun v -> v land 1 = 0) in
-  let mate = Matching.hopcroft_karp dc ~left in
-  let cover_dc = Matching.koenig_cover dc ~left ~mate in
-  Array.init n (fun v ->
-      (if cover_dc.(2 * v) then 1 else 0)
-      + if cover_dc.((2 * v) + 1) then 1 else 0)
-
-let lp_bound g =
-  let x = lp_solution g in
-  float_of_int (Array.fold_left ( + ) 0 x) /. 2.
+let greedy_cover g = fst (greedy g)
 
 exception Out_of_time
 
@@ -78,13 +52,11 @@ exception Out_of_time
    forces all its undecided neighbours In. *)
 let c_nodes = Obs.Counter.make "vc.nodes"
 
-let solve ?(budget = Resilience.Budget.unlimited) ?(kernelize = true) g =
-  let start = Obs.Clock.now () in
+let solve ?(budget = Resilience.Budget.unlimited) g =
   let n = Ugraph.num_nodes g in
   let neighbors = Array.init n (fun v -> Array.of_list (Ugraph.neighbors g v)) in
-  let best_cover = greedy_cover g in
+  let best_cover, root_lb = greedy g in
   let best_size = ref (count best_cover) in
-  let root_lb = int_of_float (ceil (lp_bound g -. 1e-9)) in
   let explored = ref 0 in
   let timed_out = ref false in
   (* state: 0 undecided, 1 in, 2 out *)
@@ -106,22 +78,6 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(kernelize = true) g =
         trail := rest
     done
   in
-  (* Nemhauser–Trotter at the root: LP value 0 ⇒ exclude, 1 (=2 halves) ⇒
-     include. *)
-  if kernelize then begin
-    let lp = lp_solution g in
-    for v = 0 to n - 1 do
-      if lp.(v) = 2 then push v 1
-    done;
-    for v = 0 to n - 1 do
-      if lp.(v) = 0 && state.(v) = 0 then begin
-        push v 2;
-        Array.iter
-          (fun w -> if state.(w) = 0 then push w 1)
-          neighbors.(v)
-      end
-    done
-  end;
   (* Matching-based lower bound on the residual graph. *)
   let residual_lb () =
     let used = Array.make n false in
@@ -235,7 +191,6 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(kernelize = true) g =
     end
   in
   (try branch () with Out_of_time -> ());
-  let elapsed = Obs.Clock.now () -. start in
   Obs.Counter.add c_nodes !explored;
   let optimal = (not !timed_out) || !best_size <= root_lb in
   let lower_bound = if optimal then !best_size else root_lb in
@@ -245,6 +200,4 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(kernelize = true) g =
     size = !best_size;
     lower_bound = min lower_bound !best_size;
     optimal;
-    nodes_explored = !explored;
-    elapsed;
   }

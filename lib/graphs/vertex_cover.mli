@@ -2,38 +2,34 @@
 
     The paper's §VI-A solves the VH-labeling problem through a minimum
     vertex cover of G□K2 (Lemma 1), computed with an ILP solver. Here the
-    cover is computed by a dedicated exact solver: LP-based
-    Nemhauser–Trotter kernelisation (the LP optimum of vertex cover is
-    half-integral and obtained from a maximum matching of the bipartite
-    double cover), reduction rules for degree-0/1 vertices, and
-    branch & bound on the remaining kernel with matching lower bounds.
-    A time budget turns the solver into an anytime algorithm that reports
-    the incumbent, the best lower bound and the relative gap — mirroring
-    the CPLEX interface the paper relies on (Figs 10 and 11). *)
+    cover is computed by a dedicated exact solver: reduction rules for
+    degree-0/1 vertices and branch & bound with greedy-matching lower
+    bounds, starting from the greedy cover. A time budget turns the
+    solver into an anytime algorithm that reports the incumbent and the
+    best lower bound — mirroring the CPLEX interface the paper relies on
+    (Figs 10 and 11).
+
+    The root bound needs no LP: on G□K2 the rungs [(v, v + n)] are a
+    perfect matching, so the LP optimum is x ≡ ½ with value n — the size
+    of the root's greedy matching — and Nemhauser–Trotter kernelisation
+    would fix no vertex. *)
 
 type result = {
   cover : bool array;  (** characteristic vector of the cover found *)
   size : int;  (** |cover| *)
   lower_bound : int;  (** proven lower bound on the optimum *)
   optimal : bool;  (** [size = lower_bound] *)
-  nodes_explored : int;  (** branch & bound nodes *)
-  elapsed : float;  (** seconds *)
 }
 
-val lp_bound : Ugraph.t -> float
-(** Optimum of the LP relaxation (half-integral), via the bipartite double
-    cover. A valid lower bound on the integral optimum. *)
-
-val solve :
-  ?budget:Resilience.Budget.t -> ?kernelize:bool -> Ugraph.t -> result
+val solve : ?budget:Resilience.Budget.t -> Ugraph.t -> result
 (** [solve g] computes a minimum vertex cover, stopping early when
     [budget] (default: [Resilience.Budget.unlimited]) exhausts — polled
     every 256 branch & bound nodes, which are also charged against the
     budget's node allowance — and returning the best cover found so far
     ([optimal = false]). The returned [cover] is always a valid vertex
-    cover; the solver never raises on exhaustion.
-    [kernelize] (default true) controls the Nemhauser–Trotter LP
-    kernelisation; disabling it exists for ablation studies. *)
+    cover; the solver never raises on exhaustion. On exhaustion the
+    lower bound is the size of the greedy maximal matching
+    ({!Matching.greedy_maximal}) taken at the root. *)
 
 val is_cover : Ugraph.t -> bool array -> bool
 (** Checks that every edge has a covered endpoint. *)

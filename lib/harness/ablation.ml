@@ -7,38 +7,6 @@ let small_graphs config =
        | Some sbdd -> Some (name, Compact.Preprocess.of_sbdd sbdd))
     [ "ctrl"; "int2float"; "cavlc" ]
 
-let nt_kernel config =
-  let rows = ref [] in
-  let data = ref [] in
-  List.iter
-    (fun (name, (bg : Compact.Types.bdd_graph)) ->
-       let product = Graphs.Product.with_k2 bg.graph in
-       let with_k =
-         Graphs.Vertex_cover.solve ~budget:(Resilience.Budget.seconds config.Experiments.time_limit)
-           ~kernelize:true product
-       in
-       let without =
-         Graphs.Vertex_cover.solve ~budget:(Resilience.Budget.seconds config.Experiments.time_limit)
-           ~kernelize:false product
-       in
-       data := (name, with_k, without) :: !data;
-       rows :=
-         [ name;
-           string_of_int with_k.size; string_of_int with_k.nodes_explored;
-           Table.fmt_f with_k.elapsed;
-           string_of_int without.size; string_of_int without.nodes_explored;
-           Table.fmt_f without.elapsed ]
-         :: !rows)
-    (small_graphs config);
-  Table.print
-    ~title:"Ablation: Nemhauser-Trotter kernelisation in the VC solver"
-    ~columns:
-      [ "circuit", Table.L; "NT size", Table.R; "NT nodes", Table.R;
-        "NT time", Table.R; "raw size", Table.R; "raw nodes", Table.R;
-        "raw time", Table.R ]
-    (List.rev !rows);
-  List.rev !data
-
 let balance_dp config =
   let rows = ref [] in
   let data = ref [] in
@@ -51,17 +19,8 @@ let balance_dp config =
        let transversal = Array.make n false in
        List.iter (fun v -> transversal.(v) <- true) oct.transversal;
        let dimension labels =
-         let r = ref 0 and c = ref 0 in
-         Array.iter
-           (fun l ->
-              (match l with
-               | Compact.Types.H | Compact.Types.VH -> incr r
-               | Compact.Types.V -> ());
-              match l with
-              | Compact.Types.V | Compact.Types.VH -> incr c
-              | Compact.Types.H -> ())
-           labels;
-         max !r !c
+         let _, rows, cols = Compact.Types.counts labels in
+         max rows cols
        in
        let balanced =
          dimension
@@ -83,25 +42,20 @@ let balance_dp config =
     (List.rev !rows);
   List.rev !data
 
-let mip_nodes config ~warm ~cut (bg : Compact.Types.bdd_graph) =
-  (* Run the MIP and recover the node count from its trace length proxy:
-     we re-run Branch_bound directly to read the node counter. *)
+(* The MIP's trace events until its final bound, seeded with the
+   heuristic's labeling or, cold, with the all-VH one. *)
+let mip_events config ~warm bg =
   let gamma = 0.5 in
   let warm_start =
     if warm then
-      Some (Compact.Label_heuristic.solve ~budget:(Resilience.Budget.seconds 1.) ~alignment:true ~gamma bg)
-    else None
-  in
-  let oct_cut = if cut then Some 0 else None in
-  ignore oct_cut;
-  let labeling =
-    match warm_start with
-    | Some w ->
-      Compact.Label_mip.solve ~budget:(Resilience.Budget.seconds config.Experiments.time_limit)
-        ~alignment:true ~gamma ~warm_start:w bg
-    | None ->
-      Compact.Label_mip.solve ~budget:(Resilience.Budget.seconds config.Experiments.time_limit)
+      Compact.Label_heuristic.solve ~budget:(Resilience.Budget.seconds 1.)
         ~alignment:true ~gamma bg
+    else Experiments.all_vh ~gamma bg
+  in
+  let labeling =
+    Compact.Label_mip.solve
+      ~budget:(Resilience.Budget.seconds config.Experiments.time_limit)
+      ~alignment:true ~gamma ~warm_start bg
   in
   List.length labeling.trace, labeling
 
@@ -110,12 +64,11 @@ let warm_start config =
   let data = ref [] in
   List.iter
     (fun (name, bg) ->
-       let with_nodes, l1 = mip_nodes config ~warm:true ~cut:true bg in
-       let without_nodes, l2 = mip_nodes config ~warm:false ~cut:true bg in
-       ignore (l1, l2);
-       data := (name, with_nodes, without_nodes) :: !data;
+       let warm_events, l1 = mip_events config ~warm:true bg in
+       let cold_events, l2 = mip_events config ~warm:false bg in
+       data := (name, warm_events, cold_events) :: !data;
        rows :=
-         [ name; string_of_int with_nodes; string_of_int without_nodes;
+         [ name; string_of_int warm_events; string_of_int cold_events;
            (if l1.Compact.Types.optimal then "yes" else "no");
            (if l2.Compact.Types.optimal then "yes" else "no") ]
          :: !rows)
@@ -175,7 +128,6 @@ let oct_cut config =
   List.rev !data
 
 let run_all config =
-  ignore (nt_kernel config);
   ignore (balance_dp config);
   ignore (warm_start config);
   ignore (oct_cut config)

@@ -1,22 +1,17 @@
 (** Ablation studies for the design choices DESIGN.md calls out.
 
-    Four knobs are toggled on a set of benchmark circuits, each isolating
+    Three knobs are toggled on a set of benchmark circuits, each isolating
     one ingredient of the COMPACT implementation:
 
-    - {b nt-kernel}: Nemhauser–Trotter LP kernelisation inside the exact
-      vertex-cover solver (search-tree size and time);
     - {b balance-dp}: the Fig 6 component-flip subset-sum DP (maximum
       dimension of the resulting design);
-    - {b warm-start}: seeding the MIP with the combinatorial incumbent
-      (branch & bound nodes to optimality);
-    - {b oct-cut}: the [S ≥ n + k] strengthening cut in the MIP (root
-      bound and nodes).
+    - {b warm-start}: seeding the MIP with the heuristic's labeling
+      instead of the trivial all-VH one (trace events until the final
+      bound);
+    - {b oct-cut}: the [S ≥ n + k] strengthening cut in the MIP (trace
+      events and final gap).
 
     Each function prints its table and returns the measured pairs. *)
-
-val nt_kernel :
-  Experiments.config -> (string * Graphs.Vertex_cover.result * Graphs.Vertex_cover.result) list
-(** (circuit, with kernel, without kernel) on the G□K2 cover instances. *)
 
 val balance_dp :
   Experiments.config -> (string * int * int) list
@@ -24,9 +19,10 @@ val balance_dp :
 
 val warm_start :
   Experiments.config -> (string * int * int) list
-(** (circuit, B&B nodes with warm start, nodes without). *)
+(** (circuit, MIP trace events with the heuristic's warm start, events
+    from the all-VH start). *)
 
 val oct_cut : Experiments.config -> (string * int * int) list
-(** (circuit, B&B nodes with the cut, nodes without). *)
+(** (circuit, MIP trace events with the cut, events without). *)
 
 val run_all : Experiments.config -> unit

@@ -382,6 +382,11 @@ let table4 config =
     (List.rev !rows);
   List.rev !data
 
+let all_vh ~gamma (bg : Compact.Types.bdd_graph) =
+  Compact.Types.make_labeling bg ~gamma ~optimal:false ~lower_bound:0.
+    ~solve_time:0. ~method_name:"trivial"
+    (Array.make (Graphs.Ugraph.num_nodes bg.graph) Compact.Types.VH)
+
 let fig10 config =
   (* The paper shows the CPLEX convergence on i2c; our dense-simplex MIP
      is exact only on smaller graphs, so the trace is recorded on the
@@ -395,17 +400,10 @@ let fig10 config =
   | Some sbdd ->
     let bg = Compact.Preprocess.of_sbdd sbdd in
     let gamma = 0.5 in
-    let all_vh =
-      Compact.Types.make_labeling bg ~gamma ~optimal:false ~lower_bound:0.
-        ~solve_time:0. ~method_name:"trivial"
-        (Array.make
-           (Graphs.Ugraph.num_nodes bg.Compact.Types.graph)
-           Compact.Types.VH)
-    in
     let labeling =
       Compact.Label_mip.solve
         ~budget:(Resilience.Budget.seconds (4. *. config.time_limit))
-        ~alignment:true ~gamma ~warm_start:all_vh bg
+        ~alignment:true ~gamma ~warm_start:(all_vh ~gamma bg) bg
     in
     Printf.printf
       "\n== Fig 10: MIP convergence on %s (best integer / bound / gap) ==\n"

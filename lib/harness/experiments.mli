@@ -63,6 +63,10 @@ val table4 : config -> (string * Compact.Report.t option * Compact.Report.t opti
     reported through a {!Compact.Report.t} whose labeling marks every node
     VH. *)
 
+val all_vh : gamma:float -> Compact.Types.bdd_graph -> Compact.Types.labeling
+(** The trivial feasible labeling, every node VH: the MIP's cold start in
+    {!fig10} and in the warm-start ablation. *)
+
 val fig10 : config -> Milp.Branch_bound.trace_point list
 (** MIP convergence trace (best integer / best bound / gap vs time) on the
     largest benchmark whose MIP is tractable here. *)

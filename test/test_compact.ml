@@ -594,6 +594,9 @@ let payload_goldens =
     "c2670", "29b522c8100a1bdbf41f7633706ff311";
     "c5315", "4e3dd4bd02e01b8f2b9a73d064ab7479";
     "i2c", "37cc9029cc40e0836c946e0c4f370177";
+    (* MIP rung, warm-started from the exact OCT. *)
+    "ctrl", "3f6f879a6ed06da1b54c25ae356f3a17";
+    "cavlc", "adbc5f44f295332c7584b4f85d531181";
   ]
 
 let golden_tests =
@@ -609,6 +612,24 @@ let golden_tests =
            check Alcotest.string "md5" digest
              (Digest.to_hex (Digest.string payload))))
     payload_goldens
+  @ [
+    (* The exact OCT proves these transversal sizes on the default-order
+       graphs; a faster or reworked search must keep them. *)
+    Alcotest.test_case "exact OCT sizes of ctrl, cavlc, priority, dec" `Quick
+      (fun () ->
+         List.iter
+           (fun (name, k) ->
+              let nl = (Circuits.Suite.find name).generate () in
+              let g =
+                (Compact.Preprocess.of_sbdd (Bdd.Sbdd.of_netlist nl)).graph
+              in
+              let r = Graphs.Oct.solve g in
+              check tb (name ^ " optimal") true r.optimal;
+              check ti (name ^ " size") k (List.length r.transversal);
+              check tb (name ^ " transversal") true
+                (Graphs.Oct.is_transversal g r.transversal))
+           [ "ctrl", 1; "cavlc", 1; "priority", 1; "dec", 0 ]);
+  ]
 
 let metamorphic_tests =
   [

@@ -225,18 +225,6 @@ let matching_tests =
           (Graphs.Matching.perfect_bipartite ~left:3 ~right:2
              ~compatible:(fun _ _ -> true)
            = None));
-    Alcotest.test_case "koenig cover covers all edges" `Quick (fun () ->
-        let g = make_graph (6, [ 0, 3; 0, 4; 1, 3; 1, 5; 2, 4 ]) in
-        let left = Array.init 6 (fun v -> v < 3) in
-        let mate = Graphs.Matching.hopcroft_karp g ~left in
-        let cover = Graphs.Matching.koenig_cover g ~left ~mate in
-        check tb "cover" true (Graphs.Vertex_cover.is_cover g cover);
-        let size =
-          Array.fold_left (fun a b -> if b then a + 1 else a) 0 cover
-        in
-        check ti "koenig size = matching size"
-          (Graphs.Matching.matching_size mate)
-          size);
     Alcotest.test_case "edge inside one side rejected" `Quick (fun () ->
         let g = make_graph (2, [ 0, 1 ]) in
         check tb "raises" true
@@ -255,6 +243,14 @@ let matching_tests =
               Hashtbl.replace used u ();
               Hashtbl.replace used v ())
            m);
+    (* Vertex_cover.solve's root bound is this matching's size; on G□K2
+       it must be n, the LP optimum, or a timed-out search reports a
+       weaker bound. *)
+    qcheck_case "greedy matching of G□K2 has n edges" graph_gen
+      (fun spec ->
+         let g = make_graph spec in
+         List.length (Graphs.Matching.greedy_maximal (Graphs.Oct.with_k2 g))
+         = Graphs.Ugraph.num_nodes g);
   ]
 
 let vc_tests =
@@ -270,11 +266,6 @@ let vc_tests =
         let r = Graphs.Vertex_cover.solve (Graphs.Ugraph.create 4) in
         check ti "vc" 0 r.size;
         check tb "optimal" true r.optimal);
-    Alcotest.test_case "lp_bound below optimum" `Quick (fun () ->
-        let g = cycle 5 in
-        check tb "bound" true
-          (Graphs.Vertex_cover.lp_bound g
-           <= float_of_int (Graphs.Vertex_cover.solve g).size +. 1e-9));
     qcheck_case "solve matches brute force" ~count:60 graph_gen (fun spec ->
         let g = make_graph spec in
         let r = Graphs.Vertex_cover.solve g in
@@ -290,7 +281,7 @@ let oct_tests =
   [
     Alcotest.test_case "product with K2 structure" `Quick (fun () ->
         let g = cycle 3 in
-        let p = Graphs.Product.with_k2 g in
+        let p = Graphs.Oct.with_k2 g in
         check ti "nodes" 6 (Graphs.Ugraph.num_nodes p);
         (* 2 copies of 3 edges + 3 rungs *)
         check ti "edges" 9 (Graphs.Ugraph.num_edges p);
@@ -308,16 +299,6 @@ let oct_tests =
         let g = make_graph (6, [ 0, 1; 1, 2; 2, 0; 3, 4; 4, 5; 5, 3 ]) in
         let r = Graphs.Oct.solve g in
         check ti "oct" 2 (List.length r.transversal));
-    Alcotest.test_case "coloring is proper on residual" `Quick (fun () ->
-        let g = make_graph (5, [ 0, 1; 1, 2; 2, 0; 2, 3; 3, 4 ]) in
-        let r = Graphs.Oct.solve g in
-        let in_oct = Array.make 5 false in
-        List.iter (fun v -> in_oct.(v) <- true) r.transversal;
-        Graphs.Ugraph.iter_edges
-          (fun u v ->
-             if (not in_oct.(u)) && not in_oct.(v) then
-               check tb "proper" true (r.coloring.(u) <> r.coloring.(v)))
-          g);
     qcheck_case "exact OCT matches brute force (Lemma 1)" ~count:40 graph_gen
       (fun spec ->
          let g = make_graph spec in

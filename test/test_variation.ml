@@ -211,6 +211,28 @@ let margin_tests =
          check Alcotest.string "equal"
            (Crossbar.Margin.json_of_analysis (run ()))
            (Crossbar.Margin.json_of_analysis (run ())));
+    Alcotest.test_case "analysis JSON escapes output names" `Quick
+      (fun () ->
+         let name = "o\\1 \"q\"\tx" in
+         let a =
+           Crossbar.Margin.analyze (fig2_design ()) ~inputs:fig2_inputs
+             ~reference:fig2_reference ~outputs:[ "f" ]
+         in
+         let a =
+           {
+             a with
+             per_output =
+               List.map
+                 (fun om -> { om with Crossbar.Margin.om_output = name })
+                 a.per_output;
+           }
+         in
+         let json = Obs.Json.parse (Crossbar.Margin.json_of_analysis a) in
+         match Obs.Json.member "outputs" json with
+         | Some (Obs.Json.Arr [ out ]) ->
+           check tb "name unchanged" true
+             (Obs.Json.member "name" out = Some (Obs.Json.Str name))
+         | _ -> Alcotest.fail "one output expected");
     Alcotest.test_case "wilson interval brackets the estimate" `Quick (fun () ->
         let low, high = Crossbar.Margin.wilson ~passes:57 ~trials:64 in
         let p = 57. /. 64. in
