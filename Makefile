@@ -51,8 +51,8 @@ portfolio:
 	dune build @portfolio
 
 # Race and sifting kernels; regenerates BENCH_pr9.json (portfolio vs
-# sequential Auto wall time on a budget-exhausting kernel, in-place
-# sifting vs anneal-rebuild on the 8-bit multiplier).
+# sequential Auto wall time on a budget-exhausting kernel, the in-place
+# sifting step on the 8-bit multiplier).
 portfolio-bench:
 	dune exec bench/main.exe -- portfolio -j 4
 

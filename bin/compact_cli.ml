@@ -365,43 +365,21 @@ let print_stats =
            ~doc:"Print the BDD engine's unique-table, op-cache and \
                  reordering counters.")
 
-(* [--reorder] is order *pre-processing*: it computes an improved
-   variable order up front and feeds it to the pipeline as an explicit
-   [options.order], leaving the pipeline itself untouched. [sift] builds
-   once under the best static candidate order and runs in-place Rudell
-   sifting; [anneal] is the older rebuild-per-move annealing search,
-   retained as a cross-check. *)
+(* [--reorder sift] runs the variable-order step inside the pipeline
+   ([Pipeline.synthesize ~sift:true]): build once under the best static
+   candidate order, sift in place under the run's budget, and synthesise
+   that diagram. *)
 let reorder_term =
   Arg.(value
-       & opt
-           (named "reorder mode"
-              [ "none", `None; "sift", `Sift; "anneal", `Anneal ])
-           `None
+       & opt (named "reorder mode" [ "none", `None; "sift", `Sift ]) `None
        & info [ "reorder" ] ~docv:"MODE"
            ~doc:"Variable-order optimisation before synthesis: none \
-                 (default), sift (build once, then in-place Rudell \
-                 sifting), or anneal (simulated annealing over rebuilds).")
-
-let reordered_order reorder options nl =
-  match reorder with
-  | `None -> (options : Compact.Pipeline.options).order
-  | `Sift ->
-    let sbdd =
-      Bdd.Reorder.improve_sbdd ~node_limit:options.Compact.Pipeline.bdd_node_limit
-        nl
-    in
-    Some (Array.to_list sbdd.Bdd.Sbdd.input_order)
-  | `Anneal ->
-    let order, _ =
-      Bdd.Reorder.anneal ~node_limit:options.Compact.Pipeline.bdd_node_limit nl
-    in
-    Some order
+                 (default) or sift (build once, then in-place Rudell \
+                 sifting).")
 
 let synth_run reorder grid stats nl options =
-  let options =
-    { options with Compact.Pipeline.order = reordered_order reorder options nl }
-  in
-  let result = Compact.Pipeline.synthesize ~options nl in
+  let sift = reorder = `Sift in
+  let result = Compact.Pipeline.synthesize ~options ~sift nl in
   Format.printf "%a@." Compact.Report.pp result.report;
   if stats then begin
     match result.report.bdd_stats with

@@ -611,10 +611,15 @@ let clear_caches t =
      level i+1 through the unique table;
    - a lower node still referenced afterwards (from above level i, or a
      root) keeps its structure and moves to level i; one referenced only
-     through the old cofactor edges dies: it is removed from the table
-     (backward-shift deletion), marked dead with level -1, and its slot
-     is never reused — [rehash_unique] skips dead slots so a stale
-     structure can never be resurrected.
+     through the old cofactor edges dies: it is removed from the table,
+     marked dead with level -1, and its slot is never reused —
+     [rehash_unique] skips dead slots so a stale structure can never be
+     resurrected.
+
+   The session keeps the live nodes of every level in a list, so an
+   exchange reads its two levels and nothing else; it rebuilds both
+   lists from the case analysis above. Nodes die only on level i+1
+   (see [swap_adjacent]), so no other level's list goes stale.
 
    The lossy op caches mix pre- and post-exchange meanings of dead
    handles, so a reordering session invalidates them (once per burst,
@@ -629,6 +634,7 @@ type session = {
   m : t;
   mutable rc : int array;  (* per-handle refcounts, roots get +1 *)
   perm : int array;  (* perm.(lvl) = session-start level now living at lvl *)
+  nodes : int list array;  (* nodes.(lvl) = the live nodes at lvl *)
   mutable live : int;  (* live internal nodes *)
 }
 
@@ -689,17 +695,21 @@ let open_session t roots =
   List.iter (fun r -> if not (is_terminal r) then rc.(r) <- rc.(r) + 1) roots;
   (* Table hygiene: drop allocated-but-unreachable nodes so an exchange
      can never find (and share) a stale structure through the table. *)
+  let nodes = Array.make t.nvars [] in
   let live = ref 0 in
-  for n = 2 to t.next - 1 do
+  for n = t.next - 1 downto 2 do
     if t.levels.(n) >= 0 then begin
-      if Bytes.get mark n = '\001' then incr live
+      if Bytes.get mark n = '\001' then begin
+        incr live;
+        nodes.(t.levels.(n)) <- n :: nodes.(t.levels.(n))
+      end
       else begin
         table_remove t n;
         t.levels.(n) <- -1
       end
     end
   done;
-  { m = t; rc; perm = Array.init t.nvars (fun l -> l); live = !live }
+  { m = t; rc; perm = Array.init t.nvars (fun l -> l); nodes; live = !live }
 
 (* Grow node arrays and unique table ahead of an exchange so nothing
    allocates (or hits the injected-OOM checkpoint) mid-rewrite. *)
@@ -719,13 +729,7 @@ let ensure_swap_capacity s extra =
 
 let swap_adjacent s i =
   let t = s.m in
-  let upper = ref [] and lower = ref [] in
-  for n = t.next - 1 downto 2 do
-    if s.rc.(n) > 0 then
-      if t.levels.(n) = i then upper := n :: !upper
-      else if t.levels.(n) = i + 1 then lower := n :: !lower
-  done;
-  let upper = !upper and lower = !lower in
+  let upper = s.nodes.(i) and lower = s.nodes.(i + 1) in
   if upper <> [] || lower <> [] then begin
     ensure_swap_capacity s (2 * List.length upper);
     (* 1. Detach both levels: their keys are about to change, and a
@@ -733,24 +737,27 @@ let swap_adjacent s i =
        meaning while fresh children are interned. *)
     List.iter (fun n -> table_remove t n) upper;
     List.iter (fun n -> table_remove t n) lower;
-    (* Drop one reference; a node whose last reference this was dies
-       and cascades. Dying lower nodes are already detached. *)
-    let rec deref n =
+    (* Drop a restructured node's reference to an old child. Only a
+       lower node can lose its last reference, and its own children
+       then survive: step 3 has just made each of them a child of a
+       live level-(i+1) node, or of the restructured node itself, so no
+       node dies off levels i and i+1. A dying lower node is already
+       detached. *)
+    let deref n =
       if not (is_terminal n) then begin
         s.rc.(n) <- s.rc.(n) - 1;
         if s.rc.(n) = 0 then begin
-          if t.levels.(n) > i + 1 then table_remove t n;
           s.live <- s.live - 1;
-          let lo = t.lows.(n) and hi = t.highs.(n) in
           t.levels.(n) <- -1;
-          deref lo;
-          deref hi
+          let lo = t.lows.(n) and hi = t.highs.(n) in
+          if not (is_terminal lo) then s.rc.(lo) <- s.rc.(lo) - 1;
+          if not (is_terminal hi) then s.rc.(hi) <- s.rc.(hi) - 1
         end
       end
     in
     (* 2. Independent upper nodes keep their variable, which now lives
        at level i+1. Moving them first lets step 3 share them. *)
-    let dependent = ref [] in
+    let dependent = ref [] and below = ref [] in
     List.iter
       (fun n ->
          let lo = t.lows.(n) and hi = t.highs.(n) in
@@ -758,7 +765,8 @@ let swap_adjacent s i =
            dependent := n :: !dependent
          else begin
            t.levels.(n) <- i + 1;
-           table_insert t n
+           table_insert t n;
+           below := n :: !below
          end)
       upper;
     let dependent = List.rev !dependent in
@@ -788,6 +796,7 @@ let swap_adjacent s i =
           if not (is_terminal lo) then s.rc.(lo) <- s.rc.(lo) + 1;
           if not (is_terminal hi) then s.rc.(hi) <- s.rc.(hi) + 1;
           s.live <- s.live + 1;
+          below := n :: !below;
           n
         end
       end
@@ -815,27 +824,37 @@ let swap_adjacent s i =
     (* 4. Lower nodes still referenced (crossing edges from above level
        i, or roots) keep their structure and move up to level i; the
        ones that died in step 3 are already marked. *)
-    List.iter
-      (fun n ->
-         if s.rc.(n) > 0 then begin
-           t.levels.(n) <- i;
-           table_insert t n
-         end)
-      lower
+    let above =
+      List.fold_left
+        (fun acc n ->
+           if s.rc.(n) > 0 then begin
+             t.levels.(n) <- i;
+             table_insert t n;
+             n :: acc
+           end
+           else acc)
+        dependent lower
+    in
+    s.nodes.(i) <- above;
+    s.nodes.(i + 1) <- !below
   end;
   let tmp = s.perm.(i) in
   s.perm.(i) <- s.perm.(i + 1);
   s.perm.(i + 1) <- tmp;
   t.level_swaps <- t.level_swaps + 1
 
+(* A direction of exploration stops once the diagram exceeds this ratio
+   of the best size seen; convergence stops after this many passes. *)
+let max_growth = 1.2
+let max_passes = 8
+
 (* Sift the variable currently at level [l0] to its best position:
    down to the bottom, back up to the top, then settle on the smallest
    diagram seen (ties keep the position encountered first, which is
-   deterministic). [max_growth] aborts a direction once the diagram
-   exceeds that ratio of the best size; the budget is polled at swap
-   boundaries and exhaustion stops the exploration (the settle phase
-   always runs so the diagram lands in a consistent best-known spot). *)
-let sift_var s ~max_growth ~budget l0 =
+   deterministic). The budget is polled at swap boundaries and
+   exhaustion stops the exploration (the settle phase always runs so
+   the diagram lands in a consistent best-known spot). *)
+let sift_var s ~budget l0 =
   let t = s.m in
   let nv = t.nvars in
   let best = ref s.live in
@@ -879,18 +898,16 @@ let level_of_orig s orig =
   let rec find l = if s.perm.(l) = orig then l else find (l + 1) in
   find 0
 
-let sift_pass s ~max_growth ~budget =
+let sift_pass s ~budget =
   let t = s.m in
   t.sift_passes <- t.sift_passes + 1;
   (* Process variables by live population of their current level,
      largest first; ties (and the whole order) break on the original
      variable index so a pass is deterministic. *)
-  let popn = Array.make (max t.nvars 1) 0 in
-  for n = 2 to t.next - 1 do
-    let l = t.levels.(n) in
-    if l >= 0 && l < t.nvars && s.rc.(n) > 0 then popn.(l) <- popn.(l) + 1
-  done;
-  let weight = Array.init t.nvars (fun orig -> popn.(level_of_orig s orig)) in
+  let weight =
+    Array.init t.nvars (fun orig ->
+        List.length s.nodes.(level_of_orig s orig))
+  in
   let vars = Array.init t.nvars (fun orig -> orig) in
   Array.sort
     (fun a b ->
@@ -900,16 +917,10 @@ let sift_pass s ~max_growth ~budget =
   Array.iter
     (fun orig ->
        if weight.(orig) > 0 && not (Resilience.Budget.exhausted budget) then
-         sift_var s ~max_growth ~budget (level_of_orig s orig))
+         sift_var s ~budget (level_of_orig s orig))
     vars
 
-let sift ?(budget = Resilience.Budget.unlimited) ?(max_growth = 1.2) t roots =
-  let s = open_session t roots in
-  sift_pass s ~max_growth ~budget;
-  s.perm
-
-let sift_to_convergence ?(budget = Resilience.Budget.unlimited)
-    ?(max_growth = 1.2) ?(max_passes = 8) t roots =
+let sift_to_convergence ?(budget = Resilience.Budget.unlimited) t roots =
   let s = open_session t roots in
   let prev = ref max_int in
   let passes = ref 0 in
@@ -918,7 +929,7 @@ let sift_to_convergence ?(budget = Resilience.Budget.unlimited)
     && not (Resilience.Budget.exhausted budget)
   do
     prev := s.live;
-    sift_pass s ~max_growth ~budget;
+    sift_pass s ~budget;
     incr passes
   done;
   s.perm

@@ -137,26 +137,17 @@ val clear_caches : t -> unit
     variables re-map their own tables ([Sbdd.sift] permutes
     [input_order]). *)
 
-val sift :
-  ?budget:Resilience.Budget.t -> ?max_growth:float -> t -> node list ->
-  int array
-(** One sifting pass: each variable (largest level population first,
-    original index breaking ties) moves to its locally best level.
-    [max_growth] (default 1.2) aborts a direction of exploration once
-    the diagram exceeds that ratio of the best size seen.  The budget is
-    polled at swap boundaries; exhaustion stops exploring but still
-    settles on the best position found, so the diagram is always left
-    consistent.  Returns the level permutation. *)
-
 val sift_to_convergence :
-  ?budget:Resilience.Budget.t ->
-  ?max_growth:float ->
-  ?max_passes:int ->
-  t ->
-  node list ->
-  int array
-(** Repeat sifting passes until a pass fails to shrink the diagram, up
-    to [max_passes] (default 8). Returns the accumulated permutation. *)
+  ?budget:Resilience.Budget.t -> t -> node list -> int array
+(** Rudell sifting: each pass moves every variable (largest level
+    population first, original index breaking ties) to its locally best
+    level, abandoning a direction once the diagram exceeds 1.2 times the
+    best size seen. Passes repeat until one fails to shrink the diagram,
+    at most 8 of them. An exchange reads only the live nodes of its two
+    levels. The budget is polled at swap boundaries; exhaustion stops
+    exploring but still settles on the best position found, so the
+    diagram is always left consistent. Returns the accumulated level
+    permutation. *)
 
 (** {1 Instrumentation} *)
 

@@ -71,11 +71,10 @@ let stats t = Manager.stats t.man
    returned permutation. The [input_order] array is mutated in place —
    every alias of this SBDD sees the new order, which is exactly what
    handle stability requires. *)
-let sift ?budget ?max_growth ?max_passes t =
+let sift ?budget t =
   let before = size t in
   let perm =
-    Manager.sift_to_convergence ?budget ?max_growth ?max_passes t.man
-      (List.map snd t.roots)
+    Manager.sift_to_convergence ?budget t.man (List.map snd t.roots)
   in
   let old = Array.copy t.input_order in
   Array.iteri (fun lvl o -> t.input_order.(lvl) <- old.(o)) perm;
@@ -106,6 +105,16 @@ let best_order ?(node_limit = max_int) nl =
            | _ -> best := Some (order, sz)))
     candidates;
   match !best with Some r -> r | None -> !last, max_int
+
+let improve ?(budget = Resilience.Budget.unlimited) ?order ?node_limit nl =
+  let order =
+    match order with Some o -> o | None -> fst (best_order ?node_limit nl)
+  in
+  let sbdd =
+    of_netlist ~budget:(Resilience.Budget.untimed budget) ~order ?node_limit nl
+  in
+  ignore (sift ~budget sbdd : int * int);
+  sbdd
 
 let level_of_input t v =
   let n = Array.length t.input_order in

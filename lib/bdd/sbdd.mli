@@ -49,12 +49,7 @@ val best_order :
 val size : t -> int
 (** Distinct reachable nodes, including reached terminals. *)
 
-val sift :
-  ?budget:Resilience.Budget.t ->
-  ?max_growth:float ->
-  ?max_passes:int ->
-  t ->
-  int * int
+val sift : ?budget:Resilience.Budget.t -> t -> int * int
 (** In-place dynamic reordering ({!Manager.sift_to_convergence} seeded
     with this SBDD's roots). Root handles stay valid; [input_order] is
     permuted in place so level → input-name lookups remain correct.
@@ -63,13 +58,22 @@ val sift :
     Returns [(size_before, size_after)]; the budget is polled at swap
     boundaries and exhaustion just stops improving. *)
 
+val improve :
+  ?budget:Resilience.Budget.t ->
+  ?order:string list ->
+  ?node_limit:int ->
+  Logic.Netlist.t ->
+  t
+(** The variable-order step: build under [order] (default: the
+    {!best_order} candidate, whose search ignores [budget]), then
+    {!sift} in place. The build runs
+    under [Resilience.Budget.untimed budget] (a partial diagram is
+    useless, so only cancellation or a node or memory limit stops it, by
+    raising); the sift runs under [budget] itself, whose expiry just
+    stops improving. [budget] defaults to unlimited. *)
+
 val stats : t -> Manager.stats
 (** Unique-table / op-cache counters of the underlying manager. *)
-
-val of_netlist_size :
-  ?order:string list -> node_limit:int -> Logic.Netlist.t -> int option
-(** [Some (size sbdd)] of the build, or [None] when it exceeds
-    [node_limit] — the probe the order-search heuristics use. *)
 
 val num_edges : t -> int
 (** Decision edges of the reachable sub-diagram (2 per internal node). *)

@@ -343,7 +343,7 @@ let record_bdd_stats (s : Bdd.Manager.stats) =
     Obs.Gauge.set g_peak_nodes (float_of_int s.peak_nodes)
   end
 
-let synthesize ?(options = default_options) ?budget netlist =
+let synthesize ?(options = default_options) ?budget ?(sift = false) netlist =
   let budget = budget_of_options ?budget options in
   Resilience.Budget.protect_oom @@ fun () ->
   Obs.Span.with_ ~attrs:[ "circuit", netlist.Logic.Netlist.name ] "synthesize"
@@ -355,10 +355,13 @@ let synthesize ?(options = default_options) ?budget netlist =
      degrade the labeling rungs — which can return incumbents — rather
      than abort with no output. *)
   let build_budget = Resilience.Budget.untimed budget in
-  let build ?order () =
+  let build ?(sift = false) ?order () =
+    let node_limit = options.bdd_node_limit in
     let sbdd =
-      Bdd.Sbdd.of_netlist ~budget:build_budget ?order
-        ~node_limit:options.bdd_node_limit netlist
+      (* The order step builds untimed too; only its sift is cut by the
+         deadline, and a cut sift keeps the diagram it has. *)
+      if sift then Bdd.Sbdd.improve ~budget ?order ~node_limit netlist
+      else Bdd.Sbdd.of_netlist ~budget:build_budget ?order ~node_limit netlist
     in
     record_bdd_stats (Bdd.Sbdd.stats sbdd);
     sbdd
@@ -366,7 +369,7 @@ let synthesize ?(options = default_options) ?budget netlist =
   let sbdds =
     Obs.Hist.time h_bdd_build @@ fun () ->
     Obs.Span.with_ "bdd-build" (fun () ->
-        let first = build ?order:options.order () in
+        let first = build ~sift ?order:options.order () in
         (* Portfolio order racing: build up to [race_orders - 1] further
            diagrams under the remaining static candidate orders (skipping
            any that duplicates the first build's order) so the race can

@@ -3,11 +3,8 @@ type config = {
   bdd_node_limit : int;
   max_graph_nodes : int;
   verify_designs : bool;
-  anneal_budget : int;
   jobs : int;
 }
-
-let anneal_threshold = 5_000
 
 let default_config =
   {
@@ -15,7 +12,6 @@ let default_config =
     bdd_node_limit = 2_000_000;
     max_graph_nodes = 200_000;
     verify_designs = true;
-    anneal_budget = 120;
     jobs = Parallel.default_jobs ();
   }
 
@@ -25,13 +21,13 @@ let quick_config =
     bdd_node_limit = 200_000;
     max_graph_nodes = 20_000;
     verify_designs = false;
-    anneal_budget = 0;
     jobs = Parallel.default_jobs ();
   }
 
-(* Per-process caches: netlists and best orders are deterministic. *)
+(* Per-process caches: netlists and orders are deterministic. An order
+   depends on the node limit its candidates were built under. *)
 let netlist_cache : (string, Logic.Netlist.t) Hashtbl.t = Hashtbl.create 32
-let order_cache : (string, string list) Hashtbl.t = Hashtbl.create 32
+let order_cache : (string * int, string list) Hashtbl.t = Hashtbl.create 32
 
 let netlist_of (e : Circuits.Suite.entry) =
   match Hashtbl.find_opt netlist_cache e.name with
@@ -41,21 +37,22 @@ let netlist_of (e : Circuits.Suite.entry) =
     Hashtbl.replace netlist_cache e.name nl;
     nl
 
+(* Circuits whose best static SBDD is larger keep that order, so the
+   order step moves only the small and medium circuits' tables. *)
+let sift_threshold = 5_000
+
 let order_of config (e : Circuits.Suite.entry) =
-  match Hashtbl.find_opt order_cache e.name with
+  let node_limit = config.bdd_node_limit in
+  match Hashtbl.find_opt order_cache (e.name, node_limit) with
   | Some o -> o
   | None ->
     let nl = netlist_of e in
-    let order, size = Bdd.Sbdd.best_order ~node_limit:config.bdd_node_limit nl in
+    let order, size = Bdd.Sbdd.best_order ~node_limit nl in
     let order =
-      (* Polish small/medium circuits with the annealing order search. *)
-      if config.anneal_budget > 0 && size <= anneal_threshold then
-        fst
-          (Bdd.Reorder.anneal ~steps:config.anneal_budget
-             ~node_limit:config.bdd_node_limit ~initial:order nl)
-      else order
+      if size > sift_threshold then order
+      else Array.to_list (Bdd.Sbdd.improve ~order ~node_limit nl).input_order
     in
-    Hashtbl.replace order_cache e.name order;
+    Hashtbl.replace order_cache (e.name, node_limit) order;
     order
 
 let sbdd_of config (e : Circuits.Suite.entry) =

@@ -14,10 +14,6 @@ type config = {
       (** skip a circuit/mode when its BDD graph exceeds this bound *)
   verify_designs : bool;
       (** check every synthesised design against its netlist ({!verify}) *)
-  anneal_budget : int;
-      (** variable-order annealing rebuilds per circuit (0 = heuristic
-          orders only); applied to circuits below {!anneal_threshold}
-          SBDD nodes *)
   jobs : int;
       (** domain-pool width for the parallel sweeps (robustness draws,
           variation Monte-Carlo, MIP branch & bound). The stock configs
@@ -25,15 +21,15 @@ type config = {
           1; results are identical for every jobs count. *)
 }
 
-val anneal_threshold : int
-
 val default_config : config
 val quick_config : config
 (** Tighter limits for smoke runs / CI. *)
 
 val sbdd_of : config -> Circuits.Suite.entry -> Bdd.Sbdd.t option
-(** Build the benchmark's SBDD under the best candidate order; [None] if
-    every order exceeds the node limit. *)
+(** Build the benchmark's SBDD under the harness order: the best
+    candidate order ({!Bdd.Sbdd.best_order}), sifted
+    ({!Bdd.Sbdd.improve}) when its diagram has at most 5,000 nodes.
+    [None] if every order exceeds the node limit. *)
 
 val verify : config -> Circuits.Suite.entry -> Crossbar.Design.t -> unit
 (** Check a design synthesised for [e] against [e]'s netlist, when

@@ -31,7 +31,13 @@ val integer_vars : t -> var list
 val objective_value : t -> float array -> float
 (** Evaluate the objective (in the problem's own sense) on a point. *)
 
-val solve_relaxation : ?bounds:(var * float * float) list -> t -> Simplex.outcome
+val solve_relaxation :
+  ?budget:Resilience.Budget.t ->
+  ?bounds:(var * float * float) list ->
+  t ->
+  Simplex.outcome
 (** Solve the LP relaxation, with optional per-variable bound overrides
     [(v, lb, ub)] added as constraint rows. The reported objective is in
-    the problem's sense (a maximisation problem reports the maximum). *)
+    the problem's sense (a maximisation problem reports the maximum).
+    @raise Resilience.Budget.Exhausted when [budget] (default
+    unlimited) runs out; see {!Simplex.solve}. *)

@@ -18,7 +18,11 @@ type tableau = {
   mutable banned_from : int;  (* columns ≥ this may not enter (artificials) *)
 }
 
-let pivot t ~row ~col =
+(* The budget is polled before every pivot: a pivot is a pass over the
+   whole tableau, so a poll is noise beside it, and one relaxation on a
+   graph of a few hundred nodes can take minutes. *)
+let pivot ~budget t ~row ~col =
+  Resilience.Budget.check budget;
   let prow = t.rows.(row) in
   let p = prow.(col) in
   for j = 0 to t.cols do
@@ -38,7 +42,7 @@ let pivot t ~row ~col =
 
 (* Bland's rule: entering column = smallest index with a negative reduced
    cost; leaving row = lexicographically smallest by (ratio, basis index). *)
-let rec iterate t =
+let rec iterate ~budget t =
   let obj = t.rows.(t.m) in
   let entering = ref (-1) in
   (try
@@ -69,12 +73,12 @@ let rec iterate t =
     done;
     if !leave < 0 then `Unbounded
     else begin
-      pivot t ~row:!leave ~col;
-      iterate t
+      pivot ~budget t ~row:!leave ~col;
+      iterate ~budget t
     end
   end
 
-let phase2 t ~n ~c =
+let phase2 ~budget t ~n ~c =
   let m = t.m and cols = t.cols in
   (* Rebuild the reduced-cost row for the real objective. *)
   let obj = t.rows.(m) in
@@ -89,7 +93,7 @@ let phase2 t ~n ~c =
         obj.(j) <- obj.(j) -. (cb *. t.rows.(i).(j))
       done
   done;
-  match iterate t with
+  match iterate ~budget t with
   | `Unbounded -> Unbounded
   | `Optimal ->
     let solution = Array.make n 0. in
@@ -102,7 +106,7 @@ let phase2 t ~n ~c =
     in
     Optimal { objective; solution }
 
-let minimize ~a ~rel ~b ~c =
+let minimize_within ~budget ~a ~rel ~b ~c =
   let m = Array.length a in
   if Array.length rel <> m || Array.length b <> m then
     invalid_arg "Simplex.minimize: row count mismatch";
@@ -176,7 +180,7 @@ let minimize ~a ~rel ~b ~c =
         done
     done;
     t.banned_from <- n + num_slack;
-    (match iterate t with
+    (match iterate ~budget t with
      | `Optimal -> ()
      | `Unbounded -> assert false (* phase 1 is bounded below by 0 *));
     if t.rows.(m).(cols) < -.eps then Infeasible
@@ -193,18 +197,25 @@ let minimize ~a ~rel ~b ~c =
                end
              done
            with Exit -> ());
-          if !found >= 0 then pivot t ~row:i ~col:!found
+          if !found >= 0 then pivot ~budget t ~row:i ~col:!found
           (* else: redundant row; the artificial stays basic at value 0 and
              can never re-enter with a positive value. *)
         end
       done;
-      phase2 t ~n ~c
+      phase2 ~budget t ~n ~c
     end
   end
-  else phase2 t ~n ~c
+  else phase2 ~budget t ~n ~c
 
-let maximize ~a ~rel ~b ~c =
-  match minimize ~a ~rel ~b ~c:(Array.map (fun x -> -.x) c) with
-  | Optimal { objective; solution } ->
-    Optimal { objective = -.objective; solution }
-  | (Infeasible | Unbounded) as r -> r
+let solve ~budget ~sense ~a ~rel ~b ~c =
+  match sense with
+  | `Minimize -> minimize_within ~budget ~a ~rel ~b ~c
+  | `Maximize ->
+    let c = Array.map (fun x -> -.x) c in
+    (match minimize_within ~budget ~a ~rel ~b ~c with
+     | Optimal { objective; solution } ->
+       Optimal { objective = -.objective; solution }
+     | (Infeasible | Unbounded) as r -> r)
+
+let minimize = solve ~budget:Resilience.Budget.unlimited ~sense:`Minimize
+let maximize = solve ~budget:Resilience.Budget.unlimited ~sense:`Maximize

@@ -31,3 +31,15 @@ val maximize :
   c:float array ->
   outcome
 (** Same, negating the objective; the reported [objective] is the maximum. *)
+
+val solve :
+  budget:Resilience.Budget.t ->
+  sense:[ `Minimize | `Maximize ] ->
+  a:float array array ->
+  rel:relation array ->
+  b:float array ->
+  c:float array ->
+  outcome
+(** {!minimize} or {!maximize} by [sense], polling [budget] before every
+    pivot.
+    @raise Resilience.Budget.Exhausted when [budget] runs out. *)

@@ -95,8 +95,11 @@ type node = {
 
 let c_nodes = Obs.Counter.make "bb.nodes"
 
+let integer_tolerance = 1e-6
+
 let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
-    ?initial ?(integer_tolerance = 1e-6) ?(jobs = 1) problem =
+    ?initial ?(jobs = 1) problem =
+  let jobs = max 1 jobs in
   let start = Obs.Clock.now () in
   let elapsed () = Obs.Clock.now () -. start in
   let dir =
@@ -145,9 +148,9 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
           "bound", Printf.sprintf "%.9g" bound_obj;
           "gap", Printf.sprintf "%.4f" gap ]
   in
-  (* Expansion of one node given its LP relaxation outcome. Both search
-     loops run this strictly sequentially (the parallel loop merges in
-     frontier-pop order), so incumbent and heap updates are ordered. *)
+  (* Expansion of one node given its LP relaxation outcome. The search
+     loop runs this strictly sequentially (merging in frontier-pop
+     order), so incumbent and heap updates are ordered. *)
   let process node outcome =
     match outcome with
     | Lp.Simplex.Unbounded ->
@@ -188,12 +191,42 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
   let hit_limit = ref false in
   Obs.Span.with_ ~attrs:[ "jobs", string_of_int jobs ] "branch-bound"
   @@ fun () ->
-  if jobs <= 1 then
-    (* Sequential path: best-bound-first, one node at a time. *)
-    while (not !hit_limit) && not (Heap.is_empty heap) do
-      if Resilience.Budget.exhausted budget || !nodes >= node_limit then
-        hit_limit := true
-      else begin
+  (* A relaxation the budget stops is [None]: its node goes back on the
+     frontier, so the final bound still covers it, and the search ends. *)
+  let relax node =
+    Obs.Span.with_ "lp-relax" (fun () ->
+        match
+          Lp.Problem.solve_relaxation ~budget ~bounds:node.fixings problem
+        with
+        | outcome -> Some outcome
+        | exception Resilience.Budget.Exhausted _ -> None)
+  in
+  let merge node = function
+    | Some outcome -> process node outcome
+    | None ->
+      Heap.push heap node.score node;
+      hit_limit := true
+  in
+  (* Synchronous rounds, best-bound-first. Each round refills up to
+     [jobs] surviving nodes from the global frontier, solves their LP
+     relaxations on the pool, and merges the outcomes sequentially in
+     frontier-pop order — so for a fixed [jobs] the exploration is fully
+     deterministic. The shared incumbent is consulted twice per node: at
+     refill (pruning before the LP is paid for) and again at merge
+     (pruning against incumbents found earlier in the same round). Node
+     and time limits are enforced at refill, so a round never admits
+     more nodes than the remaining node budget. At [jobs = 1] every
+     round is one node, solved inline: no pool task, so no pool fault
+     site. *)
+  Parallel.with_pool ~jobs (fun pool ->
+  while (not !hit_limit) && not (Heap.is_empty heap) do
+    if Resilience.Budget.exhausted budget || !nodes >= node_limit then
+      hit_limit := true
+    else begin
+      let batch = ref [] in
+      let admitted = ref 0 in
+      let cap = min jobs (node_limit - !nodes) in
+      while !admitted < cap && not (Heap.is_empty heap) do
         let node = Heap.pop heap in
         let bound_improved = node.score > !best_bound +. 1e-9 in
         best_bound := max !best_bound node.score;
@@ -202,55 +235,20 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
         then begin
           incr nodes;
           Resilience.Budget.consume_nodes budget 1;
-          process node
-            (Obs.Span.with_ "lp-relax" (fun () ->
-                 Lp.Problem.solve_relaxation ~bounds:node.fixings problem))
+          batch := node :: !batch;
+          incr admitted
         end
-      end
-    done
-  else
-    (* Parallel path: synchronous rounds. Each round refills up to [jobs]
-       surviving nodes from the global frontier, solves their LP
-       relaxations on the pool, and merges the outcomes sequentially in
-       frontier-pop order — so for a fixed [jobs] the exploration is
-       fully deterministic. The shared incumbent is consulted twice per
-       node: at refill (pruning before the LP is paid for) and again at
-       merge (pruning against incumbents found earlier in the same
-       round). Node and time limits are enforced at refill, so a round
-       never admits more nodes than the remaining node budget. *)
-    Parallel.with_pool ~jobs (fun pool ->
-    while (not !hit_limit) && not (Heap.is_empty heap) do
-      if Resilience.Budget.exhausted budget || !nodes >= node_limit then
-        hit_limit := true
-      else begin
-        let batch = ref [] in
-        let admitted = ref 0 in
-        let cap = min jobs (node_limit - !nodes) in
-        while !admitted < cap && not (Heap.is_empty heap) do
-          let node = Heap.pop heap in
-          let bound_improved = node.score > !best_bound +. 1e-9 in
-          best_bound := max !best_bound node.score;
-          if bound_improved || !nodes land 63 = 0 then record ();
-          if not (!have_incumbent && node.score >= !incumbent_score -. 1e-9)
-          then begin
-            incr nodes;
-            Resilience.Budget.consume_nodes budget 1;
-            batch := node :: !batch;
-            incr admitted
-          end
-        done;
-        let batch = Array.of_list (List.rev !batch) in
+      done;
+      match !batch with
+      | [ node ] when jobs = 1 -> merge node (relax node)
+      | batch ->
+        let batch = Array.of_list (List.rev batch) in
         let outcomes =
-          Parallel.run pool
-            (Array.map
-               (fun node () ->
-                  Obs.Span.with_ "lp-relax" (fun () ->
-                      Lp.Problem.solve_relaxation ~bounds:node.fixings problem))
-               batch)
+          Parallel.run pool (Array.map (fun node () -> relax node) batch)
         in
-        Array.iteri (fun i outcome -> process batch.(i) outcome) outcomes
-      end
-    done);
+        Array.iteri (fun i outcome -> merge batch.(i) outcome) outcomes
+    end
+  done);
   let exhausted = Heap.is_empty heap in
   let final_score_bound =
     if exhausted then

@@ -58,23 +58,23 @@ val solve :
   ?budget:Resilience.Budget.t ->
   ?node_limit:int ->
   ?initial:float array * float ->
-  ?integer_tolerance:float ->
   ?jobs:int ->
   Lp.Problem.t ->
   result
 (** [solve p] minimises or maximises [p] (per its objective sense) with all
     variables marked integer restricted to integral values.
     [initial = (point, value)] seeds the incumbent — the point is trusted
-    to be feasible. Default [integer_tolerance] is [1e-6].
+    to be feasible. A variable within [1e-6] of an integer counts as
+    integral.
 
     [budget] (default unlimited) is polled at the head of every
-    expansion round and each expanded node is charged against its node
-    allowance; on exhaustion the solver stops and reports the incumbent
-    and bound found so far — it never raises. [node_limit] is the
-    solver-local cap retained for per-call experiments; the budget's
-    node allowance spans a whole pipeline stage. The LP relaxations of
-    an already-admitted round always run to completion, keeping the
-    merge deterministic.
+    expansion round and before every simplex pivot, and each expanded
+    node is charged against its node allowance; on exhaustion the
+    solver stops and reports the incumbent and bound found so far — it
+    never raises. A relaxation the budget stops leaves its node on the
+    frontier, so the reported bound still covers it. [node_limit] is
+    the solver-local cap retained for per-call experiments; the
+    budget's node allowance spans a whole pipeline stage.
 
     [jobs] (default 1) parallelises the search over a domain pool in
     synchronous rounds: each round pops up to [jobs] surviving nodes
@@ -86,7 +86,8 @@ val solve :
     identical whenever the search runs to exhaustion with a unique
     optimum, but [nodes] and [trace] may legitimately differ because a
     round cannot prune against incumbents its own batch has not merged
-    yet. [jobs = 1] is the exact pre-pool sequential loop. *)
+    yet. At [jobs = 1] each round is one node, solved inline, so the
+    search is the plain sequential best-bound-first loop. *)
 
 val relative_gap : incumbent:float option -> bound:float -> float
 (** CPLEX-style gap: |incumbent − bound| / max(1e-10, |incumbent|);

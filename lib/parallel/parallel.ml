@@ -396,27 +396,3 @@ let map ?budget ?(chunk = 1) p f xs =
     |> run ?budget p
     |> Array.to_list
     |> List.concat
-
-let map_array ?budget ?chunk p f xs =
-  if p.n_jobs = 1 then
-    let b =
-      match budget with Some b -> b | None -> Resilience.Budget.unlimited
-    in
-    Array.map
-      (fun x ->
-        seq_poll b;
-        f x)
-      xs
-  else Array.of_list (map ?budget ?chunk p f (Array.to_list xs))
-
-let map_reduce ?budget ?chunk p ~map:f ~reduce ~init xs =
-  if p.n_jobs = 1 then
-    let b =
-      match budget with Some b -> b | None -> Resilience.Budget.unlimited
-    in
-    List.fold_left
-      (fun acc x ->
-        seq_poll b;
-        reduce acc (f x))
-      init xs
-  else List.fold_left reduce init (map ?budget ?chunk p f xs)

@@ -125,25 +125,3 @@ val map :
     the per-element work is small; chunking never changes the result
     order. With one job this is exactly [List.map f xs] plus a budget
     poll per element. *)
-
-val map_array :
-  ?budget:Resilience.Budget.t ->
-  ?chunk:int ->
-  pool ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-
-val map_reduce :
-  ?budget:Resilience.Budget.t ->
-  ?chunk:int ->
-  pool ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc
-(** Parallel map followed by a {e sequential} left fold in submission
-    order — the deterministic-merge shape. With one job the map and the
-    fold interleave element by element, matching a pre-pool loop that
-    accumulated as it went. *)

@@ -33,7 +33,6 @@ let tiny_config =
     bdd_node_limit = 50_000;
     max_graph_nodes = 2_000;
     verify_designs = true;
-    anneal_budget = 0;
     jobs = Parallel.default_jobs ();
   }
 
@@ -45,6 +44,34 @@ let experiment_tests =
         with
         | Some sbdd -> check tb "nonempty" true (Bdd.Sbdd.size sbdd > 0)
         | None -> Alcotest.fail "ctrl must fit");
+    Alcotest.test_case "the harness order is sifted and stable" `Quick
+      (fun () ->
+        List.iter
+          (fun name ->
+             let e = Circuits.Suite.find name in
+             let nl = e.generate () in
+             let harness () =
+               match Harness.Experiments.sbdd_of tiny_config e with
+               | Some sbdd -> sbdd
+               | None -> Alcotest.failf "%s must fit" name
+             in
+             let sbdd = harness () in
+             let order = Array.to_list sbdd.input_order in
+             check
+               Alcotest.(list string)
+               (name ^ " permutes the inputs")
+               (List.sort String.compare nl.inputs)
+               (List.sort String.compare order);
+             let _, static =
+               Bdd.Sbdd.best_order ~node_limit:tiny_config.bdd_node_limit nl
+             in
+             check tb (name ^ " no larger than static") true
+               (Bdd.Sbdd.size sbdd <= static);
+             check
+               Alcotest.(list string)
+               (name ^ " second call") order
+               (Array.to_list (harness ()).input_order))
+          [ "ctrl"; "cavlc"; "dec"; "int2float" ]);
     Alcotest.test_case "sbdd_of respects the node limit" `Quick (fun () ->
         let starved = { tiny_config with bdd_node_limit = 4 } in
         check tb "rejected" true

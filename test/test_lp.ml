@@ -210,6 +210,18 @@ let problem_tests =
         (match Lp.Problem.solve_relaxation ~bounds:[ x, 1., 3. ] p with
          | Lp.Simplex.Optimal { objective; _ } -> check tf "obj" 3. objective
          | _ -> Alcotest.fail "expected optimal"));
+    Alcotest.test_case "a spent budget stops the simplex" `Quick (fun () ->
+        let p = Lp.Problem.create () in
+        let x = Lp.Problem.add_var ~ub:2. p "x" in
+        let y = Lp.Problem.add_var p "y" in
+        Lp.Problem.add_constraint p [ (1., x); (1., y) ] Lp.Simplex.Le 10.;
+        Lp.Problem.set_objective p ~sense:`Maximize [ (3., x); (1., y) ];
+        let budget = Resilience.Budget.seconds infinity in
+        Resilience.Budget.cancel budget;
+        match Lp.Problem.solve_relaxation ~budget p with
+        | _ -> Alcotest.fail "expected Exhausted"
+        | exception Resilience.Budget.Exhausted Resilience.Budget.Cancelled ->
+          ());
     Alcotest.test_case "metadata" `Quick (fun () ->
         let p = Lp.Problem.create () in
         let x = Lp.Problem.add_binary p "x" in

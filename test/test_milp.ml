@@ -69,6 +69,19 @@ let milp_tests =
         let r = Milp.Branch_bound.solve ~node_limit:1 ~initial:([| 0.; 0.; 0. |], 0.) p in
         check tb "not closed" true (r.status <> Milp.Branch_bound.Infeasible);
         check tb "gap in [0,1]" true (r.gap >= 0. && r.gap <= 1.));
+    Alcotest.test_case "a relaxation the budget stops stays open" `Quick
+      (fun () ->
+         (* A node allowance of 0 lets the root in (the round head sees
+            0 used); charging it trips the budget, and the relaxation
+            stops at its first pivot. *)
+         let budget = Resilience.Budget.create ~nodes:0 () in
+         let point = [| 1.; 0.; 1. |] in
+         let r =
+           Milp.Branch_bound.solve ~budget ~initial:(point, 8.) (knapsack ())
+         in
+         check tb "feasible" true (r.status = Milp.Branch_bound.Feasible);
+         check tf "warm objective" 8. (Option.get r.objective);
+         check tb "no bound from an unsolved root" true (r.bound = infinity));
     Alcotest.test_case "trace is chronological with shrinking gap" `Quick
       (fun () ->
          let r = Milp.Branch_bound.solve (knapsack ()) in

@@ -65,28 +65,6 @@ let pool_tests =
                 (Parallel.map ~chunk:3 pool (fun x -> (3 * x) + 1) xs = expect);
               check tb "chunk > length" true
                 (Parallel.map ~chunk:64 pool (fun x -> (3 * x) + 1) xs = expect)));
-    Alcotest.test_case "map_array round-trips" `Quick (fun () ->
-        Parallel.with_pool ~jobs:3 (fun pool ->
-            let xs = Array.init 23 (fun i -> i) in
-            check tb "equal" true
-              (Parallel.map_array ~chunk:4 pool (fun x -> x * 2) xs
-               = Array.map (fun x -> x * 2) xs)));
-    Alcotest.test_case "map_reduce matches a sequential fold" `Quick
-      (fun () ->
-         let xs = List.init 41 (fun i -> i + 1) in
-         let expect =
-           List.fold_left (fun acc x -> acc + (x * x)) 0 xs
-         in
-         Parallel.with_pool ~jobs:4 (fun pool ->
-             check ti "sum of squares" expect
-               (Parallel.map_reduce ~chunk:5 pool
-                  ~map:(fun x -> x * x)
-                  ~reduce:( + ) ~init:0 xs));
-         Parallel.with_pool ~jobs:1 (fun pool ->
-             check ti "jobs=1" expect
-               (Parallel.map_reduce pool
-                  ~map:(fun x -> x * x)
-                  ~reduce:( + ) ~init:0 xs)));
   ]
 
 (* --- First-acceptable racing --------------------------------------- *)
