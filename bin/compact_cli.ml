@@ -169,9 +169,9 @@ let jobs_term =
              ~env:(Cmd.Env.info "COMPACT_JOBS"
                      ~doc:"Default worker-domain count when $(b,-j) is absent.")
              ~doc:"Worker domains for the parallel stages (harden candidate \
-                   scoring, Monte-Carlo sampling, branch & bound). Results \
-                   are identical for every jobs count; 1 (the default) is \
-                   the sequential path.")
+                   scoring, Monte-Carlo sampling, the portfolio race). \
+                   Results are identical for every jobs count; 1 (the \
+                   default) is the sequential path.")
   in
   Term.(const (Option.value ~default:1) $ arg)
 

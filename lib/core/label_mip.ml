@@ -15,9 +15,8 @@ let labeling_to_point ~num_point_vars ~xv ~xh (labeling : Types.labeling) =
 
 exception Infeasible of string
 
-let solve ?budget ?node_limit ?(alignment = false)
-    ?(gamma = 0.5) ?warm_start ?(oct_cut = 0) ?max_rows ?max_cols ?jobs
-    (bg : Types.bdd_graph) =
+let solve ?budget ?(alignment = false) ?(gamma = 0.5) ?warm_start
+    ?(oct_cut = 0) ?max_rows ?max_cols (bg : Types.bdd_graph) =
   let start = Obs.Clock.now () in
   let n = Graphs.Ugraph.num_nodes bg.graph in
   let p = Lp.Problem.create () in
@@ -100,7 +99,19 @@ let solve ?budget ?node_limit ?(alignment = false)
       Some (point, warm.objective)
     end
   in
-  let result = Milp.Branch_bound.solve ?budget ?node_limit ?initial ?jobs p in
+  (* The objective bound the search may stop at: the cut rows' own
+     γ(n + c) + (1 − γ)⌈(n + c)/2⌉, or the warm start's proven bound when
+     it was labelled at this γ. Capacities and alignment only remove
+     labelings, so neither bound can exceed the optimum here. *)
+  let cut_bound =
+    let s_lb = float_of_int (n + oct_cut) in
+    (gamma *. s_lb) +. ((1. -. gamma) *. ceil (s_lb /. 2.))
+  in
+  let known_bound =
+    if warm.Types.gamma = gamma then max cut_bound warm.Types.lower_bound
+    else cut_bound
+  in
+  let result = Milp.Branch_bound.solve ?budget ?initial ~known_bound p in
   if result.status = Milp.Branch_bound.Infeasible then
     raise
       (Infeasible

@@ -20,14 +20,12 @@ exception Infeasible of string
 
 val solve :
   ?budget:Resilience.Budget.t ->
-  ?node_limit:int ->
   ?alignment:bool ->
   ?gamma:float ->
   ?warm_start:Types.labeling ->
   ?oct_cut:int ->
   ?max_rows:int ->
   ?max_cols:int ->
-  ?jobs:int ->
   Types.bdd_graph ->
   Types.labeling
 (** [gamma] defaults to 0.5 (the paper's recommended setting);
@@ -37,7 +35,18 @@ val solve :
     [max_rows]/[max_cols] impose hard capacities on the wordline/bitline
     counts (the §III constrained formulation); the warm start is dropped
     when it violates them.
-    [jobs] parallelises the branch & bound search (see
-    {!Milp.Branch_bound.solve}); default 1, the sequential path.
-    The result carries the solver's convergence [trace].
+
+    The branch & bound stops as soon as its incumbent meets a bound it
+    already holds ({!Milp.Branch_bound.solve}'s [known_bound]): the
+    larger of the cut rows' γ(n + c) + (1 − γ)⌈(n + c)/2⌉ for
+    [oct_cut = c], and the warm start's [lower_bound] when the warm
+    start was labelled at the same [gamma]. A warm start from the exact
+    OCT carries γ(n + k{^ *}) + (1 − γ)⌈(n + k{^ *})/2⌉ (Lemma 1), so when
+    it meets that bound no relaxation is solved. The warm start's
+    [lower_bound] is trusted to bound this solve's optimum. Bounds of
+    unconstrained labelings qualify, because capacities and alignment
+    only remove labelings; the reverse does not hold, so a labeling this
+    function solved under capacities or alignment must not warm-start a
+    solve without them. The result carries the solver's convergence
+    [trace].
     @raise Infeasible when capacity constraints cannot be met. *)

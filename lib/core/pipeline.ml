@@ -81,14 +81,16 @@ let run_one ~budget options bg solver =
         ~alignment ~gamma bg
     in
     let oct_cut =
-      (* Lower bound on #VH from the OCT solver's proof. With γ-weighting
-         the warm start's bound is on the objective, not on the OCT, so we
-         recover the transversal bound conservatively. *)
+      (* S ≥ n + k* holds at every γ (Lemma 1), and the warm start's
+         [lower_bound] already carries it to the branch & bound as a
+         stopping bound. The cut rows stay γ = 1 only: at other γ they
+         change the relaxations, and one serve-mix design moves to
+         another labeling of equal objective. *)
       if warm.Types.optimal && gamma >= 1. -. 1e-9 then warm.Types.vh_count
       else 0
     in
     Label_mip.solve ~budget ~alignment ~gamma
-      ~warm_start:warm ~oct_cut ?max_rows ?max_cols ~jobs:options.jobs bg
+      ~warm_start:warm ~oct_cut ?max_rows ?max_cols bg
   | Auto | Portfolio -> assert false
 
 (* The Auto/Portfolio rung ladder for a given graph: MIP while the
@@ -120,9 +122,8 @@ let run_rung ~budget options bg s =
 
    Auto is the one-order case on a 1-job pool: the race then evaluates
    rung by rung and stops at the first accepted one — the sequential
-   watchdog — while each entrant keeps [options.jobs] for the MIP's
-   branch & bound. Portfolio races on an [options.jobs] pool with
-   sequential entrants, because the race already owns the domains.
+   watchdog. Portfolio races on an [options.jobs] pool; every entrant
+   is sequential.
 
    One budget rule for both: a non-terminal rung gets half the race's
    remaining wall budget, never more than [time_limit]; the terminal
@@ -156,9 +157,7 @@ let run_ladder ~budget options (graphs : Types.bdd_graph array) =
             (fun rung s -> List.init norders (fun oi -> rung, s, oi))
             ladder))
   in
-  let pool_jobs, solve_opts =
-    if racing then options.jobs, { options with jobs = 1 } else 1, options
-  in
+  let pool_jobs = if racing then options.jobs else 1 in
   let thunk (rung, s, oi) rb =
     let eb =
       if rung = terminal then Resilience.Budget.untimed rb
@@ -167,7 +166,7 @@ let run_ladder ~budget options (graphs : Types.bdd_graph array) =
           (Resilience.Budget.slice rb ~frac:0.5)
           options.time_limit
     in
-    let l = run_rung ~budget:eb solve_opts graphs.(oi) s in
+    let l = run_rung ~budget:eb options graphs.(oi) s in
     {
       er_labeling = l;
       er_accepted = l.Types.optimal || Resilience.Budget.remaining eb > 0.;
@@ -227,7 +226,7 @@ let run_ladder ~budget options (graphs : Types.bdd_graph array) =
     Obs.Span.event "ladder-rescue"
       ~attrs:[ "entrants", string_of_int (Array.length entrants) ];
     let l =
-      run_rung ~budget:Resilience.Budget.unlimited solve_opts graphs.(0)
+      run_rung ~budget:Resilience.Budget.unlimited options graphs.(0)
         Oct_greedy
     in
     l, 0, path @ Option.to_list (entry (terminal, Oct_greedy, 0) "win")

@@ -27,8 +27,7 @@ type solver =
           also falls through. {!Report.t.solver_path} lists the rungs
           that ran, e.g. ["mip->heuristic"]. [Auto] is the one-order,
           one-job case of the [Portfolio] race: the race then runs rung
-          by rung and stops at the first accepted one, and the rungs
-          keep [jobs] for the MIP's branch & bound. *)
+          by rung and stops at the first accepted one. *)
   | Portfolio
       (** the [Auto] ladder raced on a [jobs]-wide domain pool,
           optionally across several candidate variable orders
@@ -78,11 +77,10 @@ type options = {
           {!Compact.Label_mip.Infeasible} escapes when unsatisfiable *)
   max_cols : int option;  (** same for bitlines *)
   jobs : int;
-      (** domain-pool width for the parallelisable stages (the MIP
-          branch & bound, or the [Portfolio] race, whose entrants then
-          run sequentially; default 1, the exact sequential path). See
-          {!Milp.Branch_bound.solve} and {!Parallel.race} for the
-          determinism contracts. *)
+      (** domain-pool width of the [Portfolio] race, whose entrants run
+          sequentially (default 1, the exact sequential path); every
+          other labeling is sequential at any width. See
+          {!Parallel.race} for the determinism contract. *)
   race_orders : int;
       (** under [Portfolio], how many candidate variable orders to race
           per solver rung (default 1: the build order only). Additional

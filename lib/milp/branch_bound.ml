@@ -95,11 +95,16 @@ type node = {
 
 let c_nodes = Obs.Counter.make "bb.nodes"
 
+let status_name = function
+  | Optimal -> "optimal"
+  | Feasible -> "feasible"
+  | No_incumbent -> "no-incumbent"
+  | Infeasible -> "infeasible"
+
 let integer_tolerance = 1e-6
 
 let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
-    ?initial ?(jobs = 1) problem =
-  let jobs = max 1 jobs in
+    ?initial ?known_bound problem =
   let start = Obs.Clock.now () in
   let elapsed () = Obs.Clock.now () -. start in
   let dir =
@@ -116,9 +121,16 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
      have_incumbent := true;
      incumbent_point := Some (Array.copy point)
    | None -> ());
+  let known_score =
+    match known_bound with Some b -> dir *. b | None -> neg_infinity
+  in
+  (* An incumbent that meets the bound proved outside the search is
+     optimal: no node can improve on it by more than the tolerance. *)
+  let meets_known () =
+    !have_incumbent && !incumbent_score <= known_score +. 1e-9
+  in
   let trace = ref [] in
   let nodes = ref 0 in
-  let proved_infeasible_root = ref false in
   let heap = Heap.create () in
   Heap.push heap neg_infinity { fixings = []; score = neg_infinity };
   let best_bound = ref neg_infinity in
@@ -148,15 +160,12 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
           "bound", Printf.sprintf "%.9g" bound_obj;
           "gap", Printf.sprintf "%.4f" gap ]
   in
-  (* Expansion of one node given its LP relaxation outcome. The search
-     loop runs this strictly sequentially (merging in frontier-pop
-     order), so incumbent and heap updates are ordered. *)
+  (* Expansion of one node given its LP relaxation outcome. *)
   let process node outcome =
     match outcome with
     | Lp.Simplex.Unbounded ->
       invalid_arg "Branch_bound.solve: relaxation unbounded"
-    | Lp.Simplex.Infeasible ->
-      if node.fixings = [] then proved_infeasible_root := true
+    | Lp.Simplex.Infeasible -> ()
     | Lp.Simplex.Optimal { objective; solution } ->
       let score = dir *. objective in
       if not (!have_incumbent && score >= !incumbent_score -. 1e-9) then begin
@@ -188,73 +197,56 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
             { fixings = (v, lo +. 1., infinity) :: node.fixings; score }
       end
   in
+  (* The best surviving node of the frontier, best-bound-first; nodes
+     the incumbent already prunes are popped and dropped. *)
+  let rec next_node () =
+    if Heap.is_empty heap then None
+    else begin
+      let node = Heap.pop heap in
+      let bound_improved = node.score > !best_bound +. 1e-9 in
+      best_bound := max !best_bound node.score;
+      if bound_improved || !nodes land 63 = 0 then record ();
+      if !have_incumbent && node.score >= !incumbent_score -. 1e-9 then
+        next_node ()
+      else Some node
+    end
+  in
   let hit_limit = ref false in
-  Obs.Span.with_ ~attrs:[ "jobs", string_of_int jobs ] "branch-bound"
-  @@ fun () ->
-  (* A relaxation the budget stops is [None]: its node goes back on the
-     frontier, so the final bound still covers it, and the search ends. *)
-  let relax node =
-    Obs.Span.with_ "lp-relax" (fun () ->
-        match
-          Lp.Problem.solve_relaxation ~budget ~bounds:node.fixings problem
-        with
-        | outcome -> Some outcome
-        | exception Resilience.Budget.Exhausted _ -> None)
-  in
-  let merge node = function
-    | Some outcome -> process node outcome
-    | None ->
-      Heap.push heap node.score node;
-      hit_limit := true
-  in
-  (* Synchronous rounds, best-bound-first. Each round refills up to
-     [jobs] surviving nodes from the global frontier, solves their LP
-     relaxations on the pool, and merges the outcomes sequentially in
-     frontier-pop order — so for a fixed [jobs] the exploration is fully
-     deterministic. The shared incumbent is consulted twice per node: at
-     refill (pruning before the LP is paid for) and again at merge
-     (pruning against incumbents found earlier in the same round). Node
-     and time limits are enforced at refill, so a round never admits
-     more nodes than the remaining node budget. At [jobs = 1] every
-     round is one node, solved inline: no pool task, so no pool fault
-     site. *)
-  Parallel.with_pool ~jobs (fun pool ->
-  while (not !hit_limit) && not (Heap.is_empty heap) do
+  Obs.Span.with_ "branch-bound" @@ fun () ->
+  (* Node and budget limits are checked before each expansion. A
+     relaxation the budget stops leaves its node on the frontier, so the
+     final bound still covers it, and the search ends. *)
+  while (not !hit_limit) && (not (meets_known ())) && not (Heap.is_empty heap)
+  do
     if Resilience.Budget.exhausted budget || !nodes >= node_limit then
       hit_limit := true
-    else begin
-      let batch = ref [] in
-      let admitted = ref 0 in
-      let cap = min jobs (node_limit - !nodes) in
-      while !admitted < cap && not (Heap.is_empty heap) do
-        let node = Heap.pop heap in
-        let bound_improved = node.score > !best_bound +. 1e-9 in
-        best_bound := max !best_bound node.score;
-        if bound_improved || !nodes land 63 = 0 then record ();
-        if not (!have_incumbent && node.score >= !incumbent_score -. 1e-9)
-        then begin
-          incr nodes;
-          Resilience.Budget.consume_nodes budget 1;
-          batch := node :: !batch;
-          incr admitted
-        end
-      done;
-      match !batch with
-      | [ node ] when jobs = 1 -> merge node (relax node)
-      | batch ->
-        let batch = Array.of_list (List.rev batch) in
-        let outcomes =
-          Parallel.run pool (Array.map (fun node () -> relax node) batch)
-        in
-        Array.iteri (fun i outcome -> merge batch.(i) outcome) outcomes
-    end
-  done);
-  let exhausted = Heap.is_empty heap in
+    else
+      match next_node () with
+      | None -> ()
+      | Some node ->
+        incr nodes;
+        Resilience.Budget.consume_nodes budget 1;
+        (match
+           Obs.Span.with_ "lp-relax" (fun () ->
+               match
+                 Lp.Problem.solve_relaxation ~budget ~bounds:node.fixings
+                   problem
+               with
+               | outcome -> Some outcome
+               | exception Resilience.Budget.Exhausted _ -> None)
+         with
+         | Some outcome -> process node outcome
+         | None ->
+           Heap.push heap node.score node;
+           hit_limit := true)
+  done;
+  let closed = meets_known () in
+  let exhausted = closed || Heap.is_empty heap in
   let final_score_bound =
     if exhausted then
       if !have_incumbent then !incumbent_score
       else !best_bound
-    else max !best_bound (Heap.peek_key heap)
+    else max known_score (max !best_bound (Heap.peek_key heap))
   in
   let final_score_bound =
     if !have_incumbent then min final_score_bound !incumbent_score
@@ -268,19 +260,16 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
         || relative_gap ~incumbent:(incumbent ()) ~bound:bound_obj < 1e-9
       then Optimal
       else Feasible
-    else if exhausted && !proved_infeasible_root then Infeasible
     else if exhausted then Infeasible
     else No_incumbent
   in
   best_bound := final_score_bound;
   record ();
   Obs.Counter.add c_nodes !nodes;
-  Obs.Span.add_attr "status" (match status with
-    | Optimal -> "optimal"
-    | Feasible -> "feasible"
-    | No_incumbent -> "no-incumbent"
-    | Infeasible -> "infeasible");
+  Obs.Span.add_attr "status" (status_name status);
   Obs.Span.add_attr "nodes" (string_of_int !nodes);
+  Obs.Span.add_attr "stop"
+    (if closed then "bound" else if exhausted then "exhausted" else "limit");
   {
     status;
     objective = incumbent ();
@@ -291,16 +280,3 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
     elapsed = elapsed ();
     trace = List.rev !trace;
   }
-
-let status_name = function
-  | Optimal -> "optimal"
-  | Feasible -> "feasible"
-  | No_incumbent -> "no-incumbent"
-  | Infeasible -> "infeasible"
-
-let json_of_certificate r =
-  let jf v = Printf.sprintf "%.17g" v in
-  Printf.sprintf "{\"status\":\"%s\",\"objective\":%s,\"bound\":%s,\"gap\":%s}"
-    (status_name r.status)
-    (match r.objective with Some v -> jf v | None -> "null")
-    (jf r.bound) (jf r.gap)

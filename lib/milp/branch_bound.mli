@@ -7,7 +7,9 @@
 
     Branching: most-fractional integer variable; node selection:
     best-bound-first. An initial incumbent (e.g. from a combinatorial
-    heuristic) can be supplied to warm-start pruning. *)
+    heuristic) can be supplied to warm-start pruning, and a bound proved
+    outside the search lets it stop, as CPLEX does, once the incumbent
+    meets that bound. *)
 
 type status =
   | Optimal  (** incumbent proven optimal *)
@@ -58,7 +60,7 @@ val solve :
   ?budget:Resilience.Budget.t ->
   ?node_limit:int ->
   ?initial:float array * float ->
-  ?jobs:int ->
+  ?known_bound:float ->
   Lp.Problem.t ->
   result
 (** [solve p] minimises or maximises [p] (per its objective sense) with all
@@ -67,35 +69,30 @@ val solve :
     to be feasible. A variable within [1e-6] of an integer counts as
     integral.
 
-    [budget] (default unlimited) is polled at the head of every
-    expansion round and before every simplex pivot, and each expanded
-    node is charged against its node allowance; on exhaustion the
-    solver stops and reports the incumbent and bound found so far — it
-    never raises. A relaxation the budget stops leaves its node on the
-    frontier, so the reported bound still covers it. [node_limit] is
-    the solver-local cap retained for per-call experiments; the
-    budget's node allowance spans a whole pipeline stage.
+    [known_bound] is a bound on the optimum proved outside the search (a
+    lower bound when minimising, an upper bound when maximising); it is
+    trusted, like [initial]. The search ends as soon as the incumbent
+    meets it within [1e-9]: before the root relaxation when [initial]
+    already does, or when a node yields such an incumbent. The result is
+    then [Optimal] with [bound] equal to the objective and gap 0 — what
+    an exhaustive search would report, since no node can beat the
+    incumbent by more than the tolerance. A search stopped by its budget
+    or [node_limit] reports the stronger of [known_bound] and its own
+    frontier bound.
 
-    [jobs] (default 1) parallelises the search over a domain pool in
-    synchronous rounds: each round pops up to [jobs] surviving nodes
-    from the global best-bound frontier, solves their LP relaxations
-    concurrently, and merges the outcomes sequentially in pop order
-    against a shared incumbent. For a fixed [jobs] the exploration is
-    deterministic; across different [jobs] counts the {e certificate}
-    (status, objective, bound, gap — see {!json_of_certificate}) is
-    identical whenever the search runs to exhaustion with a unique
-    optimum, but [nodes] and [trace] may legitimately differ because a
-    round cannot prune against incumbents its own batch has not merged
-    yet. At [jobs = 1] each round is one node, solved inline, so the
-    search is the plain sequential best-bound-first loop. *)
+    [budget] (default unlimited) is polled before every expansion and
+    before every simplex pivot, and each expanded node is charged
+    against its node allowance; on exhaustion the solver stops and
+    reports the incumbent and bound found so far — it never raises. A
+    relaxation the budget stops leaves its node on the frontier, so the
+    reported bound still covers it. [node_limit] is the solver-local cap
+    retained for per-call experiments; the budget's node allowance spans
+    a whole pipeline stage.
+
+    The search is sequential and deterministic: the same problem,
+    [initial] and [known_bound] give the same result, nodes and trace
+    (but for [elapsed] and the trace's times). *)
 
 val relative_gap : incumbent:float option -> bound:float -> float
 (** CPLEX-style gap: |incumbent − bound| / max(1e-10, |incumbent|);
     [1.0] when there is no incumbent. *)
-
-val json_of_certificate : result -> string
-(** Compact JSON of the jobs-independent fields only — status,
-    objective, bound, gap ([%.17g] floats). On exhausted solves this is
-    byte-identical for every [jobs] count; [nodes], [elapsed], [trace]
-    and the solution point are deliberately excluded because they are
-    schedule- or wall-clock-dependent. *)

@@ -599,8 +599,44 @@ let payload_goldens =
     "cavlc", "adbc5f44f295332c7584b4f85d531181";
   ]
 
+(* Serve-mix requests of loadgen's default stream, one per way the MIP
+   rung ends: 24 (51 nodes) has a warm start that meets the bound, so no
+   relaxation is solved; in 84 an incumbent meets the bound mid-search;
+   28 searches to exhaustion. *)
+let expr_payload_goldens =
+  [
+    ( 24,
+      "((((~f ^ ~h) ^ (~c & f)) | ((~e | ~f) & (a ^ f))) ^ (((~b & g) ^ (~h \
+       ^ ~c)) & ((~d ^ f) & (h | f))))",
+      "b543644c3898d3fc95e790f5c7b6be72" );
+    ( 84,
+      "((((~c | ~c) & (d ^ f)) ^ ((b ^ d) | (c | f))) & (((~d | ~c) ^ (~b ^ \
+       ~f)) | ((~c & ~f) & (f | a))))",
+      "2e7283d219124aff3e7feb3d8bf0e3c1" );
+    ( 28,
+      "((((c | a) | (~e ^ ~d)) ^ ((~c ^ ~e) | (~a & ~f))) & (((g & g) | (d \
+       & g)) ^ ((e ^ g) & (~f ^ ~f))))",
+      "35fc1fa9c56a9032cf97c8e01962c932" );
+  ]
+
+(* The payload of an expression request solved as compactd builds it. *)
+let expr_payload ?(options = Compact.Pipeline.default_options) ~key s =
+  let r =
+    Compact.Pipeline.synthesize ~options
+      (Logic.Netlist.of_expr ~name:"expr" (Logic.Parse.expr s))
+  in
+  Server.Protocol.synth_payload ~key ~design:r.design ~report:r.report
+
 let golden_tests =
   List.map
+    (fun (id, s, digest) ->
+       Alcotest.test_case (Printf.sprintf "payload of request %d" id) `Quick
+         (fun () ->
+            let key = Printf.sprintf "request %d" id in
+            check Alcotest.string "md5" digest
+              (Digest.to_hex (Digest.string (expr_payload ~key s)))))
+    expr_payload_goldens
+  @ List.map
     (fun (name, digest) ->
        Alcotest.test_case ("payload of " ^ name) `Quick (fun () ->
            let nl = (Circuits.Suite.find name).generate () in
@@ -629,6 +665,107 @@ let golden_tests =
               check tb (name ^ " transversal") true
                 (Graphs.Oct.is_transversal g r.transversal))
            [ "ctrl", 1; "cavlc", 1; "priority", 1; "dec", 0 ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+
+(* The minimum objective over all 3^n label arrays that pass
+   [check_labeling]: the oracle for the MIP rung on small graphs. *)
+let brute_force_objective ~alignment ~gamma (bg : Compact.Types.bdd_graph) =
+  let n = Graphs.Ugraph.num_nodes bg.graph in
+  let labels = Array.make n Compact.Types.V in
+  let best = ref infinity in
+  let rec go i =
+    if i = n then begin
+      if Compact.Types.check_labeling ~alignment bg labels = Ok () then begin
+        let _, rows, cols = Compact.Types.counts labels in
+        best := min !best (Compact.Types.objective_of ~gamma ~rows ~cols)
+      end
+    end
+    else
+      List.iter
+        (fun l ->
+           labels.(i) <- l;
+           go (i + 1))
+        Compact.Types.[ V; H; VH ]
+  in
+  go 0;
+  !best
+
+let mip_bound_tests =
+  [
+    Alcotest.test_case "MIP reaches the brute-force optimum" `Quick
+      (fun () ->
+         let graphs =
+           QCheck2.Gen.generate ~rand:(Random.State.make [| 23 |]) ~n:40
+             (expr_gen_over [ "a"; "b"; "c"; "d" ])
+           |> List.map graph_of_expr
+           |> List.filter (fun bg ->
+               Compact.Preprocess.num_bdd_nodes bg <= 8)
+         in
+         (* A trace of one point is the final record alone: the search
+            closed at the root, before any relaxation. *)
+         let at_root = ref 0 and searched = ref 0 in
+         List.iter
+           (fun (bg : Compact.Types.bdd_graph) ->
+              let k = List.length (Graphs.Oct.solve bg.graph).transversal in
+              List.iter
+                (fun (gamma, alignment) ->
+                   let best = brute_force_objective ~alignment ~gamma bg in
+                   let reaches what (l : Compact.Types.labeling) =
+                     check (Alcotest.float 1e-9) what best l.objective;
+                     check tb (what ^ " optimal") true l.optimal
+                   in
+                   (* The pipeline's rung: warm-started from the exact OCT,
+                      whose proven bound must hold. *)
+                   let options =
+                     { Compact.Pipeline.default_options with
+                       solver = Compact.Pipeline.Mip; gamma; alignment }
+                   in
+                   let r =
+                     Compact.Pipeline.synthesize_graph ~options ~name:"o" bg
+                   in
+                   reaches "mip rung" r.labeling;
+                   let warm =
+                     Compact.Label_heuristic.solve ~alignment ~gamma bg
+                   in
+                   check tb "warm-start bound holds" true
+                     (warm.lower_bound <= best +. 1e-9);
+                   if List.length r.labeling.trace = 1 then incr at_root
+                   else incr searched;
+                   (* From the greedy warm start with the OCT cut, the
+                      search may stop mid-way at the cut's bound. *)
+                   reaches "greedy-started mip"
+                     (Compact.Label_mip.solve ~alignment ~gamma ~oct_cut:k bg))
+                [ 0., false; 0.5, false; 1., false;
+                  0., true; 0.5, true; 1., true ])
+           graphs;
+         check tb "some searches close at the root" true (!at_root > 0);
+         check tb "some searches branch" true (!searched > 0));
+    Alcotest.test_case "ctrl's warm start misses its bound" `Quick
+      (fun () ->
+         (* So its MIP rung still branches: the bound closes nothing. *)
+         let nl = (Circuits.Suite.find "ctrl").generate () in
+         let bg = Compact.Preprocess.of_sbdd (Bdd.Sbdd.of_netlist nl) in
+         let warm =
+           Compact.Label_heuristic.solve ~alignment:true ~gamma:0.5 bg
+         in
+         check tb "objective above lower_bound" true
+           (warm.objective > warm.lower_bound +. 1e-9);
+         let r = Compact.Pipeline.synthesize nl in
+         check tb "mip rung" true (r.labeling.method_name = "mip");
+         check tb "branched" true (List.length r.labeling.trace > 1));
+    Alcotest.test_case "request 99 is byte-identical at jobs 1 and 4"
+      `Quick (fun () ->
+          (* A MIP-primary serve-mix expression on which a search in
+             parallel rounds settled on another optimum at jobs 4. *)
+          let payload jobs =
+            expr_payload ~key:"request 99"
+              ~options:{ Compact.Pipeline.default_options with jobs }
+              "((((~e ^ ~c) ^ (~h | d)) | ((d | ~h) & (a ^ ~b))) ^ (((c | \
+               d) & (e & ~h)) & ((c | ~f) & (e | ~h))))"
+          in
+          check Alcotest.string "payload" (payload 1) (payload 4));
   ]
 
 let metamorphic_tests =
@@ -790,6 +927,7 @@ let () =
       "mapping", mapping_tests;
       "pipeline", pipeline_tests;
       "goldens", golden_tests;
+      "mip bound", mip_bound_tests;
       "metamorphic", metamorphic_tests;
       "differential", differential_tests;
       "oracle", oracle_tests;

@@ -126,6 +126,7 @@ let build (n, rows, rhs, c, maximize) =
     (List.mapi (fun j v -> v, vars.(j)) c);
   p
 
+(* The optimum and one optimal point, or [None] when infeasible. *)
 let brute (n, rows, rhs, c, maximize) =
   let best = ref None in
   for mask = 0 to (1 lsl n) - 1 do
@@ -140,10 +141,10 @@ let brute (n, rows, rhs, c, maximize) =
     if feasible then begin
       let obj = List.fold_left ( +. ) 0. (List.mapi (fun j v -> v *. x.(j)) c) in
       match !best with
-      | None -> best := Some obj
-      | Some b ->
+      | None -> best := Some (obj, x)
+      | Some (b, _) ->
         if (maximize && obj > b) || ((not maximize) && obj < b) then
-          best := Some obj
+          best := Some (obj, x)
     end
   done;
   !best
@@ -157,7 +158,7 @@ let milp_property_tests =
          let r = Milp.Branch_bound.solve p in
          match brute spec, r.objective with
          | None, None -> r.status = Milp.Branch_bound.Infeasible
-         | Some expected, Some got -> abs_float (expected -. got) < 1e-6
+         | Some (expected, _), Some got -> abs_float (expected -. got) < 1e-6
          | None, Some _ | Some _, None -> false);
     qcheck_case "bound is valid" ~count:150 milp_gen (fun spec ->
         let (_, _, _, _, maximize) = spec in
@@ -167,6 +168,57 @@ let milp_property_tests =
         | None -> true
         | Some obj ->
           if maximize then r.bound >= obj -. 1e-6 else r.bound <= obj +. 1e-6);
+    qcheck_case "an optimal warm start at the known bound expands no node"
+      ~count:150 milp_gen (fun spec ->
+        match brute spec with
+        | None -> true
+        | Some (opt, point) ->
+          let r =
+            Milp.Branch_bound.solve ~initial:(point, opt) ~known_bound:opt
+              (build spec)
+          in
+          r.status = Milp.Branch_bound.Optimal
+          && r.nodes = 0
+          && r.objective = Some opt
+          && r.gap = 0.);
+    qcheck_case "a bound 1 weaker than the optimum changes nothing"
+      ~count:150 milp_gen (fun spec ->
+        let (_, _, _, _, maximize) = spec in
+        match brute spec with
+        | None -> true
+        | Some (opt, _) ->
+          let weaker = if maximize then opt +. 1. else opt -. 1. in
+          let plain = Milp.Branch_bound.solve (build spec) in
+          let bounded =
+            Milp.Branch_bound.solve ~known_bound:weaker (build spec)
+          in
+          plain.status = bounded.status && plain.objective = bounded.objective);
+    qcheck_case "a search the node limit stops keeps the known bound"
+      ~count:150
+      QCheck2.Gen.(pair milp_gen (int_range 1 2))
+      (fun (spec, node_limit) ->
+         let (_, _, _, _, maximize) = spec in
+         match brute spec with
+         | None -> true
+         | Some (opt, _) ->
+           (* The optimum itself and a weaker bound: both valid. *)
+           List.for_all
+             (fun slack ->
+                let known = if maximize then opt +. slack else opt -. slack in
+                let r =
+                  Milp.Branch_bound.solve ~node_limit ~known_bound:known
+                    (build spec)
+                in
+                let at_least_known =
+                  if maximize then r.bound <= known +. 1e-9
+                  else r.bound >= known -. 1e-9
+                in
+                let still_valid =
+                  if maximize then r.bound >= opt -. 1e-6
+                  else r.bound <= opt +. 1e-6
+                in
+                r.nodes <= node_limit && at_least_known && still_valid)
+             [ 0.; 1.5 ]);
   ]
 
 let () =

@@ -324,30 +324,6 @@ let determinism_tests =
           check ts "same mc json"
             (Crossbar.Margin.json_of_mc ma) (Crossbar.Margin.json_of_mc mb)
         | _ -> Alcotest.fail "mc expected");
-    Alcotest.test_case "branch & bound certificate is jobs-independent"
-      `Quick (fun () ->
-          (* max 5a + 4b + 3c  st  2a + 3b + c <= 5, binaries -> 9. *)
-          let knapsack () =
-            let p = Lp.Problem.create () in
-            let a = Lp.Problem.add_binary p "a" in
-            let b = Lp.Problem.add_binary p "b" in
-            let c = Lp.Problem.add_binary p "c" in
-            Lp.Problem.add_constraint p
-              [ (2., a); (3., b); (1., c) ] Lp.Simplex.Le 5.;
-            Lp.Problem.set_objective p ~sense:`Maximize
-              [ (5., a); (4., b); (3., c) ];
-            p
-          in
-          let run jobs = Milp.Branch_bound.solve ~jobs (knapsack ()) in
-          let a = run 1 and b = run 4 in
-          check tb "optimal at jobs=1" true
-            (a.status = Milp.Branch_bound.Optimal);
-          check tb "optimal at jobs=4" true
-            (b.status = Milp.Branch_bound.Optimal);
-          check (Alcotest.float 1e-9) "objective" 9. (Option.get b.objective);
-          check ts "same certificate"
-            (Milp.Branch_bound.json_of_certificate a)
-            (Milp.Branch_bound.json_of_certificate b));
   ]
 
 let () =
