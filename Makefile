@@ -85,6 +85,8 @@ perfbench:
 # Tier-1 runs twice: once sequential, once with a 4-wide domain pool.
 # Every parallel consumer is bit-identical across jobs counts, so the
 # second run is a determinism check as much as a thread-safety one.
+# The last step replays BENCH_pr7.json's 200-request loadgen stream over
+# the real socket (80 hits, 120 MIP solves through the LP and client).
 ci:
 	dune build
 	dune build @examples @bench
@@ -101,6 +103,7 @@ ci:
 	dune build @server
 	dune build @metrics
 	dune build @server-restart
+	python3 perfbench/run.py selfcheck
 
 clean:
 	dune clean

@@ -96,7 +96,11 @@ let solve ?budget ?(alignment = false) ?(gamma = 0.5) ?warm_start
       in
       point.((d : Lp.Problem.var :> int)) <-
         float_of_int (Types.max_dimension warm);
-      Some (point, warm.objective)
+      (* Scored at this solve's γ: [warm.objective] holds the value at
+         the γ the warm start was labelled with. *)
+      Some
+        ( point,
+          Types.objective_of ~gamma ~rows:warm.Types.rows ~cols:warm.Types.cols )
     end
   in
   (* The objective bound the search may stop at: the cut rows' own

@@ -385,8 +385,8 @@ let all_vh ~gamma (bg : Compact.Types.bdd_graph) =
     (Array.make (Graphs.Ugraph.num_nodes bg.graph) Compact.Types.VH)
 
 let fig10 config =
-  (* The paper shows the CPLEX convergence on i2c; our dense-simplex MIP
-     is exact only on smaller graphs, so the trace is recorded on the
+  (* The paper shows the CPLEX convergence on i2c; our tableau-simplex
+     MIP is exact only on smaller graphs, so the trace is recorded on the
      largest benchmark it can branch on (int2float). Like Section VI-C
      describes for CPLEX, the solver starts from the trivial feasible
      solution where every node is labelled VH, so the incumbent visibly

@@ -64,7 +64,8 @@ let integer_vars t =
 let objective_value t x =
   List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0. t.objective
 
-let solve_relaxation ?(budget = Resilience.Budget.unlimited) ?(bounds = []) t =
+let solve_relaxation ?(budget = Resilience.Budget.unlimited) ?(bounds = [])
+    ?(workspace = Simplex.workspace ()) t =
   let n = t.nvars in
   let ubs = Array.of_list (List.rev t.ubs) in
   let extra_rows =
@@ -97,4 +98,4 @@ let solve_relaxation ?(budget = Resilience.Budget.unlimited) ?(bounds = []) t =
     all_rows;
   let c = Array.make n 0. in
   List.iter (fun (k, v) -> c.(v) <- c.(v) +. k) t.objective;
-  Simplex.solve ~budget ~sense:t.sense ~a ~rel ~b ~c
+  Simplex.solve ~workspace ~budget ~sense:t.sense ~a ~rel ~b ~c

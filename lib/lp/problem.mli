@@ -1,7 +1,7 @@
 (** Linear-program model builder.
 
     Thin mutable wrapper that accumulates named variables and constraints
-    and materialises the dense arrays expected by {!module:Simplex}. All
+    and materialises them as the row arrays {!module:Simplex} takes. All
     variables are non-negative; finite upper bounds become constraint rows
     at solve time. Integrality markers are ignored here — they are enforced
     by {!module:Milp}. *)
@@ -34,10 +34,13 @@ val objective_value : t -> float array -> float
 val solve_relaxation :
   ?budget:Resilience.Budget.t ->
   ?bounds:(var * float * float) list ->
+  ?workspace:Simplex.workspace ->
   t ->
   Simplex.outcome
 (** Solve the LP relaxation, with optional per-variable bound overrides
     [(v, lb, ub)] added as constraint rows. The reported objective is in
     the problem's sense (a maximisation problem reports the maximum).
+    [workspace] (default: a fresh one) holds the tableau; a caller that
+    solves many relaxations in turn passes the same one to each.
     @raise Resilience.Budget.Exhausted when [budget] (default
     unlimited) runs out; see {!Simplex.solve}. *)

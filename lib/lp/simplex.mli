@@ -1,10 +1,12 @@
-(** Dense two-phase primal simplex.
+(** Two-phase primal tableau simplex.
 
     Solves [min c·x] subject to [A x {≤,≥,=} b], [x ≥ 0]. Bland's rule is
-    used throughout, so the method cannot cycle. Intended problem sizes are
-    thousands of variables/rows (dense tableau storage). This is the LP
-    backend of {!module:Milp}, replacing the CPLEX dependency of the
-    paper. *)
+    used throughout, so the method cannot cycle. The tableau is stored in
+    full, but a pivot updates each row only at the pivot row's nonzero
+    columns, and a {!workspace} lets a sequence of solves share one
+    tableau's storage. Intended problem sizes are hundreds to a few
+    thousand rows and columns. This is the LP backend of {!module:Milp},
+    replacing the CPLEX dependency of the paper. *)
 
 type relation = Le | Ge | Eq
 
@@ -12,6 +14,15 @@ type outcome =
   | Optimal of { objective : float; solution : float array }
   | Infeasible
   | Unbounded
+
+type workspace
+(** Tableau storage that a sequence of solves can share: each solve
+    zero-fills the part it uses and grows the storage when its problem
+    is larger than any before. A workspace serves one solve at a time,
+    so it must never be shared between domains. *)
+
+val workspace : unit -> workspace
+(** An empty workspace; the first solve sizes it. *)
 
 val minimize :
   a:float array array ->
@@ -33,6 +44,7 @@ val maximize :
 (** Same, negating the objective; the reported [objective] is the maximum. *)
 
 val solve :
+  workspace:workspace ->
   budget:Resilience.Budget.t ->
   sense:[ `Minimize | `Maximize ] ->
   a:float array array ->
@@ -41,5 +53,6 @@ val solve :
   c:float array ->
   outcome
 (** {!minimize} or {!maximize} by [sense], polling [budget] before every
-    pivot.
+    pivot, with the tableau in [workspace]'s storage. What earlier
+    solves left there does not change the pivots, and so the outcome.
     @raise Resilience.Budget.Exhausted when [budget] runs out. *)

@@ -212,6 +212,9 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
     end
   in
   let hit_limit = ref false in
+  (* One tableau for every relaxation of this search; it is dropped with
+     the search, so racing searches never share one. *)
+  let workspace = Lp.Simplex.workspace () in
   Obs.Span.with_ "branch-bound" @@ fun () ->
   (* Node and budget limits are checked before each expansion. A
      relaxation the budget stops leaves its node on the frontier, so the
@@ -230,7 +233,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
            Obs.Span.with_ "lp-relax" (fun () ->
                match
                  Lp.Problem.solve_relaxation ~budget ~bounds:node.fixings
-                   problem
+                   ~workspace problem
                with
                | outcome -> Some outcome
                | exception Resilience.Budget.Exhausted _ -> None)

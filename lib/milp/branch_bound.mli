@@ -91,7 +91,9 @@ val solve :
 
     The search is sequential and deterministic: the same problem,
     [initial] and [known_bound] give the same result, nodes and trace
-    (but for [elapsed] and the trace's times). *)
+    (but for [elapsed] and the trace's times). Its node relaxations share
+    one {!Lp.Simplex.workspace}, created by the call and dropped on
+    return, so concurrent searches never share a tableau. *)
 
 val relative_gap : incumbent:float option -> bound:float -> float
 (** CPLEX-style gap: |incumbent − bound| / max(1e-10, |incumbent|);

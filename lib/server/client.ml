@@ -5,9 +5,12 @@ type t = {
   cap : float;
   retries : int;
   mutable fd : Unix.file_descr;
-  buf : Buffer.t;
-  chunk : Bytes.t;
+  mutable rbuf : Bytes.t;  (* bytes [rpos, rlen) are read, not yet returned *)
+  mutable rpos : int;
+  mutable rlen : int;
 }
+
+let chunk = 8192
 
 (* Capped exponential backoff with seeded jitter: attempt [k] sleeps
    [min cap (base * 2^k)] scaled into [0.5, 1.0] by a deterministic
@@ -34,24 +37,24 @@ let rec connect_fd ~retries ~seed ~base ~cap path k =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
+let make ~retries ~base ~cap ~seed path fd =
+  { path; seed; base; cap; retries; fd; rbuf = Bytes.create chunk; rpos = 0;
+    rlen = 0 }
+
 let connect ?(retries = 100) ?(base = 0.005) ?(cap = 0.1)
     ?(seed = Crossbar.Rng.default_seed) path =
-  let fd = connect_fd ~retries ~seed ~base ~cap path 0 in
-  {
-    path;
-    seed;
-    base;
-    cap;
-    retries;
-    fd;
-    buf = Buffer.create 4096;
-    chunk = Bytes.create 8192;
-  }
+  make ~retries ~base ~cap ~seed path
+    (connect_fd ~retries ~seed ~base ~cap path 0)
+
+(* No path and no retries: a reconnect raises at once. *)
+let of_fd fd =
+  make ~retries:0 ~base:0. ~cap:0. ~seed:Crossbar.Rng.default_seed "" fd
 
 let reconnect t =
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
   (* Anything half-read from the dead connection is garbage now. *)
-  Buffer.clear t.buf;
+  t.rpos <- 0;
+  t.rlen <- 0;
   t.fd <-
     connect_fd ~retries:t.retries ~seed:t.seed ~base:t.base ~cap:t.cap
       t.path 0
@@ -67,20 +70,40 @@ let send t line =
   in
   go 0
 
-let rec recv t =
-  let s = Buffer.contents t.buf in
-  match String.index_opt s '\n' with
+let rec newline_from b i stop =
+  if i >= stop then None
+  else if Bytes.get b i = '\n' then Some i
+  else newline_from b (i + 1) stop
+
+(* Each byte is scanned for the newline once: no byte of
+   [rpos, from) is one. A line longer than the buffer doubles it, so a
+   response of any size is read in linear time. *)
+let rec recv_from t from =
+  match newline_from t.rbuf from t.rlen with
   | Some i ->
-    Buffer.clear t.buf;
-    Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
-    String.sub s 0 i
+    let line = Bytes.sub_string t.rbuf t.rpos (i - t.rpos) in
+    t.rpos <- i + 1;
+    line
   | None ->
-    (match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+    (* Move the pending bytes to the front, into a buffer with room for
+       a full chunk behind them. *)
+    let pending = t.rlen - t.rpos in
+    if Bytes.length t.rbuf - pending < chunk then begin
+      let bigger = Bytes.create (2 * Bytes.length t.rbuf) in
+      Bytes.blit t.rbuf t.rpos bigger 0 pending;
+      t.rbuf <- bigger
+    end
+    else if t.rpos > 0 then Bytes.blit t.rbuf t.rpos t.rbuf 0 pending;
+    t.rpos <- 0;
+    t.rlen <- pending;
+    (match Unix.read t.fd t.rbuf pending (Bytes.length t.rbuf - pending) with
      | 0 -> raise End_of_file
      | n ->
-       Buffer.add_subbytes t.buf t.chunk 0 n;
-       recv t
-     | exception Unix.Unix_error (EINTR, _, _) -> recv t)
+       t.rlen <- pending + n;
+       recv_from t pending
+     | exception Unix.Unix_error (EINTR, _, _) -> recv_from t pending)
+
+let recv t = recv_from t t.rpos
 
 let request t line =
   send t line;

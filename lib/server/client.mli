@@ -22,6 +22,12 @@ val connect :
     replay.
     @raise Unix.Unix_error when the last retry fails. *)
 
+val of_fd : Unix.file_descr -> t
+(** A client over an already-connected stream socket, such as one end of
+    a [Unix.socketpair]. It has no path to reconnect to, so
+    {!request_idempotent} raises on a lost connection instead of
+    replaying. *)
+
 val backoff_delay : seed:int -> base:float -> cap:float -> int -> float
 (** The exact sleep before attempt [k]: pure, for tests. *)
 
@@ -29,7 +35,8 @@ val send : t -> string -> unit
 (** Write one request line (the newline is appended). Retries [EINTR]. *)
 
 val recv : t -> string
-(** Read the next response line. Retries [EINTR].
+(** Read the next response line, scanning each byte read once, so a
+    long response costs time linear in its size. Retries [EINTR].
     @raise End_of_file if the server closed the connection. *)
 
 val request : t -> string -> string

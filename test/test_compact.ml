@@ -197,6 +197,25 @@ let label_tests =
              check tb "mip <= heuristic" true
                (mip.objective <= h.objective +. 1e-9))
           [ 0.0; 0.5; 1.0 ]);
+    Alcotest.test_case "a warm start labelled at another gamma is rescored"
+      `Quick (fun () ->
+        (* All-VH labelled at γ = 0 carries objective D; at γ = 1 its value
+           is S, so a search scored with D would prune every better node
+           and return the all-VH labels as optimal. *)
+        let bg = graph_of_expr (e "((a ^ b) & (c | d)) | ((a & ~c) ^ (b | d))") in
+        let n = Compact.Preprocess.num_bdd_nodes bg in
+        let warm_start =
+          Compact.Types.make_labeling bg ~gamma:0. ~optimal:false
+            ~lower_bound:0. ~solve_time:0. ~method_name:"all-vh"
+            (Array.make n Compact.Types.VH)
+        in
+        let oct = Compact.Label_oct.solve ~gamma:1.0 bg in
+        let mip = Compact.Label_mip.solve ~gamma:1.0 ~warm_start bg in
+        check tb "optimal" true mip.optimal;
+        check ti "semiperimeter of the optimum"
+          (Compact.Types.semiperimeter oct)
+          (Compact.Types.semiperimeter mip);
+        check ti "S" 7 (Compact.Types.semiperimeter mip));
     Alcotest.test_case "mip trace records convergence" `Quick (fun () ->
         let bg = graph_of_expr (e "(a ^ b) | c") in
         let mip = Compact.Label_mip.solve ~gamma:0.5 bg in

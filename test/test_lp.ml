@@ -1,4 +1,5 @@
-(* Tests for the dense two-phase simplex and the LP model builder. *)
+(* Tests for the two-phase simplex and the LP model builder, with a
+   differential battery against the dense reference in Dense_simplex. *)
 
 let check = Alcotest.check
 let tb = Alcotest.bool
@@ -189,6 +190,190 @@ let simplex_property_tests =
            !ok);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Differential battery: Lp.Simplex against the dense reference kept in
+   Dense_simplex. The sparse pivot takes the same pivots, so outcome,
+   objective and solution must agree bit for bit, up to the sign of a
+   zero. *)
+
+let bits x = Int64.bits_of_float (x +. 0.) (* -0. +. 0. = 0. *)
+
+let same_outcome (got : Lp.Simplex.outcome) (want : Lp.Simplex.outcome) =
+  match got, want with
+  | Optimal g, Optimal w ->
+    bits g.objective = bits w.objective
+    && Array.length g.solution = Array.length w.solution
+    && Array.for_all2 (fun x y -> bits x = bits y) g.solution w.solution
+  | Infeasible, Infeasible | Unbounded, Unbounded -> true
+  | _ -> false
+
+let unlimited = Resilience.Budget.unlimited
+
+let agrees ~workspace (sense, a, rel, b, c) =
+  same_outcome
+    (Lp.Simplex.solve ~workspace ~budget:unlimited ~sense ~a ~rel ~b ~c)
+    (Dense_simplex.solve ~budget:unlimited ~sense ~a ~rel ~b ~c)
+
+(* Random LPs with every relation and right-hand sides of either sign;
+   without the box they can be infeasible or unbounded too. *)
+let general_lp_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 5 in
+    let* m = int_range 0 6 in
+    let coeff = map (fun k -> float_of_int (k - 3)) (int_bound 6) in
+    let* rows = list_repeat m (list_repeat n coeff) in
+    let* rels = list_repeat m (oneofl Lp.Simplex.[ Le; Ge; Eq ]) in
+    let* rhs =
+      list_repeat m (map (fun k -> float_of_int (k - 5)) (int_bound 10))
+    in
+    let* box = bool in
+    let* c = list_repeat n coeff in
+    let* sense = oneofl [ `Minimize; `Maximize ] in
+    let unit j = List.init n (fun k -> if k = j then 1. else 0.) in
+    let rows, rels, rhs =
+      if box then
+        ( rows @ List.init n unit,
+          rels @ List.init n (fun _ -> Lp.Simplex.Le),
+          rhs @ List.init n (fun _ -> 1.) )
+      else rows, rels, rhs
+    in
+    let arr = Array.of_list in
+    return (sense, arr (List.map arr rows), arr rels, arr rhs, arr c))
+
+(* A VH-labeling model as Label_mip builds it, over variables
+   xv_i = i, xh_i = n + i and D = 2n: a label per node, both label kinds
+   covering every edge, D above the row and column counts, the cut rows
+   S >= n + k and D >= ceil((n + k)/2), an optional wordline capacity,
+   and objective gamma*S + (1-gamma)*D. *)
+type vh_model = {
+  nvars : int;
+  rows : ((float * int) list * Lp.Simplex.relation * float) list;
+  objective : (float * int) list;
+}
+
+let vh_model ~nodes ~edges ~cut ~cap ~gamma =
+  let xv i = i and xh i = nodes + i and d = 2 * nodes in
+  let all f = List.init nodes (fun i -> 1., f i) in
+  let minus = List.map (fun (k, v) -> -.k, v) in
+  let rows =
+    List.init nodes (fun i -> [ (1., xv i); (1., xh i) ], Lp.Simplex.Ge, 1.)
+    @ List.concat_map
+        (fun (i, j) ->
+           [ ([ (1., xh i); (1., xh j) ], Lp.Simplex.Ge, 1.);
+             ([ (1., xv i); (1., xv j) ], Lp.Simplex.Ge, 1.) ])
+        edges
+    @ [ ((1., d) :: minus (all xh), Lp.Simplex.Ge, 0.);
+        ((1., d) :: minus (all xv), Lp.Simplex.Ge, 0.);
+        (all xv @ all xh, Lp.Simplex.Ge, float_of_int (nodes + cut));
+        ([ (1., d) ], Lp.Simplex.Ge, ceil (float_of_int (nodes + cut) /. 2.)) ]
+    @
+    match cap with
+    | Some k -> [ (all xh, Lp.Simplex.Le, float_of_int k) ]
+    | None -> []
+  in
+  let objective =
+    ((1. -. gamma), d) :: List.map (fun (_, v) -> gamma, v) (all xv @ all xh)
+  in
+  { nvars = d + 1; rows; objective }
+
+let vh_problem model =
+  let p = Lp.Problem.create () in
+  let vars =
+    Array.init model.nvars (fun v ->
+        if v < model.nvars - 1 then Lp.Problem.add_binary p (string_of_int v)
+        else Lp.Problem.add_var p "D")
+  in
+  let terms = List.map (fun (k, v) -> k, vars.(v)) in
+  List.iter
+    (fun (coeffs, r, rhs) -> Lp.Problem.add_constraint p (terms coeffs) r rhs)
+    model.rows;
+  Lp.Problem.set_objective p ~sense:`Minimize (terms model.objective);
+  p, vars
+
+(* The dense LP that Problem.solve_relaxation hands the simplex, in its
+   row order: the model rows as added, an x <= 1 row per binary from the
+   last to the first, then each fixing's rows, x <= ub before x >= lb. *)
+let vh_dense model fixings =
+  let ub_rows =
+    List.rev
+      (List.init (model.nvars - 1) (fun v -> [ (1., v) ], Lp.Simplex.Le, 1.))
+  in
+  let fixing_rows =
+    List.concat_map
+      (fun (v, lb, ub) ->
+         (if ub < infinity then [ ([ (1., v) ], Lp.Simplex.Le, ub) ] else [])
+         @ if lb > 0. then [ ([ (1., v) ], Lp.Simplex.Ge, lb) ] else [])
+      fixings
+  in
+  let rows = Array.of_list (model.rows @ ub_rows @ fixing_rows) in
+  let a =
+    Array.map
+      (fun (coeffs, _, _) ->
+         let r = Array.make model.nvars 0. in
+         List.iter (fun (k, v) -> r.(v) <- r.(v) +. k) coeffs;
+         r)
+      rows
+  in
+  let c = Array.make model.nvars 0. in
+  List.iter (fun (k, v) -> c.(v) <- c.(v) +. k) model.objective;
+  ( `Minimize,
+    a,
+    Array.map (fun (_, r, _) -> r) rows,
+    Array.map (fun (_, _, b) -> b) rows,
+    c )
+
+(* A random graph of 2-6 nodes and a sequence of branch-and-bound style
+   fixings (x = 0 as x <= 0, x = 1 as x >= 1), conflicting ones too. *)
+let vh_gen =
+  QCheck2.Gen.(
+    let* nodes = int_range 2 6 in
+    let pairs =
+      List.concat (List.init nodes (fun i -> List.init i (fun j -> j, i)))
+    in
+    let* keep = list_repeat (List.length pairs) bool in
+    let edges = List.filteri (fun k _ -> List.nth keep k) pairs in
+    let* cut = int_bound 2 in
+    let* cap = opt (int_range 1 nodes) in
+    let* gamma = oneofl [ 0.; 0.5; 1. ] in
+    let fixing =
+      map2
+        (fun v one -> if one then v, 1., infinity else v, 0., 0.)
+        (int_bound ((2 * nodes) - 1))
+        bool
+    in
+    let* fixings =
+      list_size (int_range 1 6) (list_size (int_bound 5) fixing)
+    in
+    return (vh_model ~nodes ~edges ~cut ~cap ~gamma, fixings))
+
+let differential_tests =
+  [
+    qcheck_case "random LPs: same outcome as the dense reference" ~count:500
+      general_lp_gen
+      (fun lp -> agrees ~workspace:(Lp.Simplex.workspace ()) lp);
+    qcheck_case "one workspace through LPs that grow and shrink" ~count:200
+      QCheck2.Gen.(list_size (int_range 2 8) general_lp_gen)
+      (fun lps ->
+         let workspace = Lp.Simplex.workspace () in
+         List.for_all (agrees ~workspace) lps);
+    qcheck_case "VH-labeling relaxations under fixings, one workspace"
+      ~count:200 vh_gen
+      (fun (model, fixing_sets) ->
+         let p, vars = vh_problem model in
+         let workspace = Lp.Simplex.workspace () in
+         List.for_all
+           (fun fixings ->
+              let bounds =
+                List.map (fun (v, lb, ub) -> vars.(v), lb, ub) fixings
+              in
+              let _, a, rel, b, c = vh_dense model fixings in
+              same_outcome
+                (Lp.Problem.solve_relaxation ~bounds ~workspace p)
+                (Dense_simplex.solve ~budget:unlimited ~sense:`Minimize ~a
+                   ~rel ~b ~c))
+           fixing_sets);
+  ]
+
 let problem_tests =
   [
     Alcotest.test_case "builder with upper bounds" `Quick (fun () ->
@@ -245,4 +430,5 @@ let () =
       "simplex", simplex_tests;
       "simplex-properties", simplex_property_tests;
       "problem", problem_tests;
+      "differential", differential_tests;
     ]

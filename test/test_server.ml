@@ -485,6 +485,54 @@ let resilience_tests =
             Server.Client.backoff_delay ~seed:2 ~base:0.005 ~cap:0.1 6
           in
           check tb "seeds differ" true (a <> b));
+    Alcotest.test_case "recv splits lines at any read boundary" `Quick
+      (fun () ->
+         let mine, peer = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         let c = Server.Client.of_fd mine in
+         Fun.protect
+           ~finally:(fun () ->
+             Server.Client.close c;
+             try Unix.close peer with Unix.Unix_error _ -> ())
+           (fun () ->
+              let write s =
+                let b = Bytes.of_string s in
+                let rec go off =
+                  if off < Bytes.length b then
+                    go (off + Unix.write peer b off (Bytes.length b - off))
+                in
+                go 0
+              in
+              (* Longer than the client's 8 KB read chunk, then two lines
+                 that arrive with it. *)
+              let long = String.init 20_000 (fun i -> Char.chr (97 + (i mod 26))) in
+              write (long ^ "\nsecond\nthird\n");
+              check ts "long line" long (Server.Client.recv c);
+              check ts "second line" "second" (Server.Client.recv c);
+              check ts "third line" "third" (Server.Client.recv c);
+              (* A line split across reads, after a line that shares the
+                 first read with its head. *)
+              write "fourth\npar";
+              check ts "fourth line" "fourth" (Server.Client.recv c);
+              write "tial\n";
+              check ts "split line" "partial" (Server.Client.recv c);
+              write "\n";
+              check ts "empty line" "" (Server.Client.recv c);
+              (* A stale response ahead of the wanted one is skipped. *)
+              write {|{"id":1,"ok":true}|};
+              write "\n";
+              write {|{"id":2,"ok":true}|};
+              write "\n";
+              let req = {|{"op":"status","id":2}|} in
+              check ts "stale line skipped" {|{"id":2,"ok":true}|}
+                (Server.Client.request_idempotent c req);
+              let sent = Bytes.create 64 in
+              let n = Unix.read peer sent 0 64 in
+              check ts "request sent once" (req ^ "\n") (Bytes.sub_string sent 0 n);
+              Unix.close peer;
+              check tb "end of file" true
+                (match Server.Client.recv c with
+                 | _ -> false
+                 | exception End_of_file -> true)));
   ]
 
 (* ------------------------------------------------------------------ *)
