@@ -362,13 +362,13 @@ let print_grid =
 let print_stats =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print the BDD engine's unique-table, op-cache and \
+           ~doc:"Print the BDD engine's unique-table, ITE-cache and \
                  reordering counters.")
 
 (* [--reorder sift] runs the variable-order step inside the pipeline
-   ([Pipeline.synthesize ~sift:true]): build once under the best static
-   candidate order, sift in place under the run's budget, and synthesise
-   that diagram. *)
+   ([Pipeline.synthesize ~sift:true]): build the static candidate orders
+   under the run's budget, sift the smallest diagram in place, and
+   synthesise it. *)
 let reorder_term =
   Arg.(value
        & opt (named "reorder mode" [ "none", `None; "sift", `Sift ]) `None

@@ -24,13 +24,12 @@ type stats = {
    - The unique table is an open-addressed (linear probing) power-of-two
      array of node handles; a (level, low, high) key is never boxed — the
      probe compares against the node arrays directly.
-   - The ITE cache is a lossy direct-mapped table of packed (f, g, h) -> r
-     quadruples in four flat int arrays; a colliding entry is simply
-     overwritten. Restrict/quantifier results share a second direct-mapped
-     cache keyed by (node, packed var/op).
-   - ite and restrict run on an explicit worklist (a reusable int-array
-     frame stack), so diagrams tens of thousands of levels deep cannot
-     overflow the OCaml stack. *)
+   - The ITE cache is the one operation cache: a lossy direct-mapped
+     table of packed (f, g, h) -> r quadruples in four flat int arrays; a
+     colliding entry is simply overwritten.
+   - ite runs on an explicit worklist (a reusable int-array frame stack),
+     so diagrams tens of thousands of levels deep cannot overflow the
+     OCaml stack. *)
 
 type t = {
   nvars : int;
@@ -48,11 +47,6 @@ type t = {
   mutable ite_k3 : int array;
   mutable ite_r : int array;
   mutable ite_mask : int;
-  (* direct-mapped binary-op cache (restrict / quantify) *)
-  mutable bop_k1 : int array;
-  mutable bop_k2 : int array;
-  mutable bop_r : int array;
-  mutable bop_mask : int;
   (* reusable worklist scratch: frames of [frame_slots] ints + a result
      stack *)
   mutable tasks : int array;
@@ -69,9 +63,9 @@ type t = {
   mutable level_swaps : int;
   mutable sift_passes : int;
   mutable cache_invalidations : int;
-  (* true while the lossy op caches are known empty, so a burst of level
-     swaps pays for at most one invalidation *)
-  mutable caches_clean : bool;
+  (* true while the ITE cache is known empty, so a burst of level swaps
+     pays for at most one invalidation *)
+  mutable cache_clean : bool;
 }
 
 let zero = 0
@@ -80,7 +74,6 @@ let is_terminal n = n < 2
 
 let initial_table_size = 4096
 let initial_ite_size = 4096
-let initial_bop_size = 1024
 
 let create ?(node_limit = max_int) ~num_vars () =
   let cap = 1024 in
@@ -101,10 +94,6 @@ let create ?(node_limit = max_int) ~num_vars () =
     ite_k3 = Array.make initial_ite_size 0;
     ite_r = Array.make initial_ite_size 0;
     ite_mask = initial_ite_size - 1;
-    bop_k1 = Array.make initial_bop_size (-1);
-    bop_k2 = Array.make initial_bop_size 0;
-    bop_r = Array.make initial_bop_size 0;
-    bop_mask = initial_bop_size - 1;
     tasks = Array.make 320 0;
     task_sp = 0;
     res = Array.make 64 0;
@@ -118,10 +107,9 @@ let create ?(node_limit = max_int) ~num_vars () =
     level_swaps = 0;
     sift_passes = 0;
     cache_invalidations = 0;
-    caches_clean = true;
+    cache_clean = true;
   }
 
-let num_vars t = t.nvars
 let allocated t = t.next
 
 let stats t =
@@ -145,7 +133,7 @@ let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "@[<v>unique table: %d lookups, %d hits (%.1f%%), %d collisions, %d \
      growths@,\
-     op caches: %d lookups, %d hits (%.1f%%), %d invalidations@,\
+     ITE cache: %d lookups, %d hits (%.1f%%), %d invalidations@,\
      reordering: %d level swaps, %d sift passes@,\
      peak nodes: %d@]"
     s.unique_lookups s.unique_hits
@@ -200,27 +188,6 @@ let grow_ite_cache t size =
     t.ite_mask <- mask
   end
 
-let grow_bop_cache t size =
-  if size > Array.length t.bop_r then begin
-    let mask = size - 1 in
-    let k1 = Array.make size (-1) in
-    let k2 = Array.make size 0 in
-    let r = Array.make size 0 in
-    for i = 0 to Array.length t.bop_r - 1 do
-      let f = t.bop_k1.(i) in
-      if f <> -1 then begin
-        let j = hash3 f t.bop_k2.(i) 0 land mask in
-        k1.(j) <- f;
-        k2.(j) <- t.bop_k2.(i);
-        r.(j) <- t.bop_r.(i)
-      end
-    done;
-    t.bop_k1 <- k1;
-    t.bop_k2 <- k2;
-    t.bop_r <- r;
-    t.bop_mask <- mask
-  end
-
 let rehash_unique t =
   let size = 2 * (t.table_mask + 1) in
   let mask = size - 1 in
@@ -240,9 +207,9 @@ let rehash_unique t =
   t.table <- table;
   t.table_mask <- mask;
   t.growths <- t.growths + 1;
-  (* op caches track the unique table so hit rates survive scale *)
-  grow_ite_cache t (size / 2);
-  grow_bop_cache t (size / 8)
+  (* the ITE cache tracks the unique table so its hit rate survives
+     scale *)
+  grow_ite_cache t (size / 2)
 
 (* Returns -n when node n already exists, or the (non-negative) free slot
    where a fresh node must be recorded. Handles are >= 2, so the sign
@@ -299,10 +266,6 @@ let var t i =
   if i < 0 || i >= t.nvars then invalid_arg "Bdd.Manager.var: out of range";
   mk t i zero one
 
-let nvar t i =
-  if i < 0 || i >= t.nvars then invalid_arg "Bdd.Manager.nvar: out of range";
-  mk t i one zero
-
 (* ------------------------------------------------------------------ *)
 (* Worklist machinery. Frames are [frame_slots] consecutive ints:
    [tag; a; b; c; lvl]. Tag 0 evaluates the operands, tag 1 combines the
@@ -356,24 +319,7 @@ let ite_insert t f g h r =
   t.ite_k2.(i) <- g;
   t.ite_k3.(i) <- h;
   t.ite_r.(i) <- r;
-  t.caches_clean <- false
-
-let bop_cached t k1 k2 =
-  t.cache_lookups <- t.cache_lookups + 1;
-  let i = hash3 k1 k2 0 land t.bop_mask in
-  if Array.unsafe_get t.bop_k1 i = k1 && Array.unsafe_get t.bop_k2 i = k2
-  then begin
-    t.cache_hits <- t.cache_hits + 1;
-    Array.unsafe_get t.bop_r i
-  end
-  else -1
-
-let bop_insert t k1 k2 r =
-  let i = hash3 k1 k2 0 land t.bop_mask in
-  t.bop_k1.(i) <- k1;
-  t.bop_k2.(i) <- k2;
-  t.bop_r.(i) <- r;
-  t.caches_clean <- false
+  t.cache_clean <- false
 
 (* Top-level ITE invocations (not worklist steps). The disabled path is
    a single load-and-branch, guarded by the PR's bench overhead gate. *)
@@ -437,73 +383,6 @@ let not_ t f = ite t f zero one
 let and_ t f g = ite t f g zero
 let or_ t f g = ite t f one g
 let xor t f g = ite t f (not_ t g) g
-let xnor t f g = ite t f g (not_ t g)
-let nand t f g = not_ t (and_ t f g)
-let nor t f g = not_ t (or_ t f g)
-let imp t f g = ite t f g one
-let and_list t fs = List.fold_left (and_ t) one fs
-let or_list t fs = List.fold_left (or_ t) zero fs
-
-(* Binary-op cache keys: bit 1 selects restrict (0) vs quantify (1), bit 0
-   carries the branch / connective, the rest is the variable level. *)
-let restrict_key v b = (v lsl 2) lor if b then 1 else 0
-let quant_key v conj = (v lsl 2) lor 2 lor if conj then 1 else 0
-
-let restrict t root ~var:v b =
-  if is_terminal root || t.levels.(root) > v then root
-  else begin
-    let key = restrict_key v b in
-    let base_sp = t.task_sp and base_rp = t.res_sp in
-    try
-      push_task t 0 root 0 0 0;
-      while t.task_sp > base_sp do
-        let sp = t.task_sp - frame_slots in
-        t.task_sp <- sp;
-        let tag = t.tasks.(sp) and f = t.tasks.(sp + 1) in
-        if tag = 0 then begin
-          if is_terminal f || t.levels.(f) > v then push_res t f
-          else if t.levels.(f) = v then
-            push_res t (if b then t.highs.(f) else t.lows.(f))
-          else begin
-            let r = bop_cached t f key in
-            if r >= 0 then push_res t r
-            else begin
-              push_task t 1 f 0 0 0;
-              push_task t 0 t.lows.(f) 0 0 0;
-              push_task t 0 t.highs.(f) 0 0 0
-            end
-          end
-        end
-        else begin
-          let r_lo = t.res.(t.res_sp - 1) and r_hi = t.res.(t.res_sp - 2) in
-          t.res_sp <- t.res_sp - 2;
-          let r = mk t t.levels.(f) r_lo r_hi in
-          bop_insert t f key r;
-          push_res t r
-        end
-      done;
-      t.res_sp <- base_rp;
-      t.res.(base_rp)
-    with e ->
-      t.task_sp <- base_sp;
-      t.res_sp <- base_rp;
-      raise e
-  end
-
-let quantify t ~var:v ~conj f =
-  let key = quant_key v conj in
-  let r = bop_cached t f key in
-  if r >= 0 then r
-  else begin
-    let f0 = restrict t f ~var:v false in
-    let f1 = restrict t f ~var:v true in
-    let r = if conj then and_ t f0 f1 else or_ t f0 f1 in
-    bop_insert t f key r;
-    r
-  end
-
-let exists t ~var f = quantify t ~var ~conj:false f
-let forall t ~var f = quantify t ~var ~conj:true f
 
 let rec eval t f env =
   if f = zero then false
@@ -541,36 +420,6 @@ let iter_edges t roots f =
        end)
     (reachable t roots)
 
-let support t f =
-  let module IS = Set.Make (Int) in
-  let vars = ref IS.empty in
-  List.iter
-    (fun n -> if not (is_terminal n) then vars := IS.add t.levels.(n) !vars)
-    (reachable t [ f ]);
-  IS.elements !vars
-
-let sat_count t f ~nvars =
-  let memo = Hashtbl.create 256 in
-  (* count f = #assignments of variables at levels >= level(f). *)
-  let rec go f =
-    if f = zero then 0.
-    else if f = one then 1.
-    else
-      match Hashtbl.find_opt memo f with
-      | Some c -> c
-      | None ->
-        let lvl = t.levels.(f) in
-        let child g =
-          let lg = min t.levels.(g) nvars in
-          go g *. (2. ** float_of_int (lg - lvl - 1))
-        in
-        let c = child t.lows.(f) +. child t.highs.(f) in
-        Hashtbl.replace memo f c;
-        c
-  in
-  let lf = min t.levels.(f) nvars in
-  go f *. (2. ** float_of_int lf)
-
 let any_sat t f =
   if f = zero then None
   else
@@ -585,8 +434,7 @@ let any_sat t f =
 
 let clear_caches t =
   Array.fill t.ite_k1 0 (Array.length t.ite_k1) (-1);
-  Array.fill t.bop_k1 0 (Array.length t.bop_k1) (-1);
-  t.caches_clean <- true
+  t.cache_clean <- true
 
 (* ------------------------------------------------------------------ *)
 (* In-place dynamic reordering (adjacent-level exchange + Rudell
@@ -621,8 +469,8 @@ let clear_caches t =
    lists from the case analysis above. Nodes die only on level i+1
    (see [swap_adjacent]), so no other level's list goes stale.
 
-   The lossy op caches mix pre- and post-exchange meanings of dead
-   handles, so a reordering session invalidates them (once per burst,
+   The lossy ITE cache mixes pre- and post-exchange meanings of dead
+   handles, so a reordering session invalidates it (once per burst,
    counted in [cache_invalidations]).  Array and table growth happen
    before any node is touched, so the only allocation points (including
    the injected-OOM checkpoint) see a consistent diagram.
@@ -670,7 +518,7 @@ let table_remove t n =
   done
 
 let invalidate_for_reorder t =
-  if not t.caches_clean then begin
+  if not t.cache_clean then begin
     t.cache_invalidations <- t.cache_invalidations + 1;
     clear_caches t
   end

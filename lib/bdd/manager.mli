@@ -24,24 +24,22 @@ type stats = {
   unique_lookups : int;  (** [mk] calls that consulted the unique table *)
   unique_hits : int;  (** lookups answered by an existing node *)
   unique_collisions : int;  (** linear-probe steps past occupied slots *)
-  cache_lookups : int;  (** ITE / restrict / quantifier cache probes *)
+  cache_lookups : int;  (** ITE cache probes *)
   cache_hits : int;
-  growths : int;  (** unique-table rehashes (the op caches grow along) *)
+  growths : int;  (** unique-table rehashes (the ITE cache grows along) *)
   peak_nodes : int;  (** [allocated], never decreases *)
   level_swaps : int;  (** adjacent-level exchanges done by reordering *)
   sift_passes : int;  (** full sifting passes over the variables *)
   cache_invalidations : int;
-      (** op-cache wipes forced by reordering sessions *)
+      (** ITE-cache wipes forced by reordering sessions *)
 }
-(** Counters of the packed unique table and the lossy direct-mapped
-    operation caches; cheap to read at any time. *)
+(** Counters of the packed unique table and the lossy direct-mapped ITE
+    cache; cheap to read at any time. *)
 
 val create : ?node_limit:int -> num_vars:int -> unit -> t
 (** [create ~num_vars ()] prepares a manager for variables
     [0 .. num_vars - 1]. [node_limit] (default: unlimited) bounds the
     total number of allocated nodes. *)
-
-val num_vars : t -> int
 
 val zero : node
 val one : node
@@ -50,9 +48,6 @@ val is_terminal : node -> bool
 val var : t -> int -> node
 (** The projection function of variable [i].
     @raise Invalid_argument if [i] is out of range. *)
-
-val nvar : t -> int -> node
-(** Negated projection. *)
 
 (** {1 Structure} *)
 
@@ -77,30 +72,11 @@ val not_ : t -> node -> node
 val and_ : t -> node -> node -> node
 val or_ : t -> node -> node -> node
 val xor : t -> node -> node -> node
-val xnor : t -> node -> node -> node
-val nand : t -> node -> node -> node
-val nor : t -> node -> node -> node
-val imp : t -> node -> node -> node
-
-val and_list : t -> node list -> node
-val or_list : t -> node list -> node
-
-val restrict : t -> node -> var:int -> bool -> node
-(** Cofactor with respect to one variable. *)
-
-val exists : t -> var:int -> node -> node
-val forall : t -> var:int -> node -> node
 
 (** {1 Queries} *)
 
 val eval : t -> node -> (int -> bool) -> bool
 (** Evaluate under an assignment of the variables. *)
-
-val support : t -> node -> int list
-(** Sorted list of variable levels the function depends on. *)
-
-val sat_count : t -> node -> nvars:int -> float
-(** Number of satisfying assignments over [nvars] variables. *)
 
 val any_sat : t -> node -> (int * bool) list option
 (** One satisfying partial assignment (level, value), or [None] for the
@@ -118,7 +94,7 @@ val iter_edges : t -> node list -> (node -> node -> bool -> unit) -> unit
     edge of the sub-diagram reachable from [roots]. *)
 
 val clear_caches : t -> unit
-(** Drop operation memo tables (the unique table is kept). *)
+(** Drop the ITE cache (the unique table is kept). *)
 
 (** {1 Dynamic reordering}
 
@@ -130,7 +106,7 @@ val clear_caches : t -> unit
     {b Contract.} [roots] must cover {e every} handle the caller intends
     to keep using: reordering garbage-collects the rest of the manager
     (handles outside the cone of [roots] become invalid), and the lossy
-    operation caches are dropped.  Handles in the cone stay valid but
+    ITE cache is dropped.  Handles in the cone stay valid but
     their meaning is permuted — after the call, the variable at level
     [l] is the one that was at level [perm.(l)] when the call began,
     where [perm] is the returned permutation.  Callers that name

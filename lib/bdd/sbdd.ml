@@ -85,45 +85,44 @@ let num_edges t =
   Manager.iter_edges t.man (List.map snd t.roots) (fun _ _ _ -> incr c);
   !c
 
-let of_netlist_size ?order ~node_limit nl =
-  match of_netlist ?order ~node_limit nl with
-  | sbdd -> Some (size sbdd)
-  | exception Manager.Size_limit _ -> None
+(* The candidate search: every {!Order.candidates} order is built under
+   [budget]. A build that passes [node_limit] is skipped; exhaustion ends
+   the search. Returns the smallest complete diagram (the first on ties)
+   and its size. *)
+let search ~budget ?node_limit nl =
+  let rec go best = function
+    | [] -> best
+    | order :: rest -> (
+        match of_netlist ~budget ~order ?node_limit nl with
+        | exception Manager.Size_limit _ -> go best rest
+        | exception Resilience.Budget.Exhausted _ -> best
+        | sbdd ->
+          let sz = size sbdd in
+          go
+            (match best with
+             | Some (_, best_sz) when best_sz <= sz -> best
+             | _ -> Some (sbdd, sz))
+            rest)
+  in
+  go None (Order.candidates nl)
 
-let best_order ?(node_limit = max_int) nl =
-  let candidates = Order.candidates nl in
-  let best = ref None in
-  let last = ref [] in
-  List.iter
-    (fun order ->
-       last := order;
-       match of_netlist_size ~order ~node_limit nl with
-       | None -> ()
-       | Some sz -> (
-           match !best with
-           | Some (_, best_sz) when best_sz <= sz -> ()
-           | _ -> best := Some (order, sz)))
-    candidates;
-  match !best with Some r -> r | None -> !last, max_int
+let best_order ?node_limit nl =
+  match search ~budget:Resilience.Budget.unlimited ?node_limit nl with
+  | Some (sbdd, sz) -> Array.to_list sbdd.input_order, sz
+  | None -> List.hd (List.rev (Order.candidates nl)), max_int
 
 let improve ?(budget = Resilience.Budget.unlimited) ?order ?node_limit nl =
-  let order =
-    match order with Some o -> o | None -> fst (best_order ?node_limit nl)
-  in
+  let untimed = Resilience.Budget.untimed budget in
   let sbdd =
-    of_netlist ~budget:(Resilience.Budget.untimed budget) ~order ?node_limit nl
+    match order with
+    | Some order -> of_netlist ~budget:untimed ~order ?node_limit nl
+    | None -> (
+        match search ~budget ?node_limit nl with
+        | Some (sbdd, _) -> sbdd
+        | None -> of_netlist ~budget:untimed ?node_limit nl)
   in
   ignore (sift ~budget sbdd : int * int);
   sbdd
-
-let level_of_input t v =
-  let n = Array.length t.input_order in
-  let rec go i =
-    if i >= n then raise Not_found
-    else if String.equal t.input_order.(i) v then i
-    else go (i + 1)
-  in
-  go 0
 
 let eval t env =
   let env_lvl lvl = env t.input_order.(lvl) in

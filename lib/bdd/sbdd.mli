@@ -42,9 +42,9 @@ val of_netlist_separate :
 val best_order :
   ?node_limit:int -> Logic.Netlist.t -> string list * int
 (** Try every {!Order.candidates} order and return the one whose SBDD is
-    smallest, together with that size. Orders whose build exceeds
-    [node_limit] are skipped; if all do, the last candidate is returned
-    with [max_int]. *)
+    smallest (the first on ties), together with that size. Orders whose
+    build exceeds [node_limit] are skipped; if all do, the last candidate
+    is returned with [max_int]. *)
 
 val size : t -> int
 (** Distinct reachable nodes, including reached terminals. *)
@@ -64,22 +64,22 @@ val improve :
   ?node_limit:int ->
   Logic.Netlist.t ->
   t
-(** The variable-order step: build under [order] (default: the
-    {!best_order} candidate, whose search ignores [budget]), then
-    {!sift} in place. The build runs
-    under [Resilience.Budget.untimed budget] (a partial diagram is
-    useless, so only cancellation or a node or memory limit stops it, by
-    raising); the sift runs under [budget] itself, whose expiry just
-    stops improving. [budget] defaults to unlimited. *)
+(** The variable-order step: the diagram of [order], or else the
+    {!best_order} candidate's, then {!sift} in place. The candidate
+    search builds each order under [budget] and keeps the smallest
+    diagram, so the winner is built once; exhaustion ends the search with
+    the smallest diagram completed so far, or, if none completed, the
+    {!Order.dfs_fanin} diagram. That diagram, like one of a given
+    [order], is built under [Resilience.Budget.untimed budget] (a partial
+    diagram is useless, so only cancellation or a node or memory limit
+    stops it, by raising). The sift runs under [budget] itself, whose
+    expiry just stops improving. [budget] defaults to unlimited. *)
 
 val stats : t -> Manager.stats
-(** Unique-table / op-cache counters of the underlying manager. *)
+(** Unique-table / ITE-cache counters of the underlying manager. *)
 
 val num_edges : t -> int
 (** Decision edges of the reachable sub-diagram (2 per internal node). *)
-
-val level_of_input : t -> string -> int
-(** @raise Not_found for an unknown input. *)
 
 val eval : t -> (string -> bool) -> (string * bool) list
 (** Evaluate all outputs under an input assignment. *)

@@ -357,8 +357,9 @@ let synthesize ?(options = default_options) ?budget ?(sift = false) netlist =
   let build ?(sift = false) ?order () =
     let node_limit = options.bdd_node_limit in
     let sbdd =
-      (* The order step builds untimed too; only its sift is cut by the
-         deadline, and a cut sift keeps the diagram it has. *)
+      (* The order step's candidate search and sift stop at the
+         deadline and keep the smallest diagram built so far; with no
+         complete candidate it builds the default order untimed. *)
       if sift then Bdd.Sbdd.improve ~budget ?order ~node_limit netlist
       else Bdd.Sbdd.of_netlist ~budget:build_budget ?order ~node_limit netlist
     in

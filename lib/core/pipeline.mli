@@ -137,9 +137,10 @@ val synthesize :
 (** Full flow from a netlist (single shared SBDD — the §VII-A default).
     With [~sift:true] (default false) the diagram comes from the
     variable-order step {!Bdd.Sbdd.improve}: built under
-    [options.order] (default: the best static candidate), then sifted
-    under the run's budget; the portfolio's [race_orders] adds the other
-    candidate orders beside it as usual.
+    [options.order] (default: the best static candidate, searched under
+    the run's budget), then sifted under the run's budget; the
+    portfolio's [race_orders] adds the other candidate orders beside it
+    as usual.
     @raise Bdd.Manager.Size_limit if the BDD exceeds the node budget.
     @raise Resilience.Budget.Exhausted on cancellation or node/memory
     budget exhaustion during the BDD build (wall-deadline expiry instead

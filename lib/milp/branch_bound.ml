@@ -103,8 +103,8 @@ let status_name = function
 
 let integer_tolerance = 1e-6
 
-let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
-    ?initial ?known_bound problem =
+let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
+    problem =
   let start = Obs.Clock.now () in
   let elapsed () = Obs.Clock.now () -. start in
   let dir =
@@ -216,13 +216,12 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(node_limit = max_int)
      the search, so racing searches never share one. *)
   let workspace = Lp.Simplex.workspace () in
   Obs.Span.with_ "branch-bound" @@ fun () ->
-  (* Node and budget limits are checked before each expansion. A
-     relaxation the budget stops leaves its node on the frontier, so the
-     final bound still covers it, and the search ends. *)
+  (* The budget is checked before each expansion. A relaxation the
+     budget stops leaves its node on the frontier, so the final bound
+     still covers it, and the search ends. *)
   while (not !hit_limit) && (not (meets_known ())) && not (Heap.is_empty heap)
   do
-    if Resilience.Budget.exhausted budget || !nodes >= node_limit then
-      hit_limit := true
+    if Resilience.Budget.exhausted budget then hit_limit := true
     else
       match next_node () with
       | None -> ()

@@ -58,7 +58,6 @@ end
 
 val solve :
   ?budget:Resilience.Budget.t ->
-  ?node_limit:int ->
   ?initial:float array * float ->
   ?known_bound:float ->
   Lp.Problem.t ->
@@ -77,17 +76,16 @@ val solve :
     then [Optimal] with [bound] equal to the objective and gap 0 — what
     an exhaustive search would report, since no node can beat the
     incumbent by more than the tolerance. A search stopped by its budget
-    or [node_limit] reports the stronger of [known_bound] and its own
-    frontier bound.
+    reports the stronger of [known_bound] and its own frontier bound.
 
     [budget] (default unlimited) is polled before every expansion and
     before every simplex pivot, and each expanded node is charged
     against its node allowance; on exhaustion the solver stops and
     reports the incumbent and bound found so far — it never raises. A
     relaxation the budget stops leaves its node on the frontier, so the
-    reported bound still covers it. [node_limit] is the solver-local cap
-    retained for per-call experiments; the budget's node allowance spans
-    a whole pipeline stage.
+    reported bound still covers it. A node allowance of [k] expands at
+    most [k + 1] nodes: the charge that trips it stops the last one's
+    relaxation in flight.
 
     The search is sequential and deterministic: the same problem,
     [initial] and [known_bound] give the same result, nodes and trace

@@ -109,18 +109,28 @@ let deep_tests =
          check tb "one bit" true (M.eval man p (fun i -> i = 12_345));
          check tb "two bits" false
            (M.eval man p (fun i -> i = 3 || i = 9_999));
-         (* Every variable is in the support, in order. *)
-         check ti "support size" n (List.length (M.support man p)));
-    Alcotest.test_case "deep restrict and quantification" `Quick (fun () ->
+         (* Every variable is in the support. *)
+         let support =
+           List.sort_uniq compare
+             (List.filter_map
+                (fun m -> if M.is_terminal m then None else Some (M.level man m))
+                (M.reachable man [ p ]))
+         in
+         check ti "support size" n (List.length support));
+    Alcotest.test_case "deep any_sat satisfies a 12k-level parity" `Quick
+      (fun () ->
         let n = 12_000 in
         let man = M.create ~num_vars:n () in
         let p = balanced_parity man n in
-        (* Fixing one variable flips parity polarity, never overflows. *)
-        let r = M.restrict man p ~var:(n / 2) true in
-        check tb "restricted parity" true (M.eval man r (fun _ -> false));
-        (* Quantifying it away makes the function var-independent. *)
-        let q = M.exists man ~var:(n / 2) p in
-        check ti "tautology" M.one q);
+        (* Parity depends on every variable, so the path fixes all of
+           them; walking it never overflows. *)
+        match M.any_sat man p with
+        | None -> Alcotest.fail "parity is satisfiable"
+        | Some path ->
+          check ti "every level fixed" n (List.length path);
+          let value = Array.make n false in
+          List.iter (fun (l, b) -> value.(l) <- b) path;
+          check tb "satisfies" true (M.eval man p (Array.get value)));
   ]
 
 let () =
