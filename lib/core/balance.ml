@@ -80,6 +80,43 @@ let choose_signs ~base deltas =
     signs
   end
 
+(* The terminal and the root nodes: the nodes Eq 7 puts on wordlines. *)
+let aligned_nodes (bg : Types.bdd_graph) =
+  List.sort_uniq compare
+    (bg.terminal
+     :: List.filter_map
+          (fun (_, root) ->
+             match root with
+             | Types.Node v -> Some v
+             | Types.Const_false -> None)
+          bg.roots)
+
+(* How a residual component enters the balance: free components are
+   flipped by the sign DP; forced ones are flipped or not so that their
+   aligned nodes become H. Either way with [delta] = its colour-0 minus
+   its colour-1 nodes, VH nodes left out. *)
+type entry = Free of int | Forced of bool * int
+
+(* The rule for one residual component, shared by [orient] and the
+   upgrade index, from its nodes ([n0], [n1]) and aligned nodes ([a0],
+   [a1]) of each colour, colour 0 being its smallest node's. Aligned nodes
+   of both colours conflict, since no flip puts both on H: the smaller
+   aligned side, colour 0 on a tie, is upgraded to VH and leaves its
+   colour's count. Returns the upgraded colour (-1 for none) and the
+   entry. *)
+let component_rule ~n0 ~n1 ~a0 ~a1 =
+  if a0 > 0 && a1 > 0 then
+    if a0 <= a1 then 0, Forced (true, n0 - a0 - n1)
+    else 1, Forced (false, n0 - (n1 - a1))
+  else if a0 > 0 then -1, Forced (false, n0 - n1)
+  else if a1 > 0 then -1, Forced (true, n0 - n1)
+  else -1, Free (n0 - n1)
+
+(* A component's contribution to rows − cols: an unflipped component
+   maps colour 0 to H, a flipped one colour 1. VH nodes add 1 to both
+   rows and cols, so they do not count. *)
+let contribution flipped delta = if flipped then -delta else delta
+
 let orient ?(alignment = false) ?(balance = true) (bg : Types.bdd_graph)
     ~transversal =
   let n = Graphs.Ugraph.num_nodes bg.graph in
@@ -93,74 +130,39 @@ let orient ?(alignment = false) ?(balance = true) (bg : Types.bdd_graph)
     | None -> invalid_arg "Balance.orient: the residual has an odd cycle"
   in
   let k = r.num_comps in
-  (* Per component: nodes of each colour, and the aligned nodes (terminal
-     and roots) of each colour that survive in the residual. *)
-  let count0 = Array.make k 0 and count1 = Array.make k 0 in
+  (* Per component [c] and colour [b], at [2c + b]: its nodes, and its
+     aligned nodes (terminal and roots) that survive in the residual. *)
+  let count = Array.make (2 * k) 0 and aligned = Array.make (2 * k) 0 in
+  let slot v = (2 * r.comp.(v)) + r.color.(v) in
   for v = 0 to n - 1 do
-    let c = r.comp.(v) in
-    if c >= 0 then
-      if r.color.(v) = 0 then count0.(c) <- count0.(c) + 1
-      else count1.(c) <- count1.(c) + 1
+    if r.comp.(v) >= 0 then count.(slot v) <- count.(slot v) + 1
   done;
-  let aligned0 = Array.make k [] and aligned1 = Array.make k [] in
-  if alignment then
-    List.iter
-      (fun v ->
-         let c = r.comp.(v) in
-         if c < 0 then ()
-         else if r.color.(v) = 0 then aligned0.(c) <- v :: aligned0.(c)
-         else aligned1.(c) <- v :: aligned1.(c))
-      (List.sort_uniq compare
-         (bg.terminal
-          :: List.filter_map
-               (fun (_, root) ->
-                  match root with
-                  | Types.Node v -> Some v
-                  | Types.Const_false -> None)
-               bg.roots));
-  (* Resolve alignment conflicts inside a component by upgrading the
-     minority side's aligned nodes to VH; they then count on neither
-     side. *)
-  let upgraded = ref [] in
-  for c = 0 to k - 1 do
-    if aligned0.(c) <> [] && aligned1.(c) <> [] then
-      if List.length aligned0.(c) <= List.length aligned1.(c) then begin
-        upgraded := List.rev_append aligned0.(c) !upgraded;
-        count0.(c) <- count0.(c) - List.length aligned0.(c);
-        aligned0.(c) <- []
-      end
-      else begin
-        upgraded := List.rev_append aligned1.(c) !upgraded;
-        count1.(c) <- count1.(c) - List.length aligned1.(c);
-        aligned1.(c) <- []
-      end
-  done;
-  (* Contribution of a component to rows − cols: an unflipped component
-     maps colour 0 to H, a flipped one colour 1. VH nodes add 1 to both
-     rows and cols, so they do not count. Forced components (holding
-     aligned nodes) are oriented so the aligned colour becomes H; free
-     components enter the DP. *)
+  let aligned_nodes = if alignment then aligned_nodes bg else [] in
+  List.iter
+    (fun v -> if r.comp.(v) >= 0 then aligned.(slot v) <- aligned.(slot v) + 1)
+    aligned_nodes;
+  let rules =
+    Array.init k (fun c ->
+        component_rule ~n0:count.(2 * c) ~n1:count.((2 * c) + 1)
+          ~a0:aligned.(2 * c) ~a1:aligned.((2 * c) + 1))
+  in
   let flips = Array.make k false in
   let base = ref 0 in
   let free = ref [] in
   for c = k - 1 downto 0 do
-    let delta = count0.(c) - count1.(c) in
-    if aligned0.(c) <> [] then base := !base + delta
-    else if aligned1.(c) <> [] then begin
-      flips.(c) <- true;
-      base := !base - delta
-    end
-    else free := c :: !free
+    match snd rules.(c) with
+    | Forced (flipped, delta) ->
+      flips.(c) <- flipped;
+      base := !base + contribution flipped delta
+    | Free delta -> free := (c, delta) :: !free
   done;
   let free = Array.of_list !free in
   if balance then begin
-    let signs =
-      choose_signs ~base:!base
-        (Array.map (fun c -> count0.(c) - count1.(c)) free)
-    in
-    Array.iteri (fun i c -> flips.(c) <- signs.(i) < 0) free
+    let signs = choose_signs ~base:!base (Array.map snd free) in
+    Array.iteri (fun i (c, _) -> flips.(c) <- signs.(i) < 0) free
   end;
-  (* Colour 0 → H unless the component is flipped. *)
+  (* Colour 0 → H unless the component is flipped; a conflict's upgraded
+     side is VH. *)
   let labels =
     Array.init n (fun v ->
         let c = r.comp.(v) in
@@ -168,5 +170,193 @@ let orient ?(alignment = false) ?(balance = true) (bg : Types.bdd_graph)
         else if r.color.(v) = 0 <> flips.(c) then Types.H
         else Types.V)
   in
-  List.iter (fun v -> labels.(v) <- Types.VH) !upgraded;
+  List.iter
+    (fun v ->
+       let c = r.comp.(v) in
+       if c >= 0 && fst rules.(c) = r.color.(v) then labels.(v) <- Types.VH)
+    aligned_nodes;
   labels
+
+(* Removing a node v splits its residual component into the subtrees of
+   v's DFS children w with [low w >= disc v], which no back edge ties to
+   v's ancestors, and the rest: the side of v's parent, empty when v is
+   the root (Hopcroft & Tarjan's articulation points). Subtree sums of
+   nodes and aligned nodes per colour, with the subtree's smallest node,
+   count each piece in O(1). The DFS enters each component at its
+   smallest node, so the depth parity is [orient]'s canonical colour. *)
+type upgrade_index = {
+  graph : Graphs.Ugraph.t;
+  comp : int array;  (* -1 on the transversal *)
+  color : int array;
+  disc : int array;
+  low : int array;
+  parent : int array;  (* -1 at a component's root *)
+  is_aligned : bool array;
+  sub : int array;  (* nodes of colour b in v's subtree, at [2v + b] *)
+  sub_aligned : int array;  (* aligned ones, likewise *)
+  sub_min : int array;  (* the smallest node in v's subtree *)
+  root : int array;  (* per component: its smallest node *)
+  free_slot : int array;  (* per component: its place in [free], or -1 *)
+  free : int array;  (* the free components' deltas *)
+  vh : int;  (* [orient]'s VH count at this transversal *)
+  base : int;  (* the forced components' contributions, summed *)
+}
+
+(* [component_rule] as counts: the aligned nodes it upgrades to VH, and
+   the entry. *)
+let settle ~n0 ~n1 ~a0 ~a1 =
+  let up, entry = component_rule ~n0 ~n1 ~a0 ~a1 in
+  (if up = 0 then a0 else if up = 1 then a1 else 0), entry
+
+(* The component whose DFS root is [r], settled. *)
+let settle_root ~sub ~sub_aligned r =
+  settle ~n0:sub.(2 * r) ~n1:sub.((2 * r) + 1) ~a0:sub_aligned.(2 * r)
+    ~a1:sub_aligned.((2 * r) + 1)
+
+let upgrade_index ?(alignment = false) (bg : Types.bdd_graph) ~transversal =
+  let g = bg.graph in
+  let n = Graphs.Ugraph.num_nodes g in
+  if Array.length transversal <> n then
+    invalid_arg "Balance.upgrade_index: arity mismatch";
+  let is_aligned = Array.make n false in
+  if alignment then
+    List.iter (fun v -> is_aligned.(v) <- true) (aligned_nodes bg);
+  let comp = Array.make n (-1) and color = Array.make n 0 in
+  let disc = Array.make n (-1) and low = Array.make n 0 in
+  let parent = Array.make n (-1) and sub_min = Array.make n 0 in
+  let sub = Array.make (2 * n) 0 and sub_aligned = Array.make (2 * n) 0 in
+  (* The DFS stack, and each stacked node's neighbours still to scan. *)
+  let stack = Array.make n 0 and pending = Array.make n [] in
+  let roots = ref [] and k = ref 0 and time = ref 0 in
+  let enter v p =
+    comp.(v) <- !k;
+    parent.(v) <- p;
+    color.(v) <- (if p < 0 then 0 else 1 - color.(p));
+    disc.(v) <- !time;
+    low.(v) <- !time;
+    incr time;
+    sub.((2 * v) + color.(v)) <- 1;
+    if is_aligned.(v) then sub_aligned.((2 * v) + color.(v)) <- 1;
+    sub_min.(v) <- v;
+    pending.(v) <- Graphs.Ugraph.neighbors g v
+  in
+  for s = 0 to n - 1 do
+    if (not transversal.(s)) && disc.(s) < 0 then begin
+      roots := s :: !roots;
+      enter s (-1);
+      stack.(0) <- s;
+      let top = ref 0 in
+      while !top >= 0 do
+        let u = stack.(!top) in
+        match pending.(u) with
+        | w :: rest ->
+          pending.(u) <- rest;
+          if transversal.(w) then ()
+          else if disc.(w) < 0 then begin
+            enter w u;
+            incr top;
+            stack.(!top) <- w
+          end
+          else if color.(w) = color.(u) then
+            invalid_arg "Balance.upgrade_index: the residual has an odd cycle"
+          else low.(u) <- min low.(u) disc.(w)
+        | [] ->
+          decr top;
+          let p = parent.(u) in
+          if p >= 0 then begin
+            low.(p) <- min low.(p) low.(u);
+            for b = 0 to 1 do
+              sub.((2 * p) + b) <- sub.((2 * p) + b) + sub.((2 * u) + b);
+              sub_aligned.((2 * p) + b) <-
+                sub_aligned.((2 * p) + b) + sub_aligned.((2 * u) + b)
+            done;
+            sub_min.(p) <- min sub_min.(p) sub_min.(u)
+          end
+      done;
+      incr k
+    end
+  done;
+  let root = Array.of_list (List.rev !roots) in
+  let free_slot = Array.make !k (-1) and free = ref [] and nfree = ref 0 in
+  let vh = ref 0 and base = ref 0 in
+  Array.iter (fun t -> if t then incr vh) transversal;
+  Array.iteri
+    (fun c r ->
+       let upgraded, entry = settle_root ~sub ~sub_aligned r in
+       vh := !vh + upgraded;
+       match entry with
+       | Forced (flipped, delta) -> base := !base + contribution flipped delta
+       | Free delta ->
+         free_slot.(c) <- !nfree;
+         incr nfree;
+         free := delta :: !free)
+    root;
+  {
+    graph = g; comp; color; disc; low; parent; is_aligned; sub; sub_aligned;
+    sub_min; root; free_slot; free = Array.of_list (List.rev !free);
+    vh = !vh; base = !base;
+  }
+
+let score t v =
+  let c = t.comp.(v) in
+  if c < 0 then invalid_arg "Balance.score: the node is in the transversal";
+  (* The residual without v's component, plus v as VH; then each piece
+     of that component without v. *)
+  let r = t.root.(c) in
+  let upgraded, entry = settle_root ~sub:t.sub ~sub_aligned:t.sub_aligned r in
+  let vh = ref (t.vh + 1 - upgraded) in
+  let base =
+    ref
+      (match entry with
+       | Forced (flipped, delta) -> t.base - contribution flipped delta
+       | Free _ -> t.base)
+  in
+  let pieces = ref [] in
+  (* A piece's counts come in the component's colours; its own colour 0
+     is its smallest node's. *)
+  let piece ~smallest n0 n1 a0 a1 =
+    let upgraded, entry =
+      if t.color.(smallest) = 0 then settle ~n0 ~n1 ~a0 ~a1
+      else settle ~n0:n1 ~n1:n0 ~a0:a1 ~a1:a0
+    in
+    vh := !vh + upgraded;
+    match entry with
+    | Forced (flipped, delta) -> base := !base + contribution flipped delta
+    | Free delta -> pieces := delta :: !pieces
+  in
+  (* The rest: the component without v and the subtrees cut off. *)
+  let own b = if t.color.(v) = b then 1 else 0 in
+  let own_aligned b = if t.is_aligned.(v) then own b else 0 in
+  let rest0 = ref (t.sub.(2 * r) - own 0)
+  and rest1 = ref (t.sub.((2 * r) + 1) - own 1)
+  and rest_a0 = ref (t.sub_aligned.(2 * r) - own_aligned 0)
+  and rest_a1 = ref (t.sub_aligned.((2 * r) + 1) - own_aligned 1) in
+  Graphs.Ugraph.iter_neighbors
+    (fun w ->
+       if t.parent.(w) = v && t.low.(w) >= t.disc.(v) then begin
+         let n0 = t.sub.(2 * w) and n1 = t.sub.((2 * w) + 1) in
+         let a0 = t.sub_aligned.(2 * w) and a1 = t.sub_aligned.((2 * w) + 1) in
+         rest0 := !rest0 - n0;
+         rest1 := !rest1 - n1;
+         rest_a0 := !rest_a0 - a0;
+         rest_a1 := !rest_a1 - a1;
+         piece ~smallest:t.sub_min.(w) n0 n1 a0 a1
+       end)
+    t.graph v;
+  if t.parent.(v) >= 0 then piece ~smallest:r !rest0 !rest1 !rest_a0 !rest_a1;
+  (* The free deltas: the index's without v's component, then the
+     pieces'. Only their multiset matters to the balance reached. *)
+  let slot = t.free_slot.(c) in
+  let kept = Array.length t.free - if slot >= 0 then 1 else 0 in
+  let deltas = Array.make (kept + List.length !pieces) 0 in
+  if slot < 0 then Array.blit t.free 0 deltas 0 kept
+  else begin
+    Array.blit t.free 0 deltas 0 slot;
+    Array.blit t.free (slot + 1) deltas slot (kept - slot)
+  end;
+  List.iteri (fun i d -> deltas.(kept + i) <- d) (List.rev !pieces);
+  let signs = choose_signs ~base:!base deltas in
+  let diff = ref !base in
+  Array.iteri (fun i s -> diff := !diff + (s * deltas.(i))) signs;
+  let s = Graphs.Ugraph.num_nodes t.graph + !vh in
+  s, (s + abs !diff) / 2

@@ -32,6 +32,36 @@ val orient :
     @raise Invalid_argument on arity mismatch, or when the residual has
     an odd cycle (the transversal is not one). *)
 
+type upgrade_index
+(** The residual of one transversal, indexed to price the paper's Fig 7
+    move (upgrade a node to VH) on every node outside it without
+    re-orienting. One iterative DFS over the residual, entering each
+    component at its smallest node so that depth parity is {!orient}'s
+    canonical colour, records discovery times, lowpoints and parents,
+    and per subtree its nodes and aligned nodes of each colour and its
+    smallest node. Removing v splits its component into the subtrees of
+    v's DFS children whose lowpoint does not reach above v, plus the rest
+    (Hopcroft & Tarjan, "Efficient algorithms for graph manipulation",
+    CACM 1973); every other component is unchanged. *)
+
+val upgrade_index :
+  ?alignment:bool -> Types.bdd_graph -> transversal:bool array -> upgrade_index
+(** [upgrade_index bg ~transversal] indexes the residual of [transversal]
+    in O(nodes + edges). [alignment] (default false) is {!orient}'s.
+    @raise Invalid_argument on arity mismatch, or when the residual has
+    an odd cycle. *)
+
+val score : upgrade_index -> int -> int * int
+(** [score index v] is [(s, d)], the semiperimeter and maximum dimension
+    of [orient ~alignment bg ~transversal'], where [transversal'] adds
+    [v] to the index's transversal. It costs O(degree of v) plus one
+    {!choose_signs} over the free components. It gives S and D, not rows
+    and cols: it passes the free components' deltas in another order
+    than {!orient} does, and past {!exact_dp_limit} the greedy signs
+    depend on that order for the sign of rows − cols, though not for its
+    magnitude.
+    @raise Invalid_argument if [v] is in the transversal. *)
+
 val choose_signs : base:int -> int array -> int array
 (** [choose_signs ~base deltas] picks a sign [s_i ∈ {+1, −1}] per delta
     so that [base + Σ s_i·deltas.(i)] is as close to 0 as possible; on a

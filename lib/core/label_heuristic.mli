@@ -20,8 +20,12 @@ val solve :
     incumbent labeling. The search runs at most 25 rounds; each tries
     the 24 highest-degree nodes outside the transversal plus the
     terminal and the roots, in increasing node order, and keeps a move
-    only when it lowers the objective. A move costs one
-    {!Balance.orient}: one residual BFS over the graph and one flip
-    DP. *)
+    only when it lowers the objective. Moves are priced by a
+    {!Balance.upgrade_index} of the current transversal: one DFS over
+    the residual, then O(degree) plus one flip DP per move. The index is
+    rebuilt only when a candidate stays in the transversal, and
+    {!Balance.orient} runs only to label an accepted move. The
+    [heuristic.moves] and [heuristic.accepted] counters count both per
+    solve, beside [heuristic.rounds]. *)
 
 val exact_oct_node_threshold : int

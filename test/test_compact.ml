@@ -359,6 +359,69 @@ let deltas_summing ~k ~total =
       let d = if i = k - 1 then total - (total / k * (k - 1)) else total / k in
       if i mod 2 = 0 then d else -d)
 
+(* A BDD graph record around a bare graph: [orient] and the upgrade
+   index read only its graph, terminal and roots. *)
+let bare_graph ?(roots = []) ~n ~terminal edges =
+  {
+    Compact.Types.graph = Graphs.Ugraph.of_edges ~n edges;
+    edge_literals = [];
+    terminal;
+    roots;
+    node_names = Array.make n "x";
+  }
+
+(* [orient]'s semiperimeter and maximum dimension with [v] added to the
+   transversal. *)
+let orient_s_d ~alignment bg ~transversal v =
+  let transversal = Array.copy transversal in
+  transversal.(v) <- true;
+  let _, rows, cols =
+    Compact.Types.counts (Compact.Balance.orient ~alignment bg ~transversal)
+  in
+  rows + cols, max rows cols
+
+(* The moves the index prices differently from [orient], as
+   (node, index's S and D, orient's S and D). *)
+let index_mismatches ~alignment bg ~transversal nodes =
+  let index = Compact.Balance.upgrade_index ~alignment bg ~transversal in
+  List.filter_map
+    (fun v ->
+       let got = Compact.Balance.score index v
+       and want = orient_s_d ~alignment bg ~transversal v in
+       if got = want then None else Some (v, got, want))
+    (List.filter (fun v -> not transversal.(v)) nodes)
+
+(* A random graph with a random terminal and up to four roots (some
+   constant), and a random superset of [Oct.greedy]'s transversal:
+   [extra.(v) = 0] adds v. *)
+let residual_gen =
+  QCheck2.Gen.(
+    int_range 1 24 >>= fun n ->
+    let node = int_bound (n - 1) in
+    quad
+      (list_size (int_range 0 (2 * n)) (pair node node))
+      (pair node (list_size (int_range 0 4) (option node)))
+      (array_size (return n) (int_bound 4))
+      bool)
+
+let scored_as_orient (edges, (terminal, roots), extra, alignment) =
+  let n = Array.length extra in
+  let roots =
+    List.mapi
+      (fun i r ->
+         ( Printf.sprintf "r%d" i,
+           match r with
+           | Some v -> Compact.Types.Node v
+           | None -> Compact.Types.Const_false ))
+      roots
+  in
+  let bg = bare_graph ~n ~terminal ~roots edges in
+  let transversal = Array.map (fun x -> x = 0) extra in
+  List.iter
+    (fun v -> transversal.(v) <- true)
+    (Graphs.Oct.greedy bg.graph).transversal;
+  index_mismatches ~alignment bg ~transversal (List.init n Fun.id) = []
+
 let balance_tests =
   [
     Alcotest.test_case "balances two free components" `Quick (fun () ->
@@ -408,6 +471,57 @@ let balance_tests =
           (orient [| false; false; false; true |] = None);
         check tb "triangle cut: labels" true
           (orient [| false; false; true; false |] <> None));
+    qcheck_case "the upgrade index prices every move as orient does"
+      ~count:200 residual_gen scored_as_orient;
+    Alcotest.test_case "an aligned tie upgrades colour 0, the smallest node's"
+      `Quick (fun () ->
+        (* A star whose centre 3 is its largest node: leaves 0-2 take
+           colour 0. The terminal (3) and root 0 are aligned on opposite
+           colours, one each, so root 0 becomes VH and the centre H. *)
+        let bg =
+          bare_graph ~n:4 ~terminal:3
+            ~roots:[ "f", Compact.Types.Node 0 ]
+            [ 0, 3; 1, 3; 2, 3 ]
+        in
+        let transversal = Array.make 4 false in
+        check tb "labels" true
+          (Compact.Balance.orient ~alignment:true bg ~transversal
+           = Compact.Types.[| VH; V; V; H |]);
+        let index =
+          Compact.Balance.upgrade_index ~alignment:true bg ~transversal
+        in
+        List.iter
+          (fun (v, s_d) ->
+             check (Alcotest.pair ti ti) "orient's S, D" s_d
+               (orient_s_d ~alignment:true bg ~transversal v);
+             check (Alcotest.pair ti ti) "index's S, D" s_d
+               (Compact.Balance.score index v))
+          [ 0, (5, 3); 1, (6, 3); 2, (6, 3); 3, (5, 3) ]);
+    Alcotest.test_case "the index keeps orient's S and D past exact_dp_limit"
+      `Quick (fun () ->
+        (* 2,000 two-leaf stars, the centre first in even stars and second
+           in odd ones: deltas of -1 and +1, 2,000 × 4,001 past the DP's
+           limit. The greedy signs then follow the deltas' order. *)
+        let stars = 2000 in
+        let n = 3 * stars in
+        let edges =
+          List.concat
+            (List.init stars (fun i ->
+                 let a = 3 * i in
+                 if i mod 2 = 0 then [ a, a + 1; a, a + 2 ]
+                 else [ a, a + 1; a + 1, a + 2 ]))
+        in
+        check tb "past the limit" true
+          (stars * ((2 * stars) + 1) > Compact.Balance.exact_dp_limit);
+        let sample = List.init 60 (fun i -> (100 * i) + (i mod 3)) in
+        List.iter
+          (fun alignment ->
+             let bg = bare_graph ~n ~terminal:4 edges in
+             check tb "no mismatch" true
+               (index_mismatches ~alignment bg
+                  ~transversal:(Array.make n false) sample
+                = []))
+          [ false; true ]);
     qcheck_case "bitset sign DP matches the parent-matrix DP" ~count:200
       signs_gen (fun (base, deltas) ->
         Compact.Balance.choose_signs ~base deltas
@@ -428,6 +542,76 @@ let balance_tests =
                      (Compact.Balance.choose_signs ~base deltas))
                 [ 0; 17; -999; 60_000 ])
            [ 49_999, true; 50_000, false ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+
+(* A full binary tree of depth 3-5 over 8 literals, as loadgen draws
+   them: BDD graphs of tens of nodes. *)
+let tree_expr_gen =
+  let open QCheck2.Gen in
+  let rec tree depth =
+    if depth = 0 then
+      map2
+        (fun neg v ->
+           if neg then Logic.Expr.not_ (Logic.Expr.var v) else Logic.Expr.var v)
+        bool
+        (oneofl [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ])
+    else
+      map3
+        (fun op a b ->
+           match op with
+           | 0 -> Logic.Expr.and_ [ a; b ]
+           | 1 -> Logic.Expr.or_ [ a; b ]
+           | _ -> Logic.Expr.xor a b)
+        (int_bound 2) (tree (depth - 1)) (tree (depth - 1))
+  in
+  int_range 3 5 >>= tree
+
+(* The BDD graph of one to three expressions, one output each. *)
+let graph_of_exprs fs =
+  let outputs = List.mapi (fun i _ -> Printf.sprintf "o%d" i) fs in
+  let inputs = List.sort_uniq compare (List.concat_map Logic.Expr.vars fs) in
+  let nl =
+    Logic.Netlist.create ~name:"t" ~inputs ~outputs
+      (List.map2 Logic.Netlist.n_expr outputs fs)
+  in
+  Compact.Preprocess.of_sbdd (Bdd.Sbdd.of_netlist nl)
+
+(* What the indexed search and the orient oracle must agree on. *)
+let same_labeling (a : Compact.Types.labeling) (b : Compact.Types.labeling) =
+  a.labels = b.labels && a.objective = b.objective && a.optimal = b.optimal
+  && a.lower_bound = b.lower_bound
+
+let oracle_agrees ~alignment bg =
+  List.for_all
+    (fun gamma ->
+       same_labeling
+         (Compact.Label_heuristic.solve ~alignment ~gamma bg)
+         (Orient_heuristic.solve ~alignment ~gamma bg))
+    [ 0.; 0.5; 1. ]
+
+let heuristic_tests =
+  [
+    qcheck_case "the indexed search returns the orient oracle's labeling"
+      ~count:40
+      QCheck2.Gen.(pair (list_size (int_range 1 3) tree_expr_gen) bool)
+      (fun (fs, alignment) -> oracle_agrees ~alignment (graph_of_exprs fs));
+    Alcotest.test_case "dec, c5315 and i2c match the orient oracle" `Quick
+      (fun () ->
+         (* dec has 256 roots; c5315 accepts 2 moves; i2c accepts 10 over 3
+            rounds, so its index is rebuilt mid-round. *)
+         List.iter
+           (fun name ->
+              let bg =
+                Compact.Preprocess.of_sbdd
+                  (Bdd.Sbdd.of_netlist ((Circuits.Suite.find name).generate ()))
+              in
+              check tb name true
+                (same_labeling
+                   (Compact.Label_heuristic.solve ~alignment:true bg)
+                   (Orient_heuristic.solve ~alignment:true bg)))
+           [ "dec"; "c5315"; "i2c" ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -613,6 +797,10 @@ let payload_goldens =
     "c2670", "29b522c8100a1bdbf41f7633706ff311";
     "c5315", "4e3dd4bd02e01b8f2b9a73d064ab7479";
     "i2c", "37cc9029cc40e0836c946e0c4f370177";
+    "c499", "5316b577473970e8166a7d2cb099ffb1";
+    "c1355", "4278365ca3fe699ded2675f1738838dc";
+    "c1908", "ed7742349defc92902a7f9474977339a";
+    "arbiter", "2d3842c9d9cf59a109548e7fa3be6b79";
     (* MIP rung, warm-started from the exact OCT. *)
     "ctrl", "3f6f879a6ed06da1b54c25ae356f3a17";
     "cavlc", "adbc5f44f295332c7584b4f85d531181";
@@ -943,6 +1131,7 @@ let () =
       "labeling", label_tests;
       "constrained", constrained_tests;
       "balance", balance_tests;
+      "heuristic", heuristic_tests;
       "mapping", mapping_tests;
       "pipeline", pipeline_tests;
       "goldens", golden_tests;
