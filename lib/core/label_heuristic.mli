@@ -18,8 +18,9 @@ val solve :
     initial OCT (exact for graphs of ≤ [3000] nodes, greedy above), the
     rest to the local search; exhaustion mid-search returns the
     incumbent labeling. The search runs at most 25 rounds; each tries
-    the 24 highest-degree nodes outside the transversal plus the
-    terminal and the roots, in increasing node order, and keeps a move
+    the 24 highest-degree nodes outside the transversal (ties to the
+    higher id; the nodes are ranked once per solve) plus the terminal
+    and the roots, in increasing node order, and keeps a move
     only when it lowers the objective. Moves are priced by a
     {!Balance.upgrade_index} of the current transversal: one DFS over
     the residual, then O(degree) plus one flip DP per move. The index is

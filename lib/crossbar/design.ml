@@ -9,6 +9,10 @@ type t = {
   cells : (int, Literal.t) Hashtbl.t;  (* key: row * cols + col *)
   input : wire;
   outputs : (string * wire) list;
+  order : (int array * Literal.t array) option Atomic.t;
+      (* [cells] in row-major order, as keys and literals; [None] until
+         [iter_programmed] sorts them and again after every [set]. Atomic
+         so a design read by several domains publishes whole arrays. *)
 }
 
 let check_wire ~rows ~cols = function
@@ -21,19 +25,20 @@ let create ~rows ~cols ~input ~outputs =
   if rows <= 0 || cols <= 0 then invalid_arg "Design.create: empty crossbar";
   check_wire ~rows ~cols input;
   List.iter (fun (_, w) -> check_wire ~rows ~cols w) outputs;
-  { rows; cols; cells = Hashtbl.create 256; input; outputs }
+  { rows; cols; cells = Hashtbl.create 256; input; outputs; order = Atomic.make None }
 
 let rows t = t.rows
 let cols t = t.cols
 let input t = t.input
 let outputs t = t.outputs
 
-let copy t = { t with cells = Hashtbl.copy t.cells }
+let copy t = { t with cells = Hashtbl.copy t.cells; order = Atomic.make None }
 let key t row col = (row * t.cols) + col
 
 let set t ~row ~col l =
   if row < 0 || row >= t.rows || col < 0 || col >= t.cols then
     invalid_arg "Design.set: out of range";
+  if Option.is_some (Atomic.get t.order) then Atomic.set t.order None;
   match l with
   | Literal.Off -> Hashtbl.remove t.cells (key t row col)
   | Literal.On | Literal.Pos _ | Literal.Neg _ ->
@@ -97,9 +102,9 @@ let counting_sort buckets bucket keys lits keys' lits' =
        start.(b) <- start.(b) + 1)
     keys
 
-let iter_programmed t f =
-  (* Deterministic order (row-major) so downstream output is stable:
-     one counting pass by column, then a stable one by row. *)
+(* Deterministic order (row-major) so downstream output is stable:
+   one counting pass by column, then a stable one by row. *)
+let row_major t =
   let n = Hashtbl.length t.cells in
   let keys = Array.make n 0 and lits = Array.make n Literal.Off in
   let i = ref 0 in
@@ -112,6 +117,17 @@ let iter_programmed t f =
   let by_col = Array.make n 0 and by_col_lits = Array.make n Literal.Off in
   counting_sort t.cols (fun k -> k mod t.cols) keys lits by_col by_col_lits;
   counting_sort t.rows (fun k -> k / t.cols) by_col by_col_lits keys lits;
+  keys, lits
+
+let iter_programmed t f =
+  let keys, lits =
+    match Atomic.get t.order with
+    | Some order -> order
+    | None ->
+      let order = row_major t in
+      Atomic.set t.order (Some order);
+      order
+  in
   Array.iteri (fun i k -> f (k / t.cols) (k mod t.cols) lits.(i)) keys
 
 let count t pred =

@@ -71,10 +71,13 @@ val iter_programmed : t -> (int -> int -> Literal.t -> unit) -> unit
     (row, then column, ascending). Designs are sparse — O(BDD edges)
     programmed junctions on O(n²) area — so consumers that only care
     about devices (evaluation, power models) should use this rather than
-    scanning the full matrix. Costs O(junctions + rows + cols): two
-    counting passes, by column and then stably by row, and no comparison
-    sort. The junctions are collected before [f] first runs, so [f] may
-    modify the design. *)
+    scanning the full matrix. The first call sorts the junctions in
+    O(junctions + rows + cols): two counting passes, by column and then
+    stably by row, and no comparison sort. The design keeps that order
+    until the next {!set}, so later calls only walk it; {!copy} and
+    {!permute} start without one. The junctions are collected before [f]
+    first runs, so [f] may modify the design. Safe to call from several
+    domains at once on a design none of them modifies. *)
 
 val delay_steps : t -> int
 (** The paper's computation-delay model: one time step per wordline to

@@ -15,8 +15,8 @@ val residual : Ugraph.t -> keep:bool array -> residual option
     components are numbered [0 .. num_comps-1] in the order of their
     smallest vertex, that vertex gets colour 0, and every other vertex
     the parity of its distance from it. This is exactly {!two_color} and
-    {!components} of [Ugraph.induced g ~keep], read back through the
-    vertex map.
+    {!components} of the induced subgraph (its vertices renumbered in
+    increasing order), read back through that renumbering.
     @raise Invalid_argument if [keep] does not have one entry per vertex. *)
 
 val two_color : Ugraph.t -> int array option

@@ -72,12 +72,14 @@ let perfect_bipartite ~left ~right ~compatible =
   if left > right then None
   else begin
     let n = left + right in
-    let g = Ugraph.create n in
-    for i = 0 to left - 1 do
-      for k = 0 to right - 1 do
-        if compatible i k then Ugraph.add_edge g i (left + k)
-      done
-    done;
+    let g =
+      Ugraph.build ~n (fun add ->
+          for i = 0 to left - 1 do
+            for k = 0 to right - 1 do
+              if compatible i k then add i (left + k)
+            done
+          done)
+    in
     let side = Array.init n (fun v -> v < left) in
     let mate = hopcroft_karp g ~left:side in
     if matching_size mate < left then None

@@ -7,16 +7,15 @@ type result = {
 
 let with_k2 g =
   let n = Ugraph.num_nodes g in
-  let p = Ugraph.create (2 * n) in
-  Ugraph.iter_edges
-    (fun u v ->
-       Ugraph.add_edge p u v;
-       Ugraph.add_edge p (u + n) (v + n))
-    g;
-  for v = 0 to n - 1 do
-    Ugraph.add_edge p v (v + n)
-  done;
-  p
+  Ugraph.build ~n:(2 * n) (fun add ->
+      Ugraph.iter_edges
+        (fun u v ->
+           add u v;
+           add (u + n) (v + n))
+        g;
+      for v = 0 to n - 1 do
+        add v (v + n)
+      done)
 
 let is_transversal g transversal =
   Bipartite.residual g ~keep:(Ugraph.complement_set g transversal) <> None

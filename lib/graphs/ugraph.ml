@@ -1,58 +1,108 @@
-type t = {
-  n : int;
-  mutable m : int;
-  adj : int list array;  (* reverse insertion order; reversed on read *)
-  seen : (int, unit) Hashtbl.t;  (* edge keys: min * n + max *)
-}
+(* Compressed adjacency: vertex v's neighbours are
+   adj.(start.(v)) .. adj.(start.(v + 1) - 1), in insertion order. *)
+type t = { n : int; m : int; start : int array; adj : int array }
 
-let create n =
-  if n < 0 then invalid_arg "Ugraph.create: negative size";
-  { n; m = 0; adj = Array.make (max n 1) []; seen = Hashtbl.create (4 * n + 16) }
+let check_range n v =
+  if v < 0 || v >= n then
+    invalid_arg (Printf.sprintf "Ugraph: vertex %d out of range [0,%d)" v n)
+
+let build ~n edges =
+  if n < 0 then invalid_arg "Ugraph.build: negative size";
+  (* Buffer the non-loop edges as endpoint pairs (room for 2n edges, a
+     BDD graph's usual count, before the first doubling), counting each
+     vertex's half-edges one slot to its right so that a prefix sum
+     gives [start]. *)
+  let ends = ref (Array.make ((4 * n) + 16) 0) and len = ref 0 in
+  let start = Array.make (n + 1) 0 in
+  edges (fun u v ->
+      check_range n u;
+      check_range n v;
+      if u <> v then begin
+        if !len + 2 > Array.length !ends then begin
+          let bigger = Array.make (2 * Array.length !ends) 0 in
+          Array.blit !ends 0 bigger 0 !len;
+          ends := bigger
+        end;
+        !ends.(!len) <- u;
+        !ends.(!len + 1) <- v;
+        len := !len + 2;
+        start.(u + 1) <- start.(u + 1) + 1;
+        start.(v + 1) <- start.(v + 1) + 1
+      end);
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  (* Append each edge to both endpoints' lists, with [start.(v)] as v's
+     cursor; it ends at v's list end, and the shift restores it. *)
+  let ends = !ends and adj = Array.make !len 0 in
+  let half u v =
+    adj.(start.(u)) <- v;
+    start.(u) <- start.(u) + 1
+  in
+  for i = 0 to (!len / 2) - 1 do
+    half ends.(2 * i) ends.((2 * i) + 1);
+    half ends.((2 * i) + 1) ends.(2 * i)
+  done;
+  for v = n downto 1 do
+    start.(v) <- start.(v - 1)
+  done;
+  start.(0) <- 0;
+  (* Drop repeated neighbours, keeping each one's first occurrence, and
+     compact the lists in place. *)
+  let stamp = Array.make n (-1) and kept = ref 0 in
+  for u = 0 to n - 1 do
+    let first = start.(u) and last = start.(u + 1) - 1 in
+    start.(u) <- !kept;
+    for i = first to last do
+      let v = adj.(i) in
+      if stamp.(v) <> u then begin
+        stamp.(v) <- u;
+        adj.(!kept) <- v;
+        incr kept
+      end
+    done
+  done;
+  start.(n) <- !kept;
+  { n; m = !kept / 2; start; adj }
+
+let of_edges ~n es = build ~n (fun add -> List.iter (fun (u, v) -> add u v) es)
 
 let num_nodes g = g.n
 let num_edges g = g.m
+let check g v = check_range g.n v
 
-let key g u v = if u < v then (u * g.n) + v else (v * g.n) + u
-
-let check g v =
-  if v < 0 || v >= g.n then
-    invalid_arg (Printf.sprintf "Ugraph: vertex %d out of range [0,%d)" v g.n)
+let degree g v =
+  check g v;
+  g.start.(v + 1) - g.start.(v)
 
 let has_edge g u v =
   check g u;
   check g v;
-  u <> v && Hashtbl.mem g.seen (key g u v)
-
-let add_edge g u v =
-  check g u;
-  check g v;
-  if u <> v && not (Hashtbl.mem g.seen (key g u v)) then begin
-    Hashtbl.replace g.seen (key g u v) ();
-    g.adj.(u) <- v :: g.adj.(u);
-    g.adj.(v) <- u :: g.adj.(v);
-    g.m <- g.m + 1
-  end
-
-let of_edges ~n es =
-  let g = create n in
-  List.iter (fun (u, v) -> add_edge g u v) es;
-  g
-
-let degree g v =
-  check g v;
-  List.length g.adj.(v)
+  let found = ref false in
+  for i = g.start.(u) to g.start.(u + 1) - 1 do
+    if g.adj.(i) = v then found := true
+  done;
+  !found
 
 let neighbors g v =
   check g v;
-  List.rev g.adj.(v)
+  let rec from i acc =
+    if i < g.start.(v) then acc else from (i - 1) (g.adj.(i) :: acc)
+  in
+  from (g.start.(v + 1) - 1) []
 
 let iter_neighbors f g v =
   check g v;
-  List.iter f g.adj.(v)
+  for i = g.start.(v + 1) - 1 downto g.start.(v) do
+    f g.adj.(i)
+  done
 
 let iter_edges f g =
   for u = 0 to g.n - 1 do
-    List.iter (fun v -> if u < v then f u v) g.adj.(u)
+    for i = g.start.(u + 1) - 1 downto g.start.(u) do
+      let v = g.adj.(i) in
+      if u < v then f u v
+    done
   done
 
 let fold_edges f g init =
@@ -60,43 +110,7 @@ let fold_edges f g init =
   iter_edges (fun u v -> acc := f u v !acc) g;
   !acc
 
-let edges g = List.rev (fold_edges (fun u v acc -> (u, v) :: acc) g [])
-
-let max_degree g =
-  let best = ref 0 in
-  for v = 0 to g.n - 1 do
-    best := max !best (List.length g.adj.(v))
-  done;
-  !best
-
-let copy g =
-  {
-    n = g.n;
-    m = g.m;
-    adj = Array.copy g.adj;
-    seen = Hashtbl.copy g.seen;
-  }
-
-let induced g ~keep =
-  if Array.length keep <> g.n then invalid_arg "Ugraph.induced: arity";
-  let map = Array.make g.n (-1) in
-  let next = ref 0 in
-  for v = 0 to g.n - 1 do
-    if keep.(v) then begin
-      map.(v) <- !next;
-      incr next
-    end
-  done;
-  let sub = create !next in
-  iter_edges
-    (fun u v -> if keep.(u) && keep.(v) then add_edge sub map.(u) map.(v))
-    g;
-  sub, map
-
 let complement_set g vs =
   let keep = Array.make g.n true in
   List.iter (fun v -> check g v; keep.(v) <- false) vs;
   keep
-
-let pp ppf g =
-  Format.fprintf ppf "graph(%d nodes, %d edges)" g.n g.m

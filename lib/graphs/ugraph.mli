@@ -1,27 +1,37 @@
 (** Simple undirected graphs over integer vertices [0 .. n-1].
 
-    The graph is a mutable builder: create it with a fixed vertex count and
-    add edges. Self-loops and parallel edges are silently ignored, so the
+    A graph is immutable: {!build} makes it in one linear pass from an
+    edge sequence. Self-loops and repeated edges are dropped, so the
     structure is always a simple graph — the form required by the
     VH-labeling theory (a BDD graph never needs self-loops; a node is never
-    its own child). *)
+    its own child).
+
+    Neighbour order is fixed by the sequence: [v]'s neighbours come in the
+    order their first edge with [v] was given. It is the order adding the
+    edges one at a time and ignoring repeats would give, and loops that
+    break ties by visit order (a BFS, an augmenting-path search) depend on
+    it. *)
 
 type t
 
-val create : int -> t
-(** [create n] is the edgeless graph on [n] vertices.
-    @raise Invalid_argument if [n < 0]. *)
+val build : n:int -> ((int -> int -> unit) -> unit) -> t
+(** [build ~n edges] is the graph on [n] vertices whose edges are those
+    [edges add] passes to [add], called once. Costs O(n + edges): the
+    edges are buffered as they come, appended to both endpoints' lists,
+    and each list then keeps the first occurrence of every neighbour.
+    @raise Invalid_argument if [n < 0] or an endpoint is out of range. *)
 
 val of_edges : n:int -> (int * int) list -> t
-
-val add_edge : t -> int -> int -> unit
-(** Ignores self-loops and duplicates.
-    @raise Invalid_argument if an endpoint is out of range. *)
+(** {!build} over a list. *)
 
 val num_nodes : t -> int
 val num_edges : t -> int
+
 val has_edge : t -> int -> int -> bool
+(** O(degree). *)
+
 val degree : t -> int -> int
+(** O(1). *)
 
 val neighbors : t -> int -> int list
 (** In insertion order. *)
@@ -33,21 +43,10 @@ val iter_neighbors : (int -> unit) -> t -> int -> unit
     does (a BFS that breaks ties by visit order) keep {!neighbors}. *)
 
 val iter_edges : (int -> int -> unit) -> t -> unit
-(** Each edge visited once, with the smaller endpoint first. *)
+(** Each edge visited once, with the smaller endpoint first: by that
+    endpoint ascending, then in reverse insertion order. *)
 
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-val edges : t -> (int * int) list
-
-val max_degree : t -> int
-(** 0 on the empty graph. *)
-
-val copy : t -> t
-
-val induced : t -> keep:bool array -> t * int array
-(** [induced g ~keep] is the subgraph on the kept vertices together with
-    the map from old vertex ids to new ids ([-1] for dropped vertices). *)
 
 val complement_set : t -> int list -> bool array
 (** [complement_set g vs] is the characteristic vector of [V \ vs]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -164,34 +164,66 @@ let parse_request ~defaults line =
 (* ------------------------------------------------------------------ *)
 (* Canonical serialization *)
 
-let wire_json = function
-  | Crossbar.Design.Row i -> J.Str (Printf.sprintf "r%d" i)
-  | Crossbar.Design.Col j -> J.Str (Printf.sprintf "c%d" j)
+(* Non-negative integers only: rows, columns and wire indices. *)
+let rec add_int buf i =
+  if i >= 10 then add_int buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
 
-let design_json d =
-  let cells = ref [] in
+let add_wire buf w =
+  let tag, i =
+    match w with
+    | Crossbar.Design.Row i -> 'r', i
+    | Crossbar.Design.Col j -> 'c', j
+  in
+  Buffer.add_char buf '"';
+  Buffer.add_char buf tag;
+  add_int buf i;
+  Buffer.add_char buf '"'
+
+let add_json_string buf s = Buffer.add_string buf (J.to_string (J.Str s))
+
+(* {"rows":R,"cols":C,"input":W,"outputs":[[O,W],...],"cells":[[r,c,L],...]}
+   with wires as "r4"/"c2" and cells in iter_programmed's row-major
+   order, the canonical one. *)
+let add_design buf d =
+  Buffer.add_string buf "{\"rows\":";
+  add_int buf (Crossbar.Design.rows d);
+  Buffer.add_string buf ",\"cols\":";
+  add_int buf (Crossbar.Design.cols d);
+  Buffer.add_string buf ",\"input\":";
+  add_wire buf (Crossbar.Design.input d);
+  Buffer.add_string buf ",\"outputs\":[";
+  List.iteri
+    (fun i (name, w) ->
+       if i > 0 then Buffer.add_char buf ',';
+       Buffer.add_char buf '[';
+       add_json_string buf name;
+       Buffer.add_char buf ',';
+       add_wire buf w;
+       Buffer.add_char buf ']')
+    (Crossbar.Design.outputs d);
+  Buffer.add_string buf "],\"cells\":[";
+  (* Each distinct literal's JSON text, rendered once. *)
+  let texts = Hashtbl.create 64 in
+  let text lit =
+    match Hashtbl.find_opt texts lit with
+    | Some s -> s
+    | None ->
+      let s = J.to_string (J.Str (Crossbar.Literal.to_string lit)) in
+      Hashtbl.replace texts lit s;
+      s
+  in
+  let first = ref true in
   Crossbar.Design.iter_programmed d (fun r c lit ->
-      cells :=
-        J.Arr
-          [
-            J.Num (float_of_int r);
-            J.Num (float_of_int c);
-            J.Str (Crossbar.Literal.to_string lit);
-          ]
-        :: !cells);
-  J.Obj
-    [
-      "rows", J.Num (float_of_int (Crossbar.Design.rows d));
-      "cols", J.Num (float_of_int (Crossbar.Design.cols d));
-      "input", wire_json (Crossbar.Design.input d);
-      ( "outputs",
-        J.Arr
-          (List.map
-             (fun (name, w) -> J.Arr [ J.Str name; wire_json w ])
-             (Crossbar.Design.outputs d)) );
-      (* iter_programmed's row-major order is the canonical one. *)
-      "cells", J.Arr (List.rev !cells);
-    ]
+      if !first then first := false else Buffer.add_char buf ',';
+      Buffer.add_char buf '[';
+      add_int buf r;
+      Buffer.add_char buf ',';
+      add_int buf c;
+      Buffer.add_char buf ',';
+      Buffer.add_string buf (text lit);
+      Buffer.add_char buf ']');
+  Buffer.add_string buf "]}"
 
 (* Wall-clock fields (synthesis_time, label_time) are deliberately
    omitted: the payload must be a deterministic function of the cache
@@ -215,10 +247,20 @@ let report_json (r : Compact.Report.t) =
     ]
 
 let synth_payload ~key ~design ~report =
-  Printf.sprintf "\"key\":%s,\"design\":%s,\"report\":%s"
-    (J.to_string (J.Str key))
-    (J.to_string (design_json design))
-    (J.to_string (report_json report))
+  (* About 19 bytes a cell on the Table-I designs. *)
+  let buf =
+    Buffer.create
+      (512 + String.length key
+       + (24 * Crossbar.Design.num_programmed design)
+       + (24 * List.length (Crossbar.Design.outputs design)))
+  in
+  Buffer.add_string buf "\"key\":";
+  add_json_string buf key;
+  Buffer.add_string buf ",\"design\":";
+  add_design buf design;
+  Buffer.add_string buf ",\"report\":";
+  Buffer.add_string buf (J.to_string (report_json report));
+  Buffer.contents buf
 
 let synth_response ~id ~cached ~coalesced ~payload =
   Printf.sprintf "{\"id\":%s,\"ok\":true,\"cached\":%b,\"coalesced\":%b,%s}"

@@ -89,7 +89,6 @@ val parse_request :
     server-side and not settable over the wire — an attempt is a
     [Bad_request]). *)
 
-val design_json : Crossbar.Design.t -> Obs.Json.t
 val report_json : Compact.Report.t -> Obs.Json.t
 
 val synth_payload :
@@ -97,7 +96,8 @@ val synth_payload :
 (** The cacheable part of a synth response:
     ["key":…, "design":…, "report":…] rendered as a JSON-object
     fragment (no braces). Deterministic per (function, options,
-    engine). *)
+    engine). The design is written straight into one buffer, cell by
+    cell, in the bytes {!Obs.Json.to_string} gives its tree form. *)
 
 val synth_response :
   id:Obs.Json.t -> cached:bool -> coalesced:bool -> payload:string -> string

@@ -568,15 +568,51 @@ let tree_expr_gen =
   in
   int_range 3 5 >>= tree
 
-(* The BDD graph of one to three expressions, one output each. *)
-let graph_of_exprs fs =
+(* The SBDD of one to three expressions, one output each. *)
+let sbdd_of_exprs fs =
   let outputs = List.mapi (fun i _ -> Printf.sprintf "o%d" i) fs in
   let inputs = List.sort_uniq compare (List.concat_map Logic.Expr.vars fs) in
   let nl =
     Logic.Netlist.create ~name:"t" ~inputs ~outputs
       (List.map2 Logic.Netlist.n_expr outputs fs)
   in
-  Compact.Preprocess.of_sbdd (Bdd.Sbdd.of_netlist nl)
+  Bdd.Sbdd.of_netlist nl
+
+let graph_of_exprs fs = Compact.Preprocess.of_sbdd (sbdd_of_exprs fs)
+
+(* The bulk-built graph against the incremental construction it
+   replaced: the same neighbours in the same order at every vertex, and
+   the same edge literals, roots and node names. *)
+let matches_incremental sbdd =
+  let bg = Compact.Preprocess.of_sbdd sbdd
+  and old = Incremental_graph.of_sbdd sbdd in
+  let n = Graphs.Ugraph.num_nodes bg.graph in
+  n = Incremental_graph.Ugraph.num_nodes old.graph
+  && Graphs.Ugraph.num_edges bg.graph
+     = Incremental_graph.Ugraph.num_edges old.graph
+  && List.for_all
+       (fun v ->
+          Graphs.Ugraph.neighbors bg.graph v
+          = Incremental_graph.Ugraph.neighbors old.graph v)
+       (List.init n Fun.id)
+  && bg.edge_literals = old.edge_literals
+  && bg.terminal = old.terminal && bg.roots = old.roots
+  && bg.node_names = old.node_names
+
+let graph_oracle_tests =
+  [
+    Alcotest.test_case "the 17 Table-I circuits match the incremental oracle"
+      `Quick (fun () ->
+          List.iter
+            (fun (entry : Circuits.Suite.entry) ->
+               check tb entry.name true
+                 (matches_incremental
+                    (Bdd.Sbdd.of_netlist (entry.generate ()))))
+            Circuits.Suite.all);
+    qcheck_case "random expressions match the incremental oracle" ~count:100
+      QCheck2.Gen.(list_size (int_range 1 3) tree_expr_gen)
+      (fun fs -> matches_incremental (sbdd_of_exprs fs));
+  ]
 
 (* What the indexed search and the orient oracle must agree on. *)
 let same_labeling (a : Compact.Types.labeling) (b : Compact.Types.labeling) =
@@ -1126,7 +1162,7 @@ let oracle_tests =
 let () =
   Alcotest.run "compact"
     [
-      "preprocess", preprocess_tests;
+      "preprocess", preprocess_tests @ graph_oracle_tests;
       "types", types_tests;
       "labeling", label_tests;
       "constrained", constrained_tests;

@@ -265,6 +265,34 @@ let design_tests =
          let cells = List.rev !cells in
          check ti "count" 6 (List.length cells);
          check tb "sorted" true (List.sort compare cells = cells));
+    Alcotest.test_case "iter_programmed sees every set; copy, permute fresh"
+      `Quick (fun () ->
+          let module D = Crossbar.Design in
+          let module L = Crossbar.Literal in
+          let cells d =
+            let acc = ref [] in
+            D.iter_programmed d (fun i j l -> acc := (i, j, L.to_string l) :: !acc);
+            List.rev !acc
+          in
+          let expect what want d =
+            check Alcotest.(list (triple int int string)) what want (cells d)
+          in
+          let d = D.create ~rows:3 ~cols:3 ~input:(D.Row 0) ~outputs:[] in
+          D.set d ~row:2 ~col:1 (L.Pos "a");
+          D.set d ~row:0 ~col:2 L.On;
+          expect "first order" [ 0, 2, "1"; 2, 1, "a" ] d;
+          D.set d ~row:1 ~col:0 (L.Neg "b");
+          expect "a new junction" [ 0, 2, "1"; 1, 0, "!b"; 2, 1, "a" ] d;
+          D.set d ~row:0 ~col:2 L.Off;
+          expect "an erased one" [ 1, 0, "!b"; 2, 1, "a" ] d;
+          D.set d ~row:2 ~col:1 (L.Neg "a");
+          expect "a rewritten one" [ 1, 0, "!b"; 2, 1, "!a" ] d;
+          let c = D.copy d in
+          D.set c ~row:0 ~col:0 L.On;
+          expect "the copy" [ 0, 0, "1"; 1, 0, "!b"; 2, 1, "!a" ] c;
+          expect "its original" [ 1, 0, "!b"; 2, 1, "!a" ] d;
+          let p = D.permute d ~row_perm:[| 2; 1; 0 |] ~col_perm:[| 1; 0; 2 |] in
+          expect "the permuted design" [ 0, 0, "!a"; 1, 1, "!b" ] p);
   ]
 
 let eval_tests =

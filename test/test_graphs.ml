@@ -80,21 +80,36 @@ let brute_oct g =
 
 (* ------------------------------------------------------------------ *)
 
+(* Random edge lists with repeats (either way round) and self-loops. *)
+let edge_list_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 12 in
+    let vertex = int_bound (n - 1) in
+    let* edges = list_size (int_bound 40) (pair vertex vertex) in
+    return (n, edges))
+
+(* Every vertex's neighbours, in order, and the edge count. *)
+let adjacency g =
+  ( Graphs.Ugraph.num_edges g,
+    List.init (Graphs.Ugraph.num_nodes g) (Graphs.Ugraph.neighbors g) )
+
+let incremental_adjacency g =
+  ( Incremental_graph.Ugraph.num_edges g,
+    List.init
+      (Incremental_graph.Ugraph.num_nodes g)
+      (Incremental_graph.Ugraph.neighbors g) )
+
 let ugraph_tests =
   [
     Alcotest.test_case "duplicates and self-loops ignored" `Quick (fun () ->
-        let g = Graphs.Ugraph.create 3 in
-        Graphs.Ugraph.add_edge g 0 1;
-        Graphs.Ugraph.add_edge g 1 0;
-        Graphs.Ugraph.add_edge g 2 2;
+        let g = Graphs.Ugraph.of_edges ~n:3 [ 0, 1; 1, 0; 2, 2 ] in
         check ti "edges" 1 (Graphs.Ugraph.num_edges g);
         check ti "deg0" 1 (Graphs.Ugraph.degree g 0);
         check tb "has" true (Graphs.Ugraph.has_edge g 1 0);
         check tb "no self" false (Graphs.Ugraph.has_edge g 2 2));
     Alcotest.test_case "out-of-range rejected" `Quick (fun () ->
-        let g = Graphs.Ugraph.create 2 in
         check tb "raises" true
-          (match Graphs.Ugraph.add_edge g 0 5 with
+          (match Graphs.Ugraph.of_edges ~n:2 [ 0, 1; 0, 5 ] with
            | exception Invalid_argument _ -> true
            | _ -> false));
     Alcotest.test_case "iter_edges each edge once, ordered" `Quick (fun () ->
@@ -103,22 +118,10 @@ let ugraph_tests =
         Graphs.Ugraph.iter_edges (fun u v -> seen := (u, v) :: !seen) g;
         List.iter (fun (u, v) -> check tb "u<v" true (u < v)) !seen;
         check ti "count" 3 (List.length !seen));
-    Alcotest.test_case "induced subgraph" `Quick (fun () ->
-        let g = cycle 4 in
-        let keep = [| true; true; true; false |] in
-        let sub, map = Graphs.Ugraph.induced g ~keep in
-        check ti "nodes" 3 (Graphs.Ugraph.num_nodes sub);
-        check ti "edges" 2 (Graphs.Ugraph.num_edges sub);
-        check ti "dropped" (-1) map.(3));
-    Alcotest.test_case "max_degree" `Quick (fun () ->
-        let g = make_graph (4, [ 0, 1; 0, 2; 0, 3 ]) in
-        check ti "star" 3 (Graphs.Ugraph.max_degree g));
-    Alcotest.test_case "copy is independent" `Quick (fun () ->
-        let g = path 3 in
-        let g2 = Graphs.Ugraph.copy g in
-        Graphs.Ugraph.add_edge g2 0 2;
-        check ti "orig" 2 (Graphs.Ugraph.num_edges g);
-        check ti "copy" 3 (Graphs.Ugraph.num_edges g2));
+    qcheck_case "bulk construction equals incremental dedup" edge_list_gen
+      (fun (n, edges) ->
+         adjacency (Graphs.Ugraph.of_edges ~n edges)
+         = incremental_adjacency (Incremental_graph.Ugraph.of_edges ~n edges));
   ]
 
 let bipartite_tests =
@@ -175,9 +178,22 @@ let bipartite_tests =
     (* The oracle: colour and components of the induced subgraph, read
        back through its vertex map. *)
     qcheck_case "residual matches two_color and components of induced"
-      residual_gen (fun (spec, keep) ->
+      residual_gen (fun (((n, _) as spec), keep) ->
         let g = make_graph spec in
-        let sub, map = Graphs.Ugraph.induced g ~keep in
+        let map = Array.make n (-1) and kept = ref 0 in
+        Array.iteri
+          (fun v k ->
+             if k then begin
+               map.(v) <- !kept;
+               incr kept
+             end)
+          keep;
+        let sub =
+          Graphs.Ugraph.build ~n:!kept (fun add ->
+              Graphs.Ugraph.iter_edges
+                (fun u v -> if keep.(u) && keep.(v) then add map.(u) map.(v))
+                g)
+        in
         match
           Graphs.Bipartite.residual g ~keep, Graphs.Bipartite.two_color sub
         with
@@ -263,7 +279,7 @@ let vc_tests =
     Alcotest.test_case "path of 5 needs 2" `Quick (fun () ->
         check ti "vc" 2 (Graphs.Vertex_cover.solve (path 5)).size);
     Alcotest.test_case "empty graph needs 0" `Quick (fun () ->
-        let r = Graphs.Vertex_cover.solve (Graphs.Ugraph.create 4) in
+        let r = Graphs.Vertex_cover.solve (Graphs.Ugraph.of_edges ~n:4 []) in
         check ti "vc" 0 r.size;
         check tb "optimal" true r.optimal);
     qcheck_case "solve matches brute force" ~count:60 graph_gen (fun spec ->

@@ -20,6 +20,17 @@ module Engine = Server.Engine
 
 let defaults = Compact.Pipeline.default_options
 
+(* The @proptest alias re-runs the property tests with QCHECK_MULT-times
+   the default case count (see test/dune). *)
+let qcheck_mult =
+  match Option.bind (Sys.getenv_opt "QCHECK_MULT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
+let qcheck_case ?(count = 100) name gen prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:(count * qcheck_mult) ~name gen prop)
+
 let parse line = Protocol.parse_request ~defaults line
 
 let code_of = function
@@ -557,8 +568,8 @@ let reentrancy_tests =
            (* The canonical serialization: design plus the report minus
               its wall-clock fields, which legitimately differ run to
               run. *)
-           J.to_string (Protocol.design_json r.Compact.Pipeline.design)
-           ^ J.to_string (Protocol.report_json r.Compact.Pipeline.report)
+           Protocol.synth_payload ~key:"maj" ~design:r.Compact.Pipeline.design
+             ~report:r.Compact.Pipeline.report
          in
          let first = run () in
          let second = run () in
@@ -595,10 +606,87 @@ let reentrancy_tests =
            (J.member "cached" (J.parse r1') = Some (J.Bool true)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The payload writer against the tree rendering it replaced *)
+
+module Design = Crossbar.Design
+module Literal = Crossbar.Literal
+
+(* Names that need every kind of escape: quote, backslash, control
+   characters, and UTF-8 that must pass through untouched. *)
+let awkward_names =
+  [ "f"; "x12"; ""; "a\"b"; "back\\slash"; "ctl\001\031\127";
+    "tab\tnl\ncr\r"; "\xc3\xbc\xe2\x9c\x93" ]
+
+let small_report =
+  lazy
+    (Compact.Pipeline.synthesize
+       (Logic.Netlist.of_expr ~name:"a\"\\b" (Logic.Parse.expr "a & ~b")))
+      .Compact.Pipeline.report
+
+let writer_matches_tree ~key design =
+  let report = Lazy.force small_report in
+  let written = Protocol.synth_payload ~key ~design ~report in
+  written = Tree_payload.synth_payload ~key ~design ~report
+
+let wire_gen ~rows ~cols =
+  QCheck2.Gen.(
+    oneof
+      [ map (fun i -> Design.Row i) (int_bound (rows - 1));
+        map (fun j -> Design.Col j) (int_bound (cols - 1)) ])
+
+let literal_gen =
+  QCheck2.Gen.(
+    frequency
+      [ 1, pure Literal.Off; 2, pure Literal.On;
+        4, map (fun v -> Literal.Pos v) (oneofl awkward_names);
+        4, map (fun v -> Literal.Neg v) (oneofl awkward_names) ])
+
+(* Up to 40 junction writes, [Off] ones erasing, on arrays of one to
+   20,000 wires a side. *)
+let design_gen =
+  QCheck2.Gen.(
+    let* rows = oneof [ int_range 1 6; int_range 1 20_000 ] in
+    let* cols = oneof [ int_range 1 6; int_range 1 20_000 ] in
+    let* input = wire_gen ~rows ~cols in
+    let* outputs =
+      list_size (int_bound 3) (pair (oneofl awkward_names) (wire_gen ~rows ~cols))
+    in
+    let* writes =
+      list_size (int_bound 40)
+        (triple (int_bound (rows - 1)) (int_bound (cols - 1)) literal_gen)
+    in
+    let* key = oneofl awkward_names in
+    return (key, (rows, cols, input, outputs), writes))
+
+let payload_tests =
+  [
+    qcheck_case "the writer matches the tree rendering on random designs"
+      design_gen (fun (key, (rows, cols, input, outputs), writes) ->
+        let d = Design.create ~rows ~cols ~input ~outputs in
+        List.iter (fun (row, col, l) -> Design.set d ~row ~col l) writes;
+        writer_matches_tree ~key d);
+    Alcotest.test_case "zero cells and a constant-0 output" `Quick (fun () ->
+        check tb "no cells" true
+          (writer_matches_tree ~key:"empty"
+             (Design.create ~rows:1 ~cols:1 ~input:(Design.Col 0)
+                ~outputs:[ "z\"", Design.Row 0 ]));
+        let nl =
+          Logic.Netlist.create ~name:"k" ~inputs:[ "a"; "b"; "c" ]
+            ~outputs:[ "f"; "zero" ]
+            [ Logic.Netlist.n_expr "f" (Logic.Parse.expr "(a & b) | ~c");
+              Logic.Netlist.n_expr "zero" (Logic.Parse.expr "a & ~a") ]
+        in
+        let r = Compact.Pipeline.synthesize ~options:defaults nl in
+        check tb "synthesized" true
+          (writer_matches_tree ~key:"k" r.Compact.Pipeline.design));
+  ]
+
 let () =
   Alcotest.run "server"
     [
       "protocol", parse_tests;
+      "payload", payload_tests;
       "engine", engine_tests;
       "persistence", persistence_tests;
       "resilience", resilience_tests;
