@@ -55,25 +55,22 @@ let of_graph (bg : Compact.Types.bdd_graph) =
            o, Crossbar.Design.Row (List.assoc o const_row_of))
       bg.roots
   in
-  let design =
-    Crossbar.Design.create ~rows ~cols
-      ~input:(Crossbar.Design.Row row_of.(bg.terminal))
-      ~outputs
-  in
-  (* Diagonal fuses for every node that owns a bitline. *)
-  for v = 0 to n - 1 do
-    if col_of.(v) >= 0 then
-      Crossbar.Design.set design ~row:row_of.(v) ~col:col_of.(v)
-        Crossbar.Literal.On
-  done;
-  (* Edges: the terminal has no bitline, so orient those junctions onto
-     the parent's bitline; otherwise use (row of u, col of v). *)
-  List.iter
-    (fun (u, v, lit) ->
-       let r, c = if col_of.(v) >= 0 then u, v else v, u in
-       Crossbar.Design.set design ~row:row_of.(r) ~col:col_of.(c) lit)
-    bg.edge_literals;
-  design
+  Crossbar.Design.build_coded ~rows ~cols
+    ~input:(Crossbar.Design.Row row_of.(bg.terminal))
+    ~outputs ~vars:bg.inputs
+    (fun set ->
+       (* Diagonal fuses for every node that owns a bitline. *)
+       for v = 0 to n - 1 do
+         if col_of.(v) >= 0 then set ~row:row_of.(v) ~col:col_of.(v) 0
+       done;
+       (* Edges: the terminal has no bitline, so orient those junctions
+          onto the parent's bitline; otherwise use (row of u, col of v). *)
+       let e = bg.edges in
+       for i = 0 to (Array.length e / 3) - 1 do
+         let u = e.(3 * i) and v = e.((3 * i) + 1) in
+         let r, c = if col_of.(v) >= 0 then u, v else v, u in
+         set ~row:row_of.(r) ~col:col_of.(c) e.((3 * i) + 2)
+       done)
 
 type result = {
   designs : Crossbar.Design.t list;

@@ -218,6 +218,7 @@ let upgrade_index ?(alignment = false) (bg : Types.bdd_graph) ~transversal =
   let n = Graphs.Ugraph.num_nodes g in
   if Array.length transversal <> n then
     invalid_arg "Balance.upgrade_index: arity mismatch";
+  let start, adj = Graphs.Ugraph.slices g in
   let is_aligned = Array.make n false in
   if alignment then
     List.iter (fun v -> is_aligned.(v) <- true) (aligned_nodes bg);
@@ -225,8 +226,9 @@ let upgrade_index ?(alignment = false) (bg : Types.bdd_graph) ~transversal =
   let disc = Array.make n (-1) and low = Array.make n 0 in
   let parent = Array.make n (-1) and sub_min = Array.make n 0 in
   let sub = Array.make (2 * n) 0 and sub_aligned = Array.make (2 * n) 0 in
-  (* The DFS stack, and each stacked node's neighbours still to scan. *)
-  let stack = Array.make n 0 and pending = Array.make n [] in
+  (* The DFS stack, and per stacked node the slot of its next neighbour
+     to scan. *)
+  let stack = Array.make n 0 and pending = Array.make n 0 in
   let roots = ref [] and k = ref 0 and time = ref 0 in
   let enter v p =
     comp.(v) <- !k;
@@ -238,7 +240,7 @@ let upgrade_index ?(alignment = false) (bg : Types.bdd_graph) ~transversal =
     sub.((2 * v) + color.(v)) <- 1;
     if is_aligned.(v) then sub_aligned.((2 * v) + color.(v)) <- 1;
     sub_min.(v) <- v;
-    pending.(v) <- Graphs.Ugraph.neighbors g v
+    pending.(v) <- start.(v)
   in
   for s = 0 to n - 1 do
     if (not transversal.(s)) && disc.(s) < 0 then begin
@@ -248,9 +250,10 @@ let upgrade_index ?(alignment = false) (bg : Types.bdd_graph) ~transversal =
       let top = ref 0 in
       while !top >= 0 do
         let u = stack.(!top) in
-        match pending.(u) with
-        | w :: rest ->
-          pending.(u) <- rest;
+        let i = pending.(u) in
+        if i < start.(u + 1) then begin
+          let w = adj.(i) in
+          pending.(u) <- i + 1;
           if transversal.(w) then ()
           else if disc.(w) < 0 then begin
             enter w u;
@@ -260,7 +263,8 @@ let upgrade_index ?(alignment = false) (bg : Types.bdd_graph) ~transversal =
           else if color.(w) = color.(u) then
             invalid_arg "Balance.upgrade_index: the residual has an odd cycle"
           else low.(u) <- min low.(u) disc.(w)
-        | [] ->
+        end
+        else begin
           decr top;
           let p = parent.(u) in
           if p >= 0 then begin
@@ -272,6 +276,7 @@ let upgrade_index ?(alignment = false) (bg : Types.bdd_graph) ~transversal =
             done;
             sub_min.(p) <- min sub_min.(p) sub_min.(u)
           end
+        end
       done;
       incr k
     end

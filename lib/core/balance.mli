@@ -32,17 +32,35 @@ val orient :
     @raise Invalid_argument on arity mismatch, or when the residual has
     an odd cycle (the transversal is not one). *)
 
-type upgrade_index
+type upgrade_index = private {
+  graph : Graphs.Ugraph.t;
+  comp : int array;  (** residual component per node; -1 on the transversal *)
+  color : int array;  (** DFS depth parity *)
+  disc : int array;  (** discovery time; -1 on the transversal *)
+  low : int array;  (** lowpoint *)
+  parent : int array;  (** DFS parent; -1 at a component's root *)
+  is_aligned : bool array;
+  sub : int array;  (** nodes of colour b in v's subtree, at [2v + b] *)
+  sub_aligned : int array;  (** aligned ones, likewise *)
+  sub_min : int array;  (** the smallest node in v's subtree *)
+  root : int array;  (** per component: its smallest node *)
+  free_slot : int array;  (** per component: its place in [free], or -1 *)
+  free : int array;  (** the free components' deltas *)
+  vh : int;  (** {!orient}'s VH count at this transversal *)
+  base : int;  (** the forced components' contributions, summed *)
+}
 (** The residual of one transversal, indexed to price the paper's Fig 7
     move (upgrade a node to VH) on every node outside it without
     re-orienting. One iterative DFS over the residual, entering each
     component at its smallest node so that depth parity is {!orient}'s
-    canonical colour, records discovery times, lowpoints and parents,
-    and per subtree its nodes and aligned nodes of each colour and its
-    smallest node. Removing v splits its component into the subtrees of
-    v's DFS children whose lowpoint does not reach above v, plus the rest
-    (Hopcroft & Tarjan, "Efficient algorithms for graph manipulation",
-    CACM 1973); every other component is unchanged. *)
+    canonical colour and scanning each node's neighbours in insertion
+    order through the graph's slices, records discovery times, lowpoints
+    and parents, and per subtree its nodes and aligned nodes of each
+    colour and its smallest node. Removing v splits its component into
+    the subtrees of v's DFS children whose lowpoint does not reach above
+    v, plus the rest (Hopcroft & Tarjan, "Efficient algorithms for graph
+    manipulation", CACM 1973); every other component is unchanged. The
+    fields are readable so that tests can compare indexes. *)
 
 val upgrade_index :
   ?alignment:bool -> Types.bdd_graph -> transversal:bool array -> upgrade_index

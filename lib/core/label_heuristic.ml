@@ -33,13 +33,21 @@ let solve ?(budget = Resilience.Budget.unlimited) ?(alignment = false)
      transversal only grows, so each round's candidates are the first
      nodes of this ranking outside it. *)
   let ranked =
+    (* A counting sort: the nodes in descending id, bucketed by degree
+       from the highest down. *)
     let degree = Array.init n (Graphs.Ugraph.degree bg.graph) in
-    let by_degree a b =
-      let c = compare degree.(b) degree.(a) in
-      if c <> 0 then c else compare b a
-    in
-    let order = Array.init n Fun.id in
-    Array.stable_sort by_degree order;
+    let top = Array.fold_left max 0 degree in
+    let start = Array.make (top + 2) 0 in
+    Array.iter (fun d -> start.(top - d + 1) <- start.(top - d + 1) + 1) degree;
+    for b = 1 to top + 1 do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    let order = Array.make n 0 in
+    for v = n - 1 downto 0 do
+      let b = top - degree.(v) in
+      order.(start.(b)) <- v;
+      start.(b) <- start.(b) + 1
+    done;
     order
   in
   let improved = ref true in

@@ -52,14 +52,6 @@ let layout (bg : Types.bdd_graph) (labeling : Types.labeling) =
   done;
   row_of, col_of, !next_row, !next_col, const_false_rows
 
-let node_row bg labeling v =
-  let row_of, _, _, _, _ = layout bg labeling in
-  if row_of.(v) >= 0 then Some row_of.(v) else None
-
-let node_col bg labeling v =
-  let _, col_of, _, _, _ = layout bg labeling in
-  if col_of.(v) >= 0 then Some col_of.(v) else None
-
 let run (bg : Types.bdd_graph) (labeling : Types.labeling) =
   let row_of, col_of, rows, cols, const_false_rows = layout bg labeling in
   (* A crossbar needs at least one wire of each kind even if every node
@@ -80,26 +72,20 @@ let run (bg : Types.bdd_graph) (labeling : Types.labeling) =
            o, Crossbar.Design.Row (List.assoc o const_false_rows))
       bg.roots
   in
-  let design =
-    Crossbar.Design.create ~rows ~cols ~input:(wire_of bg.terminal) ~outputs
-  in
-  (* VH fuses. *)
-  Array.iteri
-    (fun v l ->
-       if l = Types.VH then
-         Crossbar.Design.set design ~row:row_of.(v) ~col:col_of.(v)
-           Crossbar.Literal.On)
-    labeling.labels;
-  (* Edge assignment: place each literal at a wordline/bitline junction of
+  (* VH fuses, then each edge's literal at a wordline/bitline junction of
      its endpoints. *)
-  List.iter
-    (fun (u, v, lit) ->
-       let place a b =
-         Crossbar.Design.set design ~row:row_of.(a) ~col:col_of.(b) lit
-       in
-       match row_of.(u) >= 0, col_of.(v) >= 0, row_of.(v) >= 0, col_of.(u) >= 0 with
-       | true, true, _, _ -> place u v
-       | _, _, true, true -> place v u
-       | _ -> invalid_arg "Mapping: unrealisable edge (labeling invalid)")
-    bg.edge_literals;
-  design
+  Crossbar.Design.build_coded ~rows ~cols ~input:(wire_of bg.terminal)
+    ~outputs ~vars:bg.inputs (fun set ->
+        Array.iteri
+          (fun v l ->
+             if l = Types.VH then set ~row:row_of.(v) ~col:col_of.(v) 0)
+          labeling.labels;
+        let e = bg.edges in
+        for i = 0 to (Array.length e / 3) - 1 do
+          let u = e.(3 * i) and v = e.((3 * i) + 1) and code = e.((3 * i) + 2) in
+          if row_of.(u) >= 0 && col_of.(v) >= 0 then
+            set ~row:row_of.(u) ~col:col_of.(v) code
+          else if row_of.(v) >= 0 && col_of.(u) >= 0 then
+            set ~row:row_of.(v) ~col:col_of.(u) code
+          else invalid_arg "Mapping: unrealisable edge (labeling invalid)"
+        done)

@@ -15,10 +15,3 @@
 val run : Types.bdd_graph -> Types.labeling -> Crossbar.Design.t
 (** @raise Invalid_argument if the labeling does not belong to the graph
     or violates the connection constraints. *)
-
-val node_row : Types.bdd_graph -> Types.labeling -> int -> int option
-(** Row assigned to a graph node by the deterministic layout of {!run};
-    [None] for pure-V nodes. Exposed for tests. *)
-
-val node_col : Types.bdd_graph -> Types.labeling -> int -> int option
-(** Column assigned to a graph node; [None] for pure-H nodes. *)

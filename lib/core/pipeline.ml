@@ -431,44 +431,51 @@ let merge_diagonal designs =
     List.fold_left (fun acc d -> acc + Crossbar.Design.cols d) 0 designs
   in
   let shared_input = total_rows - 1 in
-  let outputs = ref [] in
-  let row_offset = ref 0 in
-  let col_offset = ref 0 in
-  let merged_cells = ref [] in
-  List.iter
-    (fun d ->
-       let rows = Crossbar.Design.rows d and cols = Crossbar.Design.cols d in
-       let inp = input_row d in
-       (* Global row of a block-local row: input row → shared row; rows
-          after the input shift up by one. *)
-       let global_row i =
-         if i = inp then shared_input
-         else if i < inp then !row_offset + i
-         else !row_offset + i - 1
-       in
-       Crossbar.Design.iter_programmed d (fun i j lit ->
-           merged_cells :=
-             (global_row i, !col_offset + j, lit) :: !merged_cells);
-       List.iter
-         (fun (o, w) ->
-            let w' =
-              match w with
-              | Crossbar.Design.Row i -> Crossbar.Design.Row (global_row i)
-              | Crossbar.Design.Col j -> Crossbar.Design.Col (!col_offset + j)
-            in
-            outputs := (o, w') :: !outputs)
-         (Crossbar.Design.outputs d);
-       row_offset := !row_offset + rows - 1;
-       col_offset := !col_offset + cols)
-    designs;
-  let merged =
-    Crossbar.Design.create ~rows:total_rows ~cols:total_cols
-      ~input:(Crossbar.Design.Row shared_input) ~outputs:(List.rev !outputs)
+  (* Per block: its input row and its first row, column and variable in
+     the merged design and the concatenated tables. *)
+  let row_offset = ref 0 and col_offset = ref 0 and var_offset = ref 0 in
+  let blocks =
+    List.map
+      (fun d ->
+         let b = d, input_row d, !row_offset, !col_offset, !var_offset in
+         row_offset := !row_offset + Crossbar.Design.rows d - 1;
+         col_offset := !col_offset + Crossbar.Design.cols d;
+         var_offset := !var_offset + Array.length (Crossbar.Design.vars d);
+         b)
+      designs
   in
-  List.iter
-    (fun (r, c, lit) -> Crossbar.Design.set merged ~row:r ~col:c lit)
-    !merged_cells;
-  merged
+  (* Global row of a block-local row: input row → shared row; rows after
+     the input shift up by one. *)
+  let global_row inp row_offset i =
+    if i = inp then shared_input
+    else if i < inp then row_offset + i
+    else row_offset + i - 1
+  in
+  let outputs =
+    List.concat_map
+      (fun (d, inp, r, c, _) ->
+         List.map
+           (fun (o, w) ->
+              ( o,
+                match w with
+                | Crossbar.Design.Row i -> Crossbar.Design.Row (global_row inp r i)
+                | Crossbar.Design.Col j -> Crossbar.Design.Col (c + j) ))
+           (Crossbar.Design.outputs d))
+      blocks
+  in
+  (* Each block's codes move past the variables of the blocks before it;
+     the builder merges repeated names. *)
+  Crossbar.Design.build_coded ~rows:total_rows ~cols:total_cols
+    ~input:(Crossbar.Design.Row shared_input) ~outputs
+    ~vars:(Array.concat (List.map Crossbar.Design.vars designs))
+    (fun set ->
+       List.iter
+         (fun (d, inp, r, c, v) ->
+            Crossbar.Design.iter_coded d (fun i j code ->
+                set ~row:(global_row inp r i) ~col:(c + j)
+                  (Crossbar.Literal.recode code
+                     (Crossbar.Literal.code_variable code + v))))
+         blocks)
 
 let synthesize_separate_robdds ?(options = default_options) ?budget netlist =
   let budget = budget_of_options ?budget options in

@@ -278,29 +278,22 @@ let apply map p d =
     | Design.Row i -> Design.Row p.row_map.(i)
     | Design.Col j -> Design.Col p.col_map.(j)
   in
-  let phys =
-    Design.create ~rows:prows ~cols:pcols ~input:(wire (Design.input d))
-      ~outputs:(List.map (fun (o, w) -> o, wire w) (Design.outputs d))
-  in
-  Design.iter_programmed d (fun i j l ->
-      Design.set phys ~row:p.row_map.(i) ~col:p.col_map.(j) l);
-  (* Physical truth wins over the intended programming. *)
-  List.iter
-    (fun f ->
-       match f with
-       | Crossbar.Fault.Stuck_on (r, c) ->
-         if Defect_map.row_ok map r && Defect_map.col_ok map c then
-           Design.set phys ~row:r ~col:c Literal.On
-       | Crossbar.Fault.Stuck_off (r, c) ->
-         Design.set phys ~row:r ~col:c Literal.Off)
-    (Defect_map.faults map);
-  (* Broken lines conduct nothing; erase anything routed across them. *)
-  let dead = ref [] in
-  Design.iter_programmed phys (fun r c _ ->
-      if not (Defect_map.row_ok map r && Defect_map.col_ok map c) then
-        dead := (r, c) :: !dead);
-  List.iter (fun (r, c) -> Design.set phys ~row:r ~col:c Literal.Off) !dead;
-  phys
+  (* The design's junctions, then physical truth over the intended
+     programming; broken lines conduct nothing, so whatever would be
+     routed across them is never written. *)
+  let live r c = Defect_map.row_ok map r && Defect_map.col_ok map c in
+  Design.build_coded ~rows:prows ~cols:pcols ~input:(wire (Design.input d))
+    ~outputs:(List.map (fun (o, w) -> o, wire w) (Design.outputs d))
+    ~vars:(Design.vars d)
+    (fun set ->
+       let set ~row ~col c = if live row col then set ~row ~col c in
+       Design.iter_coded d (fun i j c ->
+           set ~row:p.row_map.(i) ~col:p.col_map.(j) c);
+       List.iter
+         (function
+           | Crossbar.Fault.Stuck_on (r, c) -> set ~row:r ~col:c 0
+           | Crossbar.Fault.Stuck_off (r, c) -> set ~row:r ~col:c (-1))
+         (Defect_map.faults map))
 
 let pp ppf p =
   let line l = String.concat "," (List.map string_of_int (Array.to_list l)) in

@@ -17,9 +17,8 @@ let of_sbdd (sbdd : Bdd.Sbdd.t) =
     reachable;
   let num_nodes = !next in
   let node_names = Array.make num_nodes "1" in
-  let neg = Array.map (fun v -> Crossbar.Literal.Neg v) sbdd.input_order
-  and pos = Array.map (fun v -> Crossbar.Literal.Pos v) sbdd.input_order in
-  let edge_literals = ref [] in
+  (* At most two edges per internal node; [len] fills [edges]. *)
+  let edges = Array.make (6 * (num_nodes - 1)) 0 and len = ref 0 in
   let graph =
     Graphs.Ugraph.build ~n:num_nodes (fun add_edge ->
         List.iter
@@ -28,16 +27,18 @@ let of_sbdd (sbdd : Bdd.Sbdd.t) =
                let u = ids.(n) in
                let level = Bdd.Manager.level man n in
                node_names.(u) <- sbdd.input_order.(level);
-               let add child lit =
+               let add child code =
                  if child <> Bdd.Manager.zero then begin
                    let v = ids.(child) in
                    add_edge u v;
-                   let a, b = if u < v then u, v else v, u in
-                   edge_literals := (a, b, lit) :: !edge_literals
+                   edges.(!len) <- min u v;
+                   edges.(!len + 1) <- max u v;
+                   edges.(!len + 2) <- code;
+                   len := !len + 3
                  end
                in
-               add (Bdd.Manager.low man n) neg.(level);
-               add (Bdd.Manager.high man n) pos.(level)
+               add (Bdd.Manager.low man n) (Crossbar.Literal.neg_code level);
+               add (Bdd.Manager.high man n) (Crossbar.Literal.pos_code level)
              end)
           reachable)
   in
@@ -50,7 +51,8 @@ let of_sbdd (sbdd : Bdd.Sbdd.t) =
   in
   {
     Types.graph;
-    edge_literals = List.rev !edge_literals;
+    inputs = Array.copy sbdd.input_order;
+    edges = Array.sub edges 0 !len;
     terminal = 0;
     roots;
     node_names;

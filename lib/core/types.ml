@@ -3,7 +3,8 @@ type root = Node of int | Const_false
 
 type bdd_graph = {
   graph : Graphs.Ugraph.t;
-  edge_literals : (int * int * Crossbar.Literal.t) list;
+  inputs : string array;
+  edges : int array;
   terminal : int;
   roots : (string * root) list;
   node_names : string array;

@@ -14,9 +14,13 @@ type root = Node of int | Const_false
     per surviving decision edge. *)
 type bdd_graph = {
   graph : Graphs.Ugraph.t;
-  edge_literals : (int * int * Crossbar.Literal.t) list;
-      (** [(u, v, lit)] with [u < v]; the memristor value realising the
-          edge *)
+  inputs : string array;
+      (** the SBDD's input order: variable [k] of the edge codes *)
+  edges : int array;
+      (** one triple per graph edge, edge [i] at [3i .. 3i + 2]:
+          [u], [v] with [u < v], and the {!Crossbar.Literal} int code,
+          over [inputs], of the literal that programs its memristor
+          ([2k + 1] Pos k, [2k + 2] Neg k) *)
   terminal : int;  (** graph node of the 1-terminal *)
   roots : (string * root) list;  (** output name → root, in output order *)
   node_names : string array;

@@ -19,22 +19,31 @@ let lanes = Sys.int_size
 let number rows = function Design.Row i -> i | Design.Col j -> rows + j
 let wire t w = number t.rows w
 
-let compile d ~index =
+(* [index_of k] is the sweep's index of [vars.(k)], the design's variable
+   [k]; it is asked once per variable, in the order the row-major walk
+   meets them, and each design code is recoded once. *)
+let compile_with d vars index_of =
   let rows = Design.rows d and cols = Design.cols d in
   let n = Design.num_programmed d in
-  (* Edges [0, n) are the row side, filled in iter_programmed's
-     row-major order; [n, 2n) the column side, bucketed by column. *)
+  let index = Array.make (Array.length vars) (-1) in
+  (* [recoded.(c)]: design code [c] over the sweep's indices; -1 until
+     the walk first meets it. *)
+  let recoded = Array.make ((2 * Array.length vars) + 1) (-1) in
+  recoded.(0) <- 0;
+  let recode c =
+    let k = Literal.code_variable c in
+    if index.(k) < 0 then index.(k) <- index_of k;
+    recoded.(c) <- Literal.recode c index.(k);
+    recoded.(c)
+  in
+  (* Edges [0, n) are the row side, filled in iter_coded's row-major
+     order; [n, 2n) the column side, bucketed by column. *)
   let start = Array.make (rows + cols + 1) 0 in
   let dst = Array.make (2 * n) 0 and code = Array.make (2 * n) 0 in
   let e = ref 0 in
-  Design.iter_programmed d (fun i j l ->
+  Design.iter_coded d (fun i j c ->
       dst.(!e) <- rows + j;
-      code.(!e) <-
-        (match l with
-         | Literal.On -> 0
-         | Literal.Pos v -> (2 * index v) + 1
-         | Literal.Neg v -> (2 * index v) + 2
-         | Literal.Off -> assert false (* never programmed *));
+      code.(!e) <- (if recoded.(c) >= 0 then recoded.(c) else recode c);
       start.(i + 1) <- start.(i + 1) + 1;
       start.(rows + j + 1) <- start.(rows + j + 1) + 1;
       incr e);
@@ -51,6 +60,10 @@ let compile d ~index =
     done
   done;
   { rows; start; dst; code; input = number rows (Design.input d) }
+
+let compile d ~index =
+  let vars = Design.vars d in
+  compile_with d vars (fun k -> index vars.(k))
 
 let sweep t words ~batch =
   if batch < 1 || batch > lanes then invalid_arg "Eval.sweep: batch out of range";
@@ -92,13 +105,11 @@ let sweep t words ~batch =
   done;
   reach
 
-(* The one-assignment case: variables indexed in [Design.variables]
+(* The one-assignment case: variables indexed in the design's own
    order, lane 0 only. *)
 let sweep_one d env =
-  let vars = Array.of_list (Design.variables d) in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun k v -> Hashtbl.replace index v k) vars;
-  let t = compile d ~index:(Hashtbl.find index) in
+  let vars = Design.vars d in
+  let t = compile_with d vars Fun.id in
   t, sweep t (Array.map (fun v -> if env v then 1 else 0) vars) ~batch:1
 
 let reachable_wires d env =

@@ -24,9 +24,11 @@ type t
 
 val compile : Design.t -> index:(string -> int) -> t
 (** [index v] is the position of variable [v] in the words passed to
-    {!sweep}. It is called on every literal junction here, so an
-    exception it raises for an unknown variable escapes from [compile].
-    Costs one {!Design.iter_programmed} pass. *)
+    {!sweep}. It is called once per design variable, in the order a
+    row-major walk of the junctions first meets each, so an exception it
+    raises for an unknown variable escapes from [compile]. Costs one
+    {!Design.iter_coded} pass, which maps each junction's code through a
+    per-variable table: no junction looks a name up. *)
 
 val lanes : int
 (** Assignments per sweep: [Sys.int_size] (63 on 64-bit hosts). *)

@@ -1,14 +1,16 @@
 type fault = Stuck_on of int * int | Stuck_off of int * int
 
 let inject design faults =
-  let faulty = Design.copy design in
-  List.iter
-    (fun fault ->
-       match fault with
-       | Stuck_on (row, col) -> Design.set faulty ~row ~col Literal.On
-       | Stuck_off (row, col) -> Design.set faulty ~row ~col Literal.Off)
-    faults;
-  faulty
+  Design.build_coded ~rows:(Design.rows design) ~cols:(Design.cols design)
+    ~input:(Design.input design) ~outputs:(Design.outputs design)
+    ~vars:(Design.vars design)
+    (fun set ->
+       Design.iter_coded design (fun row col c -> set ~row ~col c);
+       List.iter
+         (function
+           | Stuck_on (row, col) -> set ~row ~col 0
+           | Stuck_off (row, col) -> set ~row ~col (-1))
+         faults)
 
 let random_faults ?(seed = 0xfa01) ~rate design =
   if rate < 0. || rate > 1. then invalid_arg "Fault.random_faults: rate";

@@ -12,9 +12,9 @@ type fault =
   | Stuck_off of int * int  (** (row, col): junction never conducts *)
 
 val inject : Design.t -> fault list -> Design.t
-(** A copy of the design with the faults applied: stuck-on junctions hold
-    [Literal.On]; stuck-off junctions hold [Literal.Off] regardless of
-    their programmed literal.
+(** A new design with the faults applied, in list order: stuck-on
+    junctions hold [Literal.On]; stuck-off junctions hold [Literal.Off]
+    regardless of their programmed literal.
     @raise Invalid_argument on out-of-range coordinates. *)
 
 val random_faults :

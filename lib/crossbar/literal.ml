@@ -23,3 +23,13 @@ let to_string = function
   | Neg v -> "!" ^ v
 
 let pp ppf l = Format.pp_print_string ppf (to_string l)
+
+let pos_code k = (2 * k) + 1
+let neg_code k = (2 * k) + 2
+let code_variable c = (c - 1) / 2
+let recode c k = if c = 0 then 0 else (2 * k) + 2 - (c land 1)
+
+let of_code vars c =
+  if c = 0 then On
+  else if c land 1 = 1 then Pos vars.(code_variable c)
+  else Neg vars.(code_variable c)

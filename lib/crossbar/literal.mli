@@ -24,3 +24,26 @@ val to_string : t -> string
 (** ["0"], ["1"], ["a"], ["!a"]. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Int codes}
+
+    Over a table of variable names a literal is coded as an int: [0] is
+    [On], [2k + 1] [Pos] of variable [k] and [2k + 2] its [Neg]. The BDD
+    graph's edges, a design's junctions and the evaluator all use this
+    coding. [Off] has no code; a design does not store it. *)
+
+val pos_code : int -> int
+(** [2k + 1]. *)
+
+val neg_code : int -> int
+(** [2k + 2]. *)
+
+val code_variable : int -> int
+(** The variable [k] of a [Pos] or [Neg] code. *)
+
+val recode : int -> int -> int
+(** [recode c k] is a code of [c]'s kind over variable [k]: [On] stays
+    [0], [Pos] and [Neg] keep their polarity. *)
+
+val of_code : string array -> int -> t
+(** The literal a code denotes over a table. *)

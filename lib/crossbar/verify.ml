@@ -9,6 +9,8 @@ type outcome = Ok | Failed of counterexample
 
 exception Found of counterexample
 
+module Names = Map.Make (String)
+
 (* The assignments a check visits, in order: every row of the [2^n]
    table (bit [i] of the row is input [i]), or [trials] draws from a
    seeded stream. *)
@@ -18,19 +20,19 @@ type points = Rows | Draws of Random.State.t * int
    with [reference] to [mismatch], in design-output order.  The design
    is compiled once, which checks the preconditions before the first
    point: every design variable is a reference input and every design
-   output a reference output.  Points fill the lanes of one sweep in
-   order; after the sweep the lanes are checked in that order, so
-   [reference] sees the same points, in the same order, as one
+   output a reference output.  The compile looks each design variable
+   up once, in a map of the input names.  Points fill the lanes of one
+   sweep in order; after the sweep the lanes are checked in that order,
+   so [reference] sees the same points, in the same order, as one
    evaluation per point would give it. *)
 let scan d ~inputs ~reference ~outputs points mismatch =
   let n = List.length inputs in
-  let in_index = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace in_index v i) inputs;
+  let in_index = Names.of_seq (List.to_seq (List.mapi (fun i v -> v, i) inputs)) in
   let out_index = Hashtbl.create 16 in
   List.iteri (fun i o -> Hashtbl.replace out_index o i) outputs;
   let compiled =
     Eval.compile d ~index:(fun v ->
-        match Hashtbl.find_opt in_index v with
+        match Names.find_opt v in_index with
         | Some i -> i
         | None ->
           invalid_arg

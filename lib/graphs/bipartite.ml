@@ -6,6 +6,7 @@ let bfs_color g =
   let parent = Array.make n (-1) in
   let conflict = ref None in
   let queue = Queue.create () in
+  let start, adj = Ugraph.slices g in
   (try
      for s = 0 to n - 1 do
        if color.(s) < 0 then begin
@@ -14,18 +15,18 @@ let bfs_color g =
          Queue.add s queue;
          while not (Queue.is_empty queue) do
            let u = Queue.pop queue in
-           List.iter
-             (fun v ->
-                if color.(v) < 0 then begin
-                  color.(v) <- 1 - color.(u);
-                  parent.(v) <- u;
-                  Queue.add v queue
-                end
-                else if color.(v) = color.(u) then begin
-                  conflict := Some (u, v);
-                  raise Exit
-                end)
-             (Ugraph.neighbors g u)
+           for i = start.(u) to start.(u + 1) - 1 do
+             let v = adj.(i) in
+             if color.(v) < 0 then begin
+               color.(v) <- 1 - color.(u);
+               parent.(v) <- u;
+               Queue.add v queue
+             end
+             else if color.(v) = color.(u) then begin
+               conflict := Some (u, v);
+               raise Exit
+             end
+           done
          done
        end
      done
@@ -107,19 +108,20 @@ let components g =
   let comp = Array.make n (-1) in
   let k = ref 0 in
   let queue = Queue.create () in
+  let start, adj = Ugraph.slices g in
   for s = 0 to n - 1 do
     if comp.(s) < 0 then begin
       comp.(s) <- !k;
       Queue.add s queue;
       while not (Queue.is_empty queue) do
         let u = Queue.pop queue in
-        List.iter
-          (fun v ->
-             if comp.(v) < 0 then begin
-               comp.(v) <- !k;
-               Queue.add v queue
-             end)
-          (Ugraph.neighbors g u)
+        for i = start.(u) to start.(u + 1) - 1 do
+          let v = adj.(i) in
+          if comp.(v) < 0 then begin
+            comp.(v) <- !k;
+            Queue.add v queue
+          end
+        done
       done;
       incr k
     end

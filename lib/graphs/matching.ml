@@ -11,6 +11,7 @@ let hopcroft_karp g ~left =
   let mate = Array.make n (-1) in
   let dist = Array.make n inf in
   let queue = Queue.create () in
+  let start, adj = Ugraph.slices g in
   (* BFS layering over left vertices; returns true if an augmenting path
      exists. *)
   let bfs () =
@@ -26,33 +27,36 @@ let hopcroft_karp g ~left =
     done;
     while not (Queue.is_empty queue) do
       let u = Queue.pop queue in
-      List.iter
-        (fun v ->
-           let w = mate.(v) in
-           if w < 0 then found := true
-           else if dist.(w) = inf then begin
-             dist.(w) <- dist.(u) + 1;
-             Queue.add w queue
-           end)
-        (Ugraph.neighbors g u)
+      for i = start.(u) to start.(u + 1) - 1 do
+        let w = mate.(adj.(i)) in
+        if w < 0 then found := true
+        else if dist.(w) = inf then begin
+          dist.(w) <- dist.(u) + 1;
+          Queue.add w queue
+        end
+      done
     done;
     !found
   in
   let rec dfs u =
-    let rec try_neighbors = function
-      | [] ->
+    (* [i] is the slot of the next neighbour of [u] to try. *)
+    let rec try_neighbors i =
+      if i = start.(u + 1) then begin
         dist.(u) <- inf;
         false
-      | v :: rest ->
+      end
+      else begin
+        let v = adj.(i) in
         let w = mate.(v) in
         if (w < 0 || (dist.(w) = dist.(u) + 1 && dfs w)) then begin
           mate.(u) <- v;
           mate.(v) <- u;
           true
         end
-        else try_neighbors rest
+        else try_neighbors (i + 1)
+      end
     in
-    try_neighbors (Ugraph.neighbors g u)
+    try_neighbors start.(u)
   in
   while bfs () do
     for u = 0 to n - 1 do

@@ -38,46 +38,49 @@ let solve ?budget g =
   }
 
 let greedy g =
-  let start = Obs.Clock.now () in
+  let started = Obs.Clock.now () in
   let n = Ugraph.num_nodes g in
   (* BFS colouring; a vertex that conflicts with an already-coloured
      neighbour is deferred to the transversal. Processing in decreasing
      degree order keeps high-degree troublemakers flexible. *)
   let color = Array.make n (-1) in
   let in_oct = Array.make n false in
+  let start, adj = Ugraph.slices g in
   let try_color v =
     let c0 = ref false and c1 = ref false in
-    List.iter
-      (fun w ->
-         if not in_oct.(w) then
-           match color.(w) with
-           | 0 -> c0 := true
-           | 1 -> c1 := true
-           | _ -> ())
-      (Ugraph.neighbors g v);
+    for i = start.(v) to start.(v + 1) - 1 do
+      let w = adj.(i) in
+      if not in_oct.(w) then
+        match color.(w) with
+        | 0 -> c0 := true
+        | 1 -> c1 := true
+        | _ -> ()
+    done;
     match !c0, !c1 with
     | _, false -> color.(v) <- 1; true
     | false, true -> color.(v) <- 0; true
     | true, true -> false
   in
-  let queue = Queue.create () in
+  (* Every vertex is queued once, so the queue is one array. *)
+  let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
   let visited = Array.make n false in
-  for s = 0 to n - 1 do
-    if not visited.(s) then begin
-      visited.(s) <- true;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        if not (try_color v) then in_oct.(v) <- true;
-        List.iter
-          (fun w ->
-             if not visited.(w) then begin
-               visited.(w) <- true;
-               Queue.add w queue
-             end)
-          (Ugraph.neighbors g v)
-      done
+  let visit w =
+    if not visited.(w) then begin
+      visited.(w) <- true;
+      queue.(!tail) <- w;
+      incr tail
     end
+  in
+  for s = 0 to n - 1 do
+    visit s;
+    while !head < !tail do
+      let v = queue.(!head) in
+      incr head;
+      if not (try_color v) then in_oct.(v) <- true;
+      for i = start.(v) to start.(v + 1) - 1 do
+        visit adj.(i)
+      done
+    done
   done;
   (* Re-insertion pass: an OCT vertex whose coloured neighbourhood is
      monochromatic can rejoin the bipartite part. *)
@@ -95,5 +98,5 @@ let greedy g =
     transversal = !transversal;
     optimal = !transversal = [];
     lower_bound = 0;
-    elapsed = Obs.Clock.now () -. start;
+    elapsed = Obs.Clock.now () -. started;
   }

@@ -84,12 +84,7 @@ let has_edge g u v =
   done;
   !found
 
-let neighbors g v =
-  check g v;
-  let rec from i acc =
-    if i < g.start.(v) then acc else from (i - 1) (g.adj.(i) :: acc)
-  in
-  from (g.start.(v + 1) - 1) []
+let slices g = g.start, g.adj
 
 let iter_neighbors f g v =
   check g v;

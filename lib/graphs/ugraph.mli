@@ -33,14 +33,19 @@ val has_edge : t -> int -> int -> bool
 val degree : t -> int -> int
 (** O(1). *)
 
-val neighbors : t -> int -> int list
-(** In insertion order. *)
+val slices : t -> int array * int array
+(** [(start, adj)], the compressed adjacency itself: [v]'s neighbours
+    are [adj.(start.(v))] to [adj.(start.(v + 1) - 1)], in insertion
+    order, and [start] has [num_nodes + 1] entries. A walk that must see
+    them in that order (a BFS or DFS that breaks ties by visit order)
+    keeps its place in [v]'s slice as one int, a cursor; an explicit DFS
+    stack keeps one cursor per stacked vertex. The arrays are the
+    graph's own, not copies: read them and never write them. *)
 
 val iter_neighbors : (int -> unit) -> t -> int -> unit
 (** [iter_neighbors f g v] applies [f] to every neighbour of [v], in
-    reverse insertion order, without building a list. Prefer it where
-    the result does not depend on neighbour order; loops whose result
-    does (a BFS that breaks ties by visit order) keep {!neighbors}. *)
+    reverse insertion order. Prefer it where the result does not depend
+    on neighbour order; walks whose result does read the slices. *)
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 (** Each edge visited once, with the smaller endpoint first: by that

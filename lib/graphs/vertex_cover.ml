@@ -14,15 +14,18 @@ let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
 
 (* Remove vertices whose neighbourhood is already covered. *)
 let prune_redundant g cover =
+  let start, adj = Ugraph.slices g in
   let changed = ref true in
   while !changed do
     changed := false;
     for v = 0 to Ugraph.num_nodes g - 1 do
       if cover.(v) then begin
-        let needed =
-          List.exists (fun w -> not cover.(w)) (Ugraph.neighbors g v)
-        in
-        if not needed then begin
+        let needed = ref false and i = ref start.(v) in
+        while (not !needed) && !i < start.(v + 1) do
+          needed := not cover.(adj.(!i));
+          incr i
+        done;
+        if not !needed then begin
           cover.(v) <- false;
           changed := true
         end
@@ -54,7 +57,13 @@ let c_nodes = Obs.Counter.make "vc.nodes"
 
 let solve ?(budget = Resilience.Budget.unlimited) g =
   let n = Ugraph.num_nodes g in
-  let neighbors = Array.init n (fun v -> Array.of_list (Ugraph.neighbors g v)) in
+  let start, adj = Ugraph.slices g in
+  (* [f] on v's neighbours, in insertion order. *)
+  let iter_in_order f v =
+    for i = start.(v) to start.(v + 1) - 1 do
+      f adj.(i)
+    done
+  in
   let best_cover, root_lb = greedy g in
   let best_size = ref (count best_cover) in
   let explored = ref 0 in
@@ -84,17 +93,17 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
     let lb = ref 0 in
     for u = 0 to n - 1 do
       if state.(u) = 0 && not used.(u) then begin
-        let rec pick = function
-          | [] -> ()
-          | w :: rest ->
-            if state.(w) = 0 && not used.(w) then begin
-              used.(u) <- true;
-              used.(w) <- true;
-              incr lb
-            end
-            else pick rest
-        in
-        pick (Array.to_list neighbors.(u))
+        (* Match u to its first free neighbour. *)
+        let i = ref start.(u) in
+        while (not used.(u)) && !i < start.(u + 1) do
+          let w = adj.(!i) in
+          if state.(w) = 0 && not used.(w) then begin
+            used.(u) <- true;
+            used.(w) <- true;
+            incr lb
+          end;
+          incr i
+        done
       end
     done;
     !lb
@@ -107,11 +116,11 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
     done;
     for u = 0 to n - 1 do
       if state.(u) = 0 then
-        Array.iter
+        iter_in_order
           (fun w ->
              if (state.(w) = 0 && not (cover.(u) || cover.(w))) then
                cover.(u) <- true)
-          neighbors.(u)
+          u
     done;
     prune_redundant g cover;
     let size = count cover in
@@ -124,7 +133,9 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
      their neighbour included. Returns residual degrees freshness lazily. *)
   let residual_degree v =
     let d = ref 0 in
-    Array.iter (fun w -> if state.(w) = 0 then incr d) neighbors.(v);
+    for i = start.(v) to start.(v + 1) - 1 do
+      if state.(adj.(i)) = 0 then incr d
+    done;
     !d
   in
   let apply_reductions () =
@@ -137,7 +148,7 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
           | 0 -> push v 2; changed := true
           | 1 ->
             push v 2;
-            Array.iter (fun w -> if state.(w) = 0 then push w 1) neighbors.(v);
+            iter_in_order (fun w -> if state.(w) = 0 then push w 1) v;
             changed := true
           | _ -> ()
         end
@@ -184,7 +195,7 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
         undo mark2;
         (* Branch 2: v out, neighbours in. *)
         push v 2;
-        Array.iter (fun w -> if state.(w) = 0 then push w 1) neighbors.(v);
+        iter_in_order (fun w -> if state.(w) = 0 then push w 1) v;
         branch ();
         undo mark
       end

@@ -203,25 +203,24 @@ let add_design buf d =
        Buffer.add_char buf ']')
     (Crossbar.Design.outputs d);
   Buffer.add_string buf "],\"cells\":[";
-  (* Each distinct literal's JSON text, rendered once. *)
-  let texts = Hashtbl.create 64 in
-  let text lit =
-    match Hashtbl.find_opt texts lit with
-    | Some s -> s
-    | None ->
-      let s = J.to_string (J.Str (Crossbar.Literal.to_string lit)) in
-      Hashtbl.replace texts lit s;
-      s
+  (* Each code's JSON text, rendered once. *)
+  let vars = Crossbar.Design.vars d in
+  let texts =
+    Array.init
+      ((2 * Array.length vars) + 1)
+      (fun c ->
+         J.to_string
+           (J.Str (Crossbar.Literal.to_string (Crossbar.Literal.of_code vars c))))
   in
   let first = ref true in
-  Crossbar.Design.iter_programmed d (fun r c lit ->
+  Crossbar.Design.iter_coded d (fun r c code ->
       if !first then first := false else Buffer.add_char buf ',';
       Buffer.add_char buf '[';
       add_int buf r;
       Buffer.add_char buf ',';
       add_int buf c;
       Buffer.add_char buf ',';
-      Buffer.add_string buf (text lit);
+      Buffer.add_string buf texts.(code);
       Buffer.add_char buf ']');
   Buffer.add_string buf "]}"
 

@@ -28,6 +28,15 @@ let graph_of_expr ?order f =
 
 let fig2_graph = lazy (graph_of_expr (e "(a & b) | c"))
 
+(* [bg.edges] decoded: [(u, v, literal)] per edge, in order. *)
+let edge_literals (bg : Compact.Types.bdd_graph) =
+  List.init
+    (Array.length bg.edges / 3)
+    (fun i ->
+       ( bg.edges.(3 * i),
+         bg.edges.((3 * i) + 1),
+         Crossbar.Literal.of_code bg.inputs bg.edges.((3 * i) + 2) ))
+
 (* Random expression generator over a fixed variable alphabet. *)
 let expr_gen_over var_names =
   let open QCheck2.Gen in
@@ -69,10 +78,10 @@ let preprocess_tests =
              check tb "labelled" true
                (Crossbar.Literal.variable lit <> None
                 || Crossbar.Literal.equal lit Crossbar.Literal.On))
-          bg.edge_literals;
+          (edge_literals bg);
         check ti "one literal per edge"
           (Graphs.Ugraph.num_edges bg.graph)
-          (List.length bg.edge_literals));
+          (List.length (edge_literals bg)));
     Alcotest.test_case "constant-1 output maps to the terminal" `Quick
       (fun () ->
          let bg = graph_of_expr Logic.Expr.tru in
@@ -364,7 +373,8 @@ let deltas_summing ~k ~total =
 let bare_graph ?(roots = []) ~n ~terminal edges =
   {
     Compact.Types.graph = Graphs.Ugraph.of_edges ~n edges;
-    edge_literals = [];
+    inputs = [||];
+    edges = [||];
     terminal;
     roots;
     node_names = Array.make n "x";
@@ -434,7 +444,8 @@ let balance_tests =
         let bg =
           {
             Compact.Types.graph = g;
-            edge_literals = [];
+            inputs = [||];
+            edges = [||];
             terminal = 1;
             roots = [];
             node_names = Array.make 8 "x";
@@ -456,7 +467,8 @@ let balance_tests =
         let bg =
           {
             Compact.Types.graph = g;
-            edge_literals = [];
+            inputs = [||];
+            edges = [||];
             terminal = 0;
             roots = [];
             node_names = Array.make 4 "x";
@@ -592,10 +604,10 @@ let matches_incremental sbdd =
      = Incremental_graph.Ugraph.num_edges old.graph
   && List.for_all
        (fun v ->
-          Graphs.Ugraph.neighbors bg.graph v
+          List_walks.neighbors bg.graph v
           = Incremental_graph.Ugraph.neighbors old.graph v)
        (List.init n Fun.id)
-  && bg.edge_literals = old.edge_literals
+  && edge_literals bg = old.edge_literals
   && bg.terminal = old.terminal && bg.roots = old.roots
   && bg.node_names = old.node_names
 
@@ -667,7 +679,7 @@ let mapping_tests =
          let labeling = Compact.Label_mip.solve ~alignment:true bg in
          let design = Compact.Mapping.run bg labeling in
          check ti "literal junctions"
-           (List.length bg.edge_literals)
+           (List.length (edge_literals bg))
            (Crossbar.Design.num_literal_junctions design);
          check ti "fuses" labeling.vh_count
            (Crossbar.Design.num_on_junctions design));
@@ -692,6 +704,353 @@ let mapping_tests =
           (match Compact.Mapping.run bg labeling with
            | exception Invalid_argument _ -> true
            | _ -> false));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The immutable design against the Hashtbl design it replaced
+   (test/hashtbl_design.ml): every writer must give the same design. *)
+
+module Old = Hashtbl_design
+
+let old_cells d =
+  let acc = ref [] in
+  Old.Design.iter_programmed d (fun i j l -> acc := (i, j, l) :: !acc);
+  List.rev !acc
+
+let new_cells d =
+  let acc = ref [] in
+  Crossbar.Design.iter_programmed d (fun i j l -> acc := (i, j, l) :: !acc);
+  List.rev !acc
+
+(* The rows [get] reads in full: every row of an array of up to 2^20
+   junctions; of a larger one the first, the last and 30 seeded rows. *)
+let probe_rows ~rows ~cols =
+  if rows * cols <= 1 lsl 20 then List.init rows Fun.id
+  else
+    let st = Random.State.make [| rows; cols |] in
+    0 :: (rows - 1) :: List.init 30 (fun _ -> Random.State.int st rows)
+
+(* What a reader sees of a design: its ports, its junctions in order, the
+   counts, the variables, and [get] at every programmed junction of
+   either design and along the probed rows. *)
+let same_design old d =
+  let module D = Crossbar.Design in
+  let rows = D.rows d and cols = D.cols d in
+  let cells = new_cells d in
+  let get_agrees (row, col, _) =
+    Crossbar.Literal.equal (Old.Design.get old ~row ~col) (D.get d ~row ~col)
+  in
+  Old.Design.rows old = rows
+  && Old.Design.cols old = cols
+  && Old.Design.input old = D.input d
+  && Old.Design.outputs old = D.outputs d
+  && old_cells old = cells
+  && Old.Design.num_programmed old = D.num_programmed d
+  && Old.Design.num_literal_junctions old = D.num_literal_junctions d
+  && Old.Design.num_on_junctions old = D.num_on_junctions d
+  && Old.Design.variables old = D.variables d
+  && List.for_all get_agrees cells
+  && List.for_all get_agrees (old_cells old)
+  && List.for_all
+       (fun row ->
+          List.for_all
+            (fun col -> get_agrees (row, col, ()))
+            (List.init cols Fun.id))
+       (probe_rows ~rows ~cols)
+
+(* Every wire's reach under [env], by a search over the old design's
+   conducting junctions: what [Eval] computes, one lane at a time. *)
+let old_reach old env =
+  let rows = Old.Design.rows old and cols = Old.Design.cols old in
+  let adj = Array.make (rows + cols) [] in
+  Old.Design.iter_programmed old (fun i j l ->
+      if Crossbar.Literal.conducts l env then begin
+        adj.(i) <- (rows + j) :: adj.(i);
+        adj.(rows + j) <- i :: adj.(rows + j)
+      end);
+  let reached = Array.make (rows + cols) false in
+  let stack =
+    ref
+      [ (match Old.Design.input old with
+          | Crossbar.Design.Row i -> i
+          | Crossbar.Design.Col j -> rows + j) ]
+  in
+  while !stack <> [] do
+    let w = List.hd !stack in
+    stack := List.tl !stack;
+    if not reached.(w) then begin
+      reached.(w) <- true;
+      stack := adj.(w) @ !stack
+    end
+  done;
+  reached
+
+(* One sweep of the new design compiled over [inputs], 16 seeded
+   assignments, against [old_reach] on each. *)
+let reach_agrees ~inputs old d =
+  let index = Hashtbl.create 64 in
+  Array.iteri (fun k v -> Hashtbl.replace index v k) inputs;
+  let t = Crossbar.Eval.compile d ~index:(Hashtbl.find index) in
+  let batch = 16 in
+  let st = Random.State.make [| Array.length inputs; batch |] in
+  let points =
+    Array.init batch (fun _ -> Array.map (fun _ -> Random.State.bool st) inputs)
+  in
+  let words =
+    Array.mapi
+      (fun k _ ->
+         let w = ref 0 in
+         Array.iteri (fun l p -> if p.(k) then w := !w lor (1 lsl l)) points;
+         !w)
+      inputs
+  in
+  let reach = Crossbar.Eval.sweep t words ~batch in
+  let rows = Crossbar.Design.rows d and cols = Crossbar.Design.cols d in
+  let wire w =
+    Crossbar.Eval.wire t
+      (if w < rows then Crossbar.Design.Row w else Crossbar.Design.Col (w - rows))
+  in
+  List.for_all
+    (fun l ->
+       let reached = old_reach old (fun v -> points.(l).(Hashtbl.find index v)) in
+       List.for_all
+         (fun w -> reached.(w) = ((reach.(wire w) lsr l) land 1 = 1))
+         (List.init (rows + cols) Fun.id))
+    (List.init batch Fun.id)
+
+(* Names that need escapes in the payload. *)
+let awkward_vars = [| "a"; "b"; "q\"t"; "b\\s"; "c\001"; "d\127"; "\xc3\xbc" |]
+
+let literal_gen =
+  QCheck2.Gen.(
+    frequency
+      [ 1, pure Crossbar.Literal.Off;
+        1, pure Crossbar.Literal.On;
+        2, map (fun v -> Crossbar.Literal.Pos v) (oneofa awkward_vars);
+        2, map (fun v -> Crossbar.Literal.Neg v) (oneofa awkward_vars) ])
+
+let wire_gen ~rows ~cols =
+  QCheck2.Gen.(
+    oneof
+      [ map (fun i -> Crossbar.Design.Row i) (int_bound (rows - 1));
+        map (fun j -> Crossbar.Design.Col j) (int_bound (cols - 1)) ])
+
+(* Up to 60 writes on an array of at most 6 × 6, so that junctions are
+   written again and erased; ports on either kind of wire, or on a row
+   when [row_input]. *)
+let writes_gen ?(row_input = false) () =
+  QCheck2.Gen.(
+    let* rows = int_range 1 6 in
+    let* cols = int_range 1 6 in
+    let* input =
+      if row_input then map (fun i -> Crossbar.Design.Row i) (int_bound (rows - 1))
+      else wire_gen ~rows ~cols
+    in
+    let* outputs =
+      list_size (int_bound 3) (pair (oneofa awkward_vars) (wire_gen ~rows ~cols))
+    in
+    let+ writes =
+      list_size (int_bound 60)
+        (triple (int_bound (rows - 1)) (int_bound (cols - 1)) literal_gen)
+    in
+    rows, cols, input, outputs, writes)
+
+(* The same writes through [create] + [set] and through the builder. *)
+let both (rows, cols, input, outputs, writes) =
+  let old = Old.Design.create ~rows ~cols ~input ~outputs in
+  List.iter (fun (row, col, l) -> Old.Design.set old ~row ~col l) writes;
+  ( old,
+    Crossbar.Design.build ~rows ~cols ~input ~outputs (fun set ->
+        List.iter (fun (row, col, l) -> set ~row ~col l) writes) )
+
+let faults_gen ~rows ~cols =
+  QCheck2.Gen.(
+    list_size (int_bound 8)
+      (map3
+         (fun on r c ->
+            if on then Crossbar.Fault.Stuck_on (r, c)
+            else Crossbar.Fault.Stuck_off (r, c))
+         bool (int_bound (rows - 1)) (int_bound (cols - 1))))
+
+let shuffled n = QCheck2.Gen.shuffle_a (Array.init n Fun.id)
+
+let payload_report =
+  lazy (Compact.Pipeline.synthesize_expr ~name:"r" (e "a & b")).report
+
+let design_oracle_tests =
+  [
+    Alcotest.test_case "the 17 Table-I designs match the Hashtbl oracle"
+      `Quick (fun () ->
+          List.iter
+            (fun (entry : Circuits.Suite.entry) ->
+               let sbdd = Bdd.Sbdd.of_netlist (entry.generate ()) in
+               let bg = Compact.Preprocess.of_sbdd sbdd in
+               let labeling = Compact.Label_oct.greedy ~alignment:true bg in
+               let d = Compact.Mapping.run bg labeling in
+               let old =
+                 Old.Mapping.run
+                   ~edge_literals:(Incremental_graph.of_sbdd sbdd).edge_literals
+                   bg labeling
+               in
+               let report =
+                 Compact.Report.of_design ~circuit:entry.name ~bdd_graph:bg
+                   ~labeling ~synthesis_time:0. d
+               in
+               check tb (entry.name ^ " design") true (same_design old d);
+               check tb (entry.name ^ " reach") true
+                 (reach_agrees ~inputs:bg.inputs old d);
+               check Alcotest.string (entry.name ^ " payload")
+                 (Old.Payload.synth_payload ~key:entry.name ~design:old ~report)
+                 (Server.Protocol.synth_payload ~key:entry.name ~design:d
+                    ~report))
+            Circuits.Suite.all);
+    qcheck_case "the builder equals create + set on random writes" ~count:300
+      (writes_gen ()) (fun case ->
+        let old, d = both case in
+        let report = Lazy.force payload_report in
+        same_design old d
+        && Old.Payload.synth_payload ~key:"k" ~design:old ~report
+           = Server.Protocol.synth_payload ~key:"k" ~design:d ~report);
+    qcheck_case "Fault.inject equals copy + set" ~count:200
+      QCheck2.Gen.(
+        let* ((rows, cols, _, _, _) as case) = writes_gen () in
+        let+ faults = faults_gen ~rows ~cols in
+        case, faults)
+      (fun (case, faults) ->
+        let old, d = both case in
+        same_design (Old.Fault.inject old faults) (Crossbar.Fault.inject d faults));
+    qcheck_case "permute equals the Hashtbl permute" ~count:200
+      QCheck2.Gen.(
+        let* ((rows, cols, _, _, _) as case) = writes_gen () in
+        let* row_perm = shuffled rows in
+        let+ col_perm = shuffled cols in
+        case, row_perm, col_perm)
+      (fun (case, row_perm, col_perm) ->
+        let old, d = both case in
+        same_design
+          (Old.Design.permute old ~row_perm ~col_perm)
+          (Crossbar.Design.permute d ~row_perm ~col_perm));
+    qcheck_case "Place.apply equals the Hashtbl apply" ~count:200
+      QCheck2.Gen.(
+        let* ((rows, cols, _, _, _) as case) = writes_gen () in
+        let* prows = int_range rows (rows + 2) in
+        let* pcols = int_range cols (cols + 2) in
+        let* row_map = shuffled prows in
+        let* col_map = shuffled pcols in
+        let* faults = faults_gen ~rows:prows ~cols:pcols in
+        let* broken_rows = list_size (int_bound 1) (int_bound (prows - 1)) in
+        let+ broken_cols = list_size (int_bound 1) (int_bound (pcols - 1)) in
+        ( case,
+          Crossbar.Defect_map.create ~rows:prows ~cols:pcols ~broken_rows
+            ~broken_cols faults,
+          { Compact.Place.row_map = Array.sub row_map 0 rows;
+            col_map = Array.sub col_map 0 cols } ))
+      (fun (case, map, p) ->
+        let old, d = both case in
+        same_design (Old.Place.apply map p old) (Compact.Place.apply map p d));
+    qcheck_case "merge_diagonal equals the Hashtbl merge" ~count:200
+      QCheck2.Gen.(list_size (int_range 1 3) (writes_gen ~row_input:true ()))
+      (fun cases ->
+        let olds, ds = List.split (List.map both cases) in
+        same_design
+          (Old.Pipeline.merge_diagonal olds)
+          (Compact.Pipeline.merge_diagonal ds));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The labeling rungs' slot walks against the list walks they replaced
+   (test/list_walks.ml): the same transversals, indexes and covers. *)
+
+(* [f ()] and what it added to the counter [name]. *)
+let counted name f =
+  let was = Obs.metrics_enabled () in
+  Obs.set_metrics_enabled true;
+  let read () =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Metrics.snapshot ()).Obs.Metrics.m_counters)
+  in
+  let before = read () in
+  let r = f () in
+  let after = read () in
+  Obs.set_metrics_enabled was;
+  r, after - before
+
+let same_oct (a : Graphs.Oct.result) (b : Graphs.Oct.result) =
+  a.transversal = b.transversal && a.optimal = b.optimal
+  && a.lower_bound = b.lower_bound
+
+let same_index (a : Compact.Balance.upgrade_index)
+    (b : List_walks.Balance.upgrade_index) =
+  a.comp = b.comp && a.color = b.color && a.disc = b.disc && a.low = b.low
+  && a.parent = b.parent && a.is_aligned = b.is_aligned && a.sub = b.sub
+  && a.sub_aligned = b.sub_aligned && a.sub_min = b.sub_min
+  && a.root = b.root && a.free_slot = b.free_slot && a.free = b.free
+  && a.vh = b.vh && a.base = b.base
+
+(* Both covers under the same node allowance, and the nodes each
+   expanded. *)
+let same_cover ~nodes g =
+  let budget () = Resilience.Budget.create ~nodes () in
+  let (a : Graphs.Vertex_cover.result), a_nodes =
+    counted "vc.nodes" (fun () -> Graphs.Vertex_cover.solve ~budget:(budget ()) g)
+  in
+  let (b : Graphs.Vertex_cover.result), b_nodes =
+    List_walks.Vertex_cover.solve ~budget:(budget ()) g
+  in
+  a.cover = b.cover && a.size = b.size && a.lower_bound = b.lower_bound
+  && a.optimal = b.optimal && a_nodes = b_nodes
+
+(* Greedy OCT, the upgrade index of its transversal (and of that plus
+   [extra], alignment on and off) and the cover of G□K2 on graphs of up
+   to [Label_heuristic.exact_oct_node_threshold] nodes, the ones the
+   flow covers. *)
+let walks_agree ?(extra = []) ~nodes (bg : Compact.Types.bdd_graph) =
+  let g = bg.graph in
+  let oct = Graphs.Oct.greedy g in
+  let transversal = Array.make (Graphs.Ugraph.num_nodes g) false in
+  List.iter (fun v -> transversal.(v) <- true) (oct.transversal @ extra);
+  same_oct oct (List_walks.Oct.greedy g)
+  && List.for_all
+       (fun alignment ->
+          same_index
+            (Compact.Balance.upgrade_index ~alignment bg ~transversal)
+            (List_walks.Balance.upgrade_index ~alignment bg ~transversal))
+       [ false; true ]
+  && (Graphs.Ugraph.num_nodes g > Compact.Label_heuristic.exact_oct_node_threshold
+      || same_cover ~nodes (Graphs.Oct.with_k2 g))
+
+let random_graph_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 30 in
+    let vertex = int_bound (n - 1) in
+    let* edges = list_size (int_bound 80) (pair vertex vertex) in
+    let* terminal = vertex in
+    let* roots = list_size (int_bound 3) vertex in
+    let+ extra = list_size (int_bound 3) vertex in
+    ( bare_graph ~n ~terminal
+        ~roots:(List.mapi (fun i v -> Printf.sprintf "o%d" i, Compact.Types.Node v) roots)
+        edges,
+      extra ))
+
+let walk_oracle_tests =
+  [
+    Alcotest.test_case "the 17 Table-I graphs match the list walks" `Quick
+      (fun () ->
+         List.iter
+           (fun (entry : Circuits.Suite.entry) ->
+              let bg =
+                Compact.Preprocess.of_sbdd
+                  (Bdd.Sbdd.of_netlist (entry.generate ()))
+              in
+              check tb entry.name true (walks_agree ~nodes:512 bg))
+           Circuits.Suite.all);
+    qcheck_case "random graphs match the list walks" ~count:200
+      random_graph_gen (fun (bg, extra) ->
+        walks_agree ~extra ~nodes:4096 bg
+        && same_cover ~nodes:4096 bg.graph);
+    qcheck_case "random expressions match the list walks" ~count:60
+      QCheck2.Gen.(list_size (int_range 1 3) tree_expr_gen)
+      (fun fs -> walks_agree ~nodes:4096 (graph_of_exprs fs));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1065,7 +1424,7 @@ let metamorphic_tests =
          let design = Compact.Mapping.run bg labeling in
          Crossbar.Design.num_on_junctions design = labeling.vh_count
          && Crossbar.Design.num_literal_junctions design
-            = List.length bg.edge_literals);
+            = List.length (edge_literals bg));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1169,6 +1528,8 @@ let () =
       "balance", balance_tests;
       "heuristic", heuristic_tests;
       "mapping", mapping_tests;
+      "design", design_oracle_tests;
+      "walks", walk_oracle_tests;
       "pipeline", pipeline_tests;
       "goldens", golden_tests;
       "mip bound", mip_bound_tests;

@@ -20,21 +20,21 @@ let qcheck_case ?(count = 100) name gen prop =
      row 0 (output) - col 0: !a   col 1: a
      row 1          - col 0: !b   col 1: 1 (fuse)
      row 2 (input)  - col 0: c    col 1: b
-   [fig2_on ~rows ~cols] places it in the corner of a larger array. *)
-let fig2_on ~rows ~cols =
-  let d =
-    Crossbar.Design.create ~rows ~cols ~input:(Crossbar.Design.Row 2)
-      ~outputs:[ "f", Crossbar.Design.Row 0 ]
-  in
-  Crossbar.Design.set d ~row:0 ~col:0 (Crossbar.Literal.Neg "a");
-  Crossbar.Design.set d ~row:0 ~col:1 (Crossbar.Literal.Pos "a");
-  Crossbar.Design.set d ~row:1 ~col:0 (Crossbar.Literal.Neg "b");
-  Crossbar.Design.set d ~row:1 ~col:1 Crossbar.Literal.On;
-  Crossbar.Design.set d ~row:2 ~col:0 (Crossbar.Literal.Pos "c");
-  Crossbar.Design.set d ~row:2 ~col:1 (Crossbar.Literal.Pos "b");
-  d
+   [fig2_on ~rows ~cols] places it in the corner of a larger array, and
+   [then_] makes further writes after the figure's. *)
+let fig2_on ?(then_ = fun _ -> ()) ~rows ~cols () =
+  Crossbar.Design.build ~rows ~cols ~input:(Crossbar.Design.Row 2)
+    ~outputs:[ "f", Crossbar.Design.Row 0 ]
+    (fun set ->
+       set ~row:0 ~col:0 (Crossbar.Literal.Neg "a");
+       set ~row:0 ~col:1 (Crossbar.Literal.Pos "a");
+       set ~row:1 ~col:0 (Crossbar.Literal.Neg "b");
+       set ~row:1 ~col:1 Crossbar.Literal.On;
+       set ~row:2 ~col:0 (Crossbar.Literal.Pos "c");
+       set ~row:2 ~col:1 (Crossbar.Literal.Pos "b");
+       then_ set)
 
-let fig2_design () = fig2_on ~rows:3 ~cols:2
+let fig2_design ?then_ () = fig2_on ?then_ ~rows:3 ~cols:2 ()
 
 let fig2_reference =
   lazy
@@ -237,14 +237,17 @@ let design_tests =
         check ti "delay" 4 (Crossbar.Design.delay_steps d));
     Alcotest.test_case "unset junction reads Off" `Quick (fun () ->
         let d =
-          Crossbar.Design.create ~rows:2 ~cols:2 ~input:(Crossbar.Design.Row 1)
-            ~outputs:[]
+          Crossbar.Design.build ~rows:2 ~cols:2 ~input:(Crossbar.Design.Row 1)
+            ~outputs:[] (fun _ -> ())
         in
         check tb "off" true
           (Crossbar.Design.get d ~row:0 ~col:0 = Crossbar.Literal.Off));
     Alcotest.test_case "setting Off erases" `Quick (fun () ->
-        let d = fig2_design () in
-        Crossbar.Design.set d ~row:1 ~col:1 Crossbar.Literal.Off;
+        let d =
+          fig2_design
+            ~then_:(fun set -> set ~row:1 ~col:1 Crossbar.Literal.Off)
+            ()
+        in
         check ti "programmed" 5 (Crossbar.Design.num_programmed d));
     Alcotest.test_case "variables sorted" `Quick (fun () ->
         check Alcotest.(list string) "vars" [ "a"; "b"; "c" ]
@@ -252,8 +255,8 @@ let design_tests =
     Alcotest.test_case "out-of-range ports rejected" `Quick (fun () ->
         check tb "raises" true
           (match
-             Crossbar.Design.create ~rows:2 ~cols:2
-               ~input:(Crossbar.Design.Row 5) ~outputs:[]
+             Crossbar.Design.build ~rows:2 ~cols:2
+               ~input:(Crossbar.Design.Row 5) ~outputs:[] (fun _ -> ())
            with
            | exception Invalid_argument _ -> true
            | _ -> false));
@@ -277,18 +280,23 @@ let design_tests =
           let expect what want d =
             check Alcotest.(list (triple int int string)) what want (cells d)
           in
-          let d = D.create ~rows:3 ~cols:3 ~input:(D.Row 0) ~outputs:[] in
-          D.set d ~row:2 ~col:1 (L.Pos "a");
-          D.set d ~row:0 ~col:2 L.On;
-          expect "first order" [ 0, 2, "1"; 2, 1, "a" ] d;
-          D.set d ~row:1 ~col:0 (L.Neg "b");
-          expect "a new junction" [ 0, 2, "1"; 1, 0, "!b"; 2, 1, "a" ] d;
-          D.set d ~row:0 ~col:2 L.Off;
-          expect "an erased one" [ 1, 0, "!b"; 2, 1, "a" ] d;
-          D.set d ~row:2 ~col:1 (L.Neg "a");
+          (* The design after the first [k] of the writes. *)
+          let writes =
+            [ 2, 1, L.Pos "a"; 0, 2, L.On; 1, 0, L.Neg "b"; 0, 2, L.Off;
+              2, 1, L.Neg "a" ]
+          in
+          let after k =
+            D.build ~rows:3 ~cols:3 ~input:(D.Row 0) ~outputs:[] (fun set ->
+                List.iteri
+                  (fun i (row, col, l) -> if i < k then set ~row ~col l)
+                  writes)
+          in
+          expect "first order" [ 0, 2, "1"; 2, 1, "a" ] (after 2);
+          expect "a new junction" [ 0, 2, "1"; 1, 0, "!b"; 2, 1, "a" ] (after 3);
+          expect "an erased one" [ 1, 0, "!b"; 2, 1, "a" ] (after 4);
+          let d = after 5 in
           expect "a rewritten one" [ 1, 0, "!b"; 2, 1, "!a" ] d;
-          let c = D.copy d in
-          D.set c ~row:0 ~col:0 L.On;
+          let c = Design_edit.edit d (fun set -> set ~row:0 ~col:0 L.On) in
           expect "the copy" [ 0, 0, "1"; 1, 0, "!b"; 2, 1, "!a" ] c;
           expect "its original" [ 1, 0, "!b"; 2, 1, "!a" ] d;
           let p = D.permute d ~row_perm:[| 2; 1; 0 |] ~col_perm:[| 1; 0; 2 |] in
@@ -322,10 +330,10 @@ let eval_tests =
     Alcotest.test_case "column ports work" `Quick (fun () ->
         (* 1x1 crossbar: input row 0, output col 0, junction x. *)
         let d =
-          Crossbar.Design.create ~rows:1 ~cols:1 ~input:(Crossbar.Design.Row 0)
+          Crossbar.Design.build ~rows:1 ~cols:1 ~input:(Crossbar.Design.Row 0)
             ~outputs:[ "f", Crossbar.Design.Col 0 ]
+            (fun set -> set ~row:0 ~col:0 (Crossbar.Literal.Pos "x"))
         in
-        Crossbar.Design.set d ~row:0 ~col:0 (Crossbar.Literal.Pos "x");
         check tb "on" true
           (List.assoc "f" (Crossbar.Eval.evaluate d (fun _ -> true)));
         check tb "off" false
@@ -365,9 +373,12 @@ let eval_tests =
 let verify_tests =
   [
     Alcotest.test_case "a corrupted design is caught" `Quick (fun () ->
-        let d = fig2_design () in
         (* Break it: stuck-on junction creates a sneak path. *)
-        Crossbar.Design.set d ~row:2 ~col:0 Crossbar.Literal.On;
+        let d =
+          fig2_design
+            ~then_:(fun set -> set ~row:2 ~col:0 Crossbar.Literal.On)
+            ()
+        in
         (match
            Crossbar.Verify.against_table d ~reference:(Lazy.force fig2_reference)
          with
@@ -377,8 +388,11 @@ let verify_tests =
            check tb "direction" true (cex.got && not cex.expected)));
     Alcotest.test_case "random verification catches the same bug" `Quick
       (fun () ->
-         let d = fig2_design () in
-         Crossbar.Design.set d ~row:2 ~col:0 Crossbar.Literal.On;
+         let d =
+           fig2_design
+             ~then_:(fun set -> set ~row:2 ~col:0 Crossbar.Literal.On)
+             ()
+         in
          let reference point =
            [| (point.(0) && point.(1)) || point.(2) |]
          in
@@ -389,8 +403,11 @@ let verify_tests =
          | Crossbar.Verify.Ok -> Alcotest.fail "should have failed"
          | Crossbar.Verify.Failed _ -> ());
     Alcotest.test_case "foreign design variable rejected" `Quick (fun () ->
-        let d = fig2_design () in
-        Crossbar.Design.set d ~row:0 ~col:0 (Crossbar.Literal.Pos "zz");
+        let d =
+          fig2_design
+            ~then_:(fun set -> set ~row:0 ~col:0 (Crossbar.Literal.Pos "zz"))
+            ()
+        in
         check tb "raises" true
           (match
              Crossbar.Verify.against_table d
@@ -403,8 +420,11 @@ let verify_tests =
          (* A z junction on a row and a column that nothing else touches:
             no assignment ever reaches it, and the check still refuses
             the design before the first assignment. *)
-         let d = fig2_on ~rows:4 ~cols:3 in
-         Crossbar.Design.set d ~row:3 ~col:2 (Crossbar.Literal.Pos "z");
+         let d =
+           fig2_on
+             ~then_:(fun set -> set ~row:3 ~col:2 (Crossbar.Literal.Pos "z"))
+             ~rows:4 ~cols:3 ()
+         in
          let refused =
            Invalid_argument "Verify: design variable z not a reference input"
          in
@@ -433,24 +453,26 @@ let analog_tests =
          (* IN(row1) -On- col0 -On- row0(out): 2 memristors in series with
             the sensing resistor: v_out = Rs / (Rs + 2*Ron). *)
          let d =
-           Crossbar.Design.create ~rows:2 ~cols:1
+           Crossbar.Design.build ~rows:2 ~cols:1
              ~input:(Crossbar.Design.Row 1)
              ~outputs:[ "f", Crossbar.Design.Row 0 ]
+             (fun set ->
+                set ~row:1 ~col:0 Crossbar.Literal.On;
+                set ~row:0 ~col:0 Crossbar.Literal.On)
          in
-         Crossbar.Design.set d ~row:1 ~col:0 Crossbar.Literal.On;
-         Crossbar.Design.set d ~row:0 ~col:0 Crossbar.Literal.On;
          let p = Crossbar.Analog.default_params in
          let sol = Crossbar.Analog.solve ~params:p d (fun _ -> false) in
          let expected = p.r_sense /. (p.r_sense +. (2. *. p.r_on)) in
          check (Alcotest.float 1e-3) "v_out" expected sol.v_rows.(0));
     Alcotest.test_case "blocked path stays near ground" `Quick (fun () ->
         let d =
-          Crossbar.Design.create ~rows:2 ~cols:1
+          Crossbar.Design.build ~rows:2 ~cols:1
             ~input:(Crossbar.Design.Row 1)
             ~outputs:[ "f", Crossbar.Design.Row 0 ]
+            (fun set ->
+               set ~row:1 ~col:0 Crossbar.Literal.On;
+               set ~row:0 ~col:0 (Crossbar.Literal.Pos "x"))
         in
-        Crossbar.Design.set d ~row:1 ~col:0 Crossbar.Literal.On;
-        Crossbar.Design.set d ~row:0 ~col:0 (Crossbar.Literal.Pos "x");
         let outputs =
           Crossbar.Analog.read_outputs d (fun _ -> false)
         in
@@ -514,12 +536,11 @@ let lane_case_gen =
   let* batch = int_range 1 Crossbar.Eval.lanes in
   let+ assignments = array_repeat batch (array_repeat 4 bool) in
   let d =
-    Crossbar.Design.create ~rows ~cols ~input
+    Crossbar.Design.build ~rows ~cols ~input
       ~outputs:(List.mapi (fun k w -> Printf.sprintf "o%d" k, w) outputs)
+      (fun set ->
+         Array.iteri (fun k l -> set ~row:(k / cols) ~col:(k mod cols) l) cells)
   in
-  Array.iteri
-    (fun k l -> Crossbar.Design.set d ~row:(k / cols) ~col:(k mod cols) l)
-    cells;
   d, assignments
 
 let lane_tests =
@@ -576,10 +597,10 @@ let mutants name d ~count =
       cells.(pick) <- cells.(k);
       cells.(k) <- c;
       let i, j, l = c in
-      let m = Crossbar.Design.copy d in
-      Crossbar.Design.set m ~row:i ~col:j
-        (if k mod 2 = 0 then Crossbar.Literal.Off else Crossbar.Literal.negate l);
-      m)
+      Design_edit.edit d (fun set ->
+          set ~row:i ~col:j
+            (if k mod 2 = 0 then Crossbar.Literal.Off
+             else Crossbar.Literal.negate l)))
 
 let outcome =
   Alcotest.testable

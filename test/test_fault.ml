@@ -263,16 +263,16 @@ let repair_tests =
    verification: a stuck-on device at the last link changes the function
    on exactly one of the 256 assignments, which sampling would miss. *)
 let and_chain () =
-  let d =
-    Crossbar.Design.create ~rows:5 ~cols:4 ~input:(Crossbar.Design.Row 0)
-      ~outputs:[ "f", Crossbar.Design.Row 4 ]
-  in
   let var k = Printf.sprintf "a%d" k in
-  for k = 0 to 3 do
-    Crossbar.Design.set d ~row:k ~col:k (Crossbar.Literal.Pos (var (2 * k + 1)));
-    Crossbar.Design.set d ~row:(k + 1) ~col:k
-      (Crossbar.Literal.Pos (var (2 * k + 2)))
-  done;
+  let d =
+    Crossbar.Design.build ~rows:5 ~cols:4 ~input:(Crossbar.Design.Row 0)
+      ~outputs:[ "f", Crossbar.Design.Row 4 ]
+      (fun set ->
+         for k = 0 to 3 do
+           set ~row:k ~col:k (Crossbar.Literal.Pos (var (2 * k + 1)));
+           set ~row:(k + 1) ~col:k (Crossbar.Literal.Pos (var (2 * k + 2)))
+         done)
+  in
   let inputs = List.init 8 (fun k -> var (k + 1)) in
   let reference point = [| Array.for_all Fun.id point |] in
   d, inputs, reference

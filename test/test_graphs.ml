@@ -91,7 +91,7 @@ let edge_list_gen =
 (* Every vertex's neighbours, in order, and the edge count. *)
 let adjacency g =
   ( Graphs.Ugraph.num_edges g,
-    List.init (Graphs.Ugraph.num_nodes g) (Graphs.Ugraph.neighbors g) )
+    List.init (Graphs.Ugraph.num_nodes g) (List_walks.neighbors g) )
 
 let incremental_adjacency g =
   ( Incremental_graph.Ugraph.num_edges g,

@@ -98,8 +98,10 @@ let experiment_tests =
         let broken =
           List.filter_map
             (fun (row, col) ->
-               let m = Crossbar.Design.copy d in
-               Crossbar.Design.set m ~row ~col Crossbar.Literal.Off;
+               let m =
+                 Design_edit.edit d (fun set ->
+                     set ~row ~col Crossbar.Literal.Off)
+               in
                let wrong =
                  Crossbar.Verify.exhaustive m ~inputs:nl.inputs
                    ~reference:(Logic.Netlist.eval_point nl)

@@ -242,17 +242,15 @@ let heap_tests =
 
 (* Fig 2 crossbar for f = (a & b) | c (same fixture as test_variation). *)
 let fig2_design () =
-  let d =
-    Crossbar.Design.create ~rows:3 ~cols:2 ~input:(Crossbar.Design.Row 2)
-      ~outputs:[ "f", Crossbar.Design.Row 0 ]
-  in
-  Crossbar.Design.set d ~row:0 ~col:0 (Crossbar.Literal.Neg "a");
-  Crossbar.Design.set d ~row:0 ~col:1 (Crossbar.Literal.Pos "a");
-  Crossbar.Design.set d ~row:1 ~col:0 (Crossbar.Literal.Neg "b");
-  Crossbar.Design.set d ~row:1 ~col:1 Crossbar.Literal.On;
-  Crossbar.Design.set d ~row:2 ~col:0 (Crossbar.Literal.Pos "c");
-  Crossbar.Design.set d ~row:2 ~col:1 (Crossbar.Literal.Pos "b");
-  d
+  Crossbar.Design.build ~rows:3 ~cols:2 ~input:(Crossbar.Design.Row 2)
+    ~outputs:[ "f", Crossbar.Design.Row 0 ]
+    (fun set ->
+       set ~row:0 ~col:0 (Crossbar.Literal.Neg "a");
+       set ~row:0 ~col:1 (Crossbar.Literal.Pos "a");
+       set ~row:1 ~col:0 (Crossbar.Literal.Neg "b");
+       set ~row:1 ~col:1 Crossbar.Literal.On;
+       set ~row:2 ~col:0 (Crossbar.Literal.Pos "c");
+       set ~row:2 ~col:1 (Crossbar.Literal.Pos "b"))
 
 let fig2_inputs = [ "a"; "b"; "c" ]
 let fig2_reference point = [| (point.(0) && point.(1)) || point.(2) |]

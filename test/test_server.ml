@@ -663,14 +663,16 @@ let payload_tests =
   [
     qcheck_case "the writer matches the tree rendering on random designs"
       design_gen (fun (key, (rows, cols, input, outputs), writes) ->
-        let d = Design.create ~rows ~cols ~input ~outputs in
-        List.iter (fun (row, col, l) -> Design.set d ~row ~col l) writes;
+        let d =
+          Design.build ~rows ~cols ~input ~outputs (fun set ->
+              List.iter (fun (row, col, l) -> set ~row ~col l) writes)
+        in
         writer_matches_tree ~key d);
     Alcotest.test_case "zero cells and a constant-0 output" `Quick (fun () ->
         check tb "no cells" true
           (writer_matches_tree ~key:"empty"
-             (Design.create ~rows:1 ~cols:1 ~input:(Design.Col 0)
-                ~outputs:[ "z\"", Design.Row 0 ]));
+             (Design.build ~rows:1 ~cols:1 ~input:(Design.Col 0)
+                ~outputs:[ "z\"", Design.Row 0 ] (fun _ -> ())));
         let nl =
           Logic.Netlist.create ~name:"k" ~inputs:[ "a"; "b"; "c" ]
             ~outputs:[ "f"; "zero" ]

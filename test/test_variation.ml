@@ -8,31 +8,28 @@ let ti = Alcotest.int
 let near tol = Alcotest.float tol
 
 (* Fig 2 crossbar for f = (a & b) | c (same fixture as test_crossbar). *)
-let fig2_design () =
-  let d =
-    Crossbar.Design.create ~rows:3 ~cols:2 ~input:(Crossbar.Design.Row 2)
-      ~outputs:[ "f", Crossbar.Design.Row 0 ]
-  in
-  Crossbar.Design.set d ~row:0 ~col:0 (Crossbar.Literal.Neg "a");
-  Crossbar.Design.set d ~row:0 ~col:1 (Crossbar.Literal.Pos "a");
-  Crossbar.Design.set d ~row:1 ~col:0 (Crossbar.Literal.Neg "b");
-  Crossbar.Design.set d ~row:1 ~col:1 Crossbar.Literal.On;
-  Crossbar.Design.set d ~row:2 ~col:0 (Crossbar.Literal.Pos "c");
-  Crossbar.Design.set d ~row:2 ~col:1 (Crossbar.Literal.Pos "b");
-  d
+let fig2_design ?(then_ = fun _ -> ()) () =
+  Crossbar.Design.build ~rows:3 ~cols:2 ~input:(Crossbar.Design.Row 2)
+    ~outputs:[ "f", Crossbar.Design.Row 0 ]
+    (fun set ->
+       set ~row:0 ~col:0 (Crossbar.Literal.Neg "a");
+       set ~row:0 ~col:1 (Crossbar.Literal.Pos "a");
+       set ~row:1 ~col:0 (Crossbar.Literal.Neg "b");
+       set ~row:1 ~col:1 Crossbar.Literal.On;
+       set ~row:2 ~col:0 (Crossbar.Literal.Pos "c");
+       set ~row:2 ~col:1 (Crossbar.Literal.Pos "b");
+       then_ set)
 
 let fig2_inputs = [ "a"; "b"; "c" ]
 let fig2_reference point = [| (point.(0) && point.(1)) || point.(2) |]
 
 (* Two On junctions in series with the sensing resistor. *)
 let chain_design () =
-  let d =
-    Crossbar.Design.create ~rows:2 ~cols:1 ~input:(Crossbar.Design.Row 1)
-      ~outputs:[ "f", Crossbar.Design.Row 0 ]
-  in
-  Crossbar.Design.set d ~row:1 ~col:0 Crossbar.Literal.On;
-  Crossbar.Design.set d ~row:0 ~col:0 Crossbar.Literal.On;
-  d
+  Crossbar.Design.build ~rows:2 ~cols:1 ~input:(Crossbar.Design.Row 1)
+    ~outputs:[ "f", Crossbar.Design.Row 0 ]
+    (fun set ->
+       set ~row:1 ~col:0 Crossbar.Literal.On;
+       set ~row:0 ~col:0 Crossbar.Literal.On)
 
 let variation_tests =
   [
@@ -75,14 +72,15 @@ let closed_form_tests =
         (* Two parallel 2-junction paths: r0 = V Rs / (Rs + Ron), both
            bitlines at (V + r0) / 2 by symmetry. *)
         let d =
-          Crossbar.Design.create ~rows:2 ~cols:2 ~input:(Crossbar.Design.Row 1)
+          Crossbar.Design.build ~rows:2 ~cols:2 ~input:(Crossbar.Design.Row 1)
             ~outputs:[ "f", Crossbar.Design.Row 0 ]
+            (fun set ->
+               for r = 0 to 1 do
+                 for c = 0 to 1 do
+                   set ~row:r ~col:c Crossbar.Literal.On
+                 done
+               done)
         in
-        for r = 0 to 1 do
-          for c = 0 to 1 do
-            Crossbar.Design.set d ~row:r ~col:c Crossbar.Literal.On
-          done
-        done;
         let p = Crossbar.Analog.default_params in
         let sol = Crossbar.Analog.solve ~params:p d (fun _ -> false) in
         let r0 = p.v_in *. p.r_sense /. (p.r_sense +. p.r_on) in
@@ -181,8 +179,11 @@ let margin_tests =
          check ti "unconverged" 0 a.unconverged);
     Alcotest.test_case "a sneak path turns the margin negative" `Quick
       (fun () ->
-         let d = fig2_design () in
-         Crossbar.Design.set d ~row:2 ~col:0 Crossbar.Literal.On;
+         let d =
+           fig2_design
+             ~then_:(fun set -> set ~row:2 ~col:0 Crossbar.Literal.On)
+             ()
+         in
          let a =
            Crossbar.Margin.analyze d ~inputs:fig2_inputs
              ~reference:fig2_reference ~outputs:[ "f" ]
