@@ -362,7 +362,7 @@ let print_grid =
 let print_stats =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print the BDD engine's unique-table, ITE-cache and \
+           ~doc:"Print the BDD engine's unique-table, apply-cache and \
                  reordering counters.")
 
 (* [--reorder sift] runs the variable-order step inside the pipeline

@@ -24,12 +24,13 @@ type stats = {
    - The unique table is an open-addressed (linear probing) power-of-two
      array of node handles; a (level, low, high) key is never boxed — the
      probe compares against the node arrays directly.
-   - The ITE cache is the one operation cache: a lossy direct-mapped
-     table of packed (f, g, h) -> r quadruples in four flat int arrays; a
-     colliding entry is simply overwritten.
-   - ite runs on an explicit worklist (a reusable int-array frame stack),
-     so diagrams tens of thousands of levels deep cannot overflow the
-     OCaml stack. *)
+   - Bryant's binary apply is the one recursive operation, and its
+     cache the one operation cache: a lossy direct-mapped table of
+     (op, f, g) -> r quadruples in four flat int arrays; a colliding
+     entry is simply overwritten.
+   - apply runs on an explicit worklist (a reusable int-array frame
+     stack), so diagrams tens of thousands of levels deep cannot
+     overflow the OCaml stack. *)
 
 type t = {
   nvars : int;
@@ -41,12 +42,13 @@ type t = {
   (* open-addressed unique table; slots hold a node handle or -1 *)
   mutable table : int array;
   mutable table_mask : int;
-  (* direct-mapped ITE cache; ite_k1 = -1 marks an empty slot *)
-  mutable ite_k1 : int array;
-  mutable ite_k2 : int array;
-  mutable ite_k3 : int array;
-  mutable ite_r : int array;
-  mutable ite_mask : int;
+  (* direct-mapped apply cache keyed (op, f, g); op_k1 = -1 marks an
+     empty slot *)
+  mutable op_k1 : int array;
+  mutable op_k2 : int array;
+  mutable op_k3 : int array;
+  mutable op_r : int array;
+  mutable op_mask : int;
   (* reusable worklist scratch: frames of [frame_slots] ints + a result
      stack *)
   mutable tasks : int array;
@@ -63,7 +65,7 @@ type t = {
   mutable level_swaps : int;
   mutable sift_passes : int;
   mutable cache_invalidations : int;
-  (* true while the ITE cache is known empty, so a burst of level swaps
+  (* true while the apply cache is known empty, so a burst of level swaps
      pays for at most one invalidation *)
   mutable cache_clean : bool;
 }
@@ -73,7 +75,7 @@ let one = 1
 let is_terminal n = n < 2
 
 let initial_table_size = 4096
-let initial_ite_size = 4096
+let initial_cache_size = 4096
 
 let create ?(node_limit = max_int) ~num_vars () =
   let cap = 1024 in
@@ -89,11 +91,11 @@ let create ?(node_limit = max_int) ~num_vars () =
     next = 2;
     table = Array.make initial_table_size (-1);
     table_mask = initial_table_size - 1;
-    ite_k1 = Array.make initial_ite_size (-1);
-    ite_k2 = Array.make initial_ite_size 0;
-    ite_k3 = Array.make initial_ite_size 0;
-    ite_r = Array.make initial_ite_size 0;
-    ite_mask = initial_ite_size - 1;
+    op_k1 = Array.make initial_cache_size (-1);
+    op_k2 = Array.make initial_cache_size 0;
+    op_k3 = Array.make initial_cache_size 0;
+    op_r = Array.make initial_cache_size 0;
+    op_mask = initial_cache_size - 1;
     tasks = Array.make 320 0;
     task_sp = 0;
     res = Array.make 64 0;
@@ -133,7 +135,7 @@ let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "@[<v>unique table: %d lookups, %d hits (%.1f%%), %d collisions, %d \
      growths@,\
-     ITE cache: %d lookups, %d hits (%.1f%%), %d invalidations@,\
+     apply cache: %d lookups, %d hits (%.1f%%), %d invalidations@,\
      reordering: %d level swaps, %d sift passes@,\
      peak nodes: %d@]"
     s.unique_lookups s.unique_hits
@@ -164,28 +166,28 @@ let grow_nodes t =
 
 (* Cache growth keeps the live entries: direct-mapped insertion into the
    doubled arrays, so a rehash does not throw memoised work away. *)
-let grow_ite_cache t size =
-  if size > Array.length t.ite_r then begin
+let grow_op_cache t size =
+  if size > Array.length t.op_r then begin
     let mask = size - 1 in
     let k1 = Array.make size (-1) in
     let k2 = Array.make size 0 in
     let k3 = Array.make size 0 in
     let r = Array.make size 0 in
-    for i = 0 to Array.length t.ite_r - 1 do
-      let f = t.ite_k1.(i) in
-      if f <> -1 then begin
-        let j = hash3 f t.ite_k2.(i) t.ite_k3.(i) land mask in
-        k1.(j) <- f;
-        k2.(j) <- t.ite_k2.(i);
-        k3.(j) <- t.ite_k3.(i);
-        r.(j) <- t.ite_r.(i)
+    for i = 0 to Array.length t.op_r - 1 do
+      let op = t.op_k1.(i) in
+      if op <> -1 then begin
+        let j = hash3 op t.op_k2.(i) t.op_k3.(i) land mask in
+        k1.(j) <- op;
+        k2.(j) <- t.op_k2.(i);
+        k3.(j) <- t.op_k3.(i);
+        r.(j) <- t.op_r.(i)
       end
     done;
-    t.ite_k1 <- k1;
-    t.ite_k2 <- k2;
-    t.ite_k3 <- k3;
-    t.ite_r <- r;
-    t.ite_mask <- mask
+    t.op_k1 <- k1;
+    t.op_k2 <- k2;
+    t.op_k3 <- k3;
+    t.op_r <- r;
+    t.op_mask <- mask
   end
 
 let rehash_unique t =
@@ -207,9 +209,9 @@ let rehash_unique t =
   t.table <- table;
   t.table_mask <- mask;
   t.growths <- t.growths + 1;
-  (* the ITE cache tracks the unique table so its hit rate survives
+  (* the apply cache tracks the unique table so its hit rate survives
      scale *)
-  grow_ite_cache t (size / 2)
+  grow_op_cache t (size / 2)
 
 (* Returns -n when node n already exists, or the (non-negative) free slot
    where a fresh node must be recorded. Handles are >= 2, so the sign
@@ -267,11 +269,37 @@ let var t i =
   mk t i zero one
 
 (* ------------------------------------------------------------------ *)
-(* Worklist machinery. Frames are [frame_slots] consecutive ints:
-   [tag; a; b; c; lvl]. Tag 0 evaluates the operands, tag 1 combines the
-   two results its children pushed. Both stacks are owned by the manager
-   and reused across calls; the base pointers make nested calls (mk never
-   re-enters, but exceptions must unwind) safe. *)
+(* Bryant's apply. An operator is a 4-bit code whose bit (2a + b) is
+   op(a, b): [op_and] is 0b1000, [op_or] 0b1110, [op_xor] 0b0110, and
+   negating an operand or the result permutes or flips the bits, so a
+   negation costs nothing where an operator can absorb it.
+
+   Every step normalises (op, f, g) before the cache is probed: a case
+   that does not depend on both operands (a terminal operand, f = g, or
+   an operator blind to one side) is a function of one diagram, which is
+   a terminal, that diagram, or its complement; the complement is the
+   one unary key, (op_not, f, f). A binary case puts the smaller handle
+   first and transposes the operator to match, so commuted calls share
+   one cache entry.
+
+   The recursion runs on an explicit worklist. Frames are [frame_slots]
+   consecutive ints: [tag; op; f; g; lvl]. Tag 0 normalises and expands
+   its operands, tag 1 combines the two results its children pushed.
+   Both stacks are owned by the manager and reused across calls; the
+   base pointers make nested calls (mk never re-enters, but exceptions
+   must unwind) safe. *)
+
+let op_and = 0b1000
+let op_or = 0b1110
+let op_xor = 0b0110
+let op_not = 0b0011
+
+(* op(a, b) as a terminal handle: zero and one are 0 and 1. *)
+let bit op a b = (op lsr ((2 * a) + b)) land 1
+
+(* The operator of op(b, a): bits 1 and 2 trade places. *)
+let transpose op =
+  (op land 0b1001) lor ((op land 0b0010) lsl 1) lor ((op land 0b0100) lsr 1)
 
 let frame_slots = 5
 
@@ -300,75 +328,90 @@ let push_res t r =
   t.res.(sp) <- r;
   t.res_sp <- sp + 1
 
-let ite_cached t f g h =
+let cache_find t op f g =
   t.cache_lookups <- t.cache_lookups + 1;
-  let i = hash3 f g h land t.ite_mask in
+  let i = hash3 op f g land t.op_mask in
   if
-    Array.unsafe_get t.ite_k1 i = f
-    && Array.unsafe_get t.ite_k2 i = g
-    && Array.unsafe_get t.ite_k3 i = h
+    Array.unsafe_get t.op_k1 i = op
+    && Array.unsafe_get t.op_k2 i = f
+    && Array.unsafe_get t.op_k3 i = g
   then begin
     t.cache_hits <- t.cache_hits + 1;
-    Array.unsafe_get t.ite_r i
+    Array.unsafe_get t.op_r i
   end
   else -1
 
-let ite_insert t f g h r =
-  let i = hash3 f g h land t.ite_mask in
-  t.ite_k1.(i) <- f;
-  t.ite_k2.(i) <- g;
-  t.ite_k3.(i) <- h;
-  t.ite_r.(i) <- r;
+let cache_insert t op f g r =
+  let i = hash3 op f g land t.op_mask in
+  t.op_k1.(i) <- op;
+  t.op_k2.(i) <- f;
+  t.op_k3.(i) <- g;
+  t.op_r.(i) <- r;
   t.cache_clean <- false
 
-(* Top-level ITE invocations (not worklist steps). The disabled path is
-   a single load-and-branch, guarded by the PR's bench overhead gate. *)
-let c_ite = Obs.Counter.make "bdd.ite_calls"
+(* A normalised key: answer it from the cache, or push its combine
+   frame and the two cofactor steps. *)
+let expand t op f g =
+  let r = cache_find t op f g in
+  if r >= 0 then push_res t r
+  else begin
+    let lf = t.levels.(f) and lg = t.levels.(g) in
+    let lvl = if lf < lg then lf else lg in
+    let f0 = if lf = lvl then t.lows.(f) else f
+    and f1 = if lf = lvl then t.highs.(f) else f
+    and g0 = if lg = lvl then t.lows.(g) else g
+    and g1 = if lg = lvl then t.highs.(g) else g in
+    push_task t 1 op f g lvl;
+    push_task t 0 op f0 g0 0;
+    (* the then-branch sits on top, so it is evaluated first *)
+    push_task t 0 op f1 g1 0
+  end
 
-let ite t f0 g0 h0 =
-  Obs.Counter.incr c_ite;
+(* A function of [f] alone, [u0] where f is 0 and [u1] where it is 1. *)
+let unary t f u0 u1 =
+  if u0 = u1 then push_res t u0
+  else if u1 = one then push_res t f
+  else expand t op_not f f
+
+(* Bit [op] is set for the codes blind to an operand: the constants,
+   a, not a, b and not b. *)
+let one_sided = 0b1001_0100_0010_1001
+
+let step t op f g =
+  if f > one && g > one && f <> g && (one_sided lsr op) land 1 = 0 then
+    if f < g then expand t op f g else expand t (transpose op) g f
+  else if is_terminal g then
+    if is_terminal f then push_res t (bit op f g)
+    else unary t f (bit op 0 g) (bit op 1 g)
+  else if is_terminal f then unary t g (bit op f 0) (bit op f 1)
+  else if f = g then unary t f (bit op 0 0) (bit op 1 1)
+  else if bit op 0 0 = bit op 0 1 then unary t f (bit op 0 0) (bit op 1 0)
+  else unary t g (bit op 0 0) (bit op 0 1)
+
+(* Top-level apply invocations (not worklist steps), under the name the
+   counter had when ITE was the core. The disabled path is a single
+   load-and-branch, held to the metrics-overhead budget. *)
+let c_apply = Obs.Counter.make "bdd.ite_calls"
+
+let apply t op0 f0 g0 =
+  Obs.Counter.incr c_apply;
   let base_sp = t.task_sp and base_rp = t.res_sp in
   try
-    push_task t 0 f0 g0 h0 0;
+    push_task t 0 op0 f0 g0 0;
     while t.task_sp > base_sp do
       let sp = t.task_sp - frame_slots in
       t.task_sp <- sp;
       let tasks = t.tasks in
-      let tag = Array.unsafe_get tasks sp in
-      let f = Array.unsafe_get tasks (sp + 1) in
-      let g = Array.unsafe_get tasks (sp + 2) in
-      let h = Array.unsafe_get tasks (sp + 3) in
-      if tag = 0 then begin
-        (* Terminal cases. *)
-        if f = one then push_res t g
-        else if f = zero then push_res t h
-        else if g = h then push_res t g
-        else if g = one && h = zero then push_res t f
-        else begin
-          let r = ite_cached t f g h in
-          if r >= 0 then push_res t r
-          else begin
-            let lf = t.levels.(f) and lg = t.levels.(g) and lh = t.levels.(h) in
-            let lvl = min lf (min lg lh) in
-            let f0 = if lf = lvl then t.lows.(f) else f
-            and f1 = if lf = lvl then t.highs.(f) else f
-            and g0 = if lg = lvl then t.lows.(g) else g
-            and g1 = if lg = lvl then t.highs.(g) else g
-            and h0 = if lh = lvl then t.lows.(h) else h
-            and h1 = if lh = lvl then t.highs.(h) else h in
-            push_task t 1 f g h lvl;
-            push_task t 0 f0 g0 h0 0;
-            (* the then-branch sits on top, so it is evaluated first *)
-            push_task t 0 f1 g1 h1 0
-          end
-        end
-      end
+      let op = Array.unsafe_get tasks (sp + 1) in
+      let f = Array.unsafe_get tasks (sp + 2) in
+      let g = Array.unsafe_get tasks (sp + 3) in
+      if Array.unsafe_get tasks sp = 0 then step t op f g
       else begin
         let lvl = Array.unsafe_get tasks (sp + 4) in
         let r_lo = t.res.(t.res_sp - 1) and r_hi = t.res.(t.res_sp - 2) in
         t.res_sp <- t.res_sp - 2;
         let r = mk t lvl r_lo r_hi in
-        ite_insert t f g h r;
+        cache_insert t op f g r;
         push_res t r
       end
     done;
@@ -379,10 +422,13 @@ let ite t f0 g0 h0 =
     t.res_sp <- base_rp;
     raise e
 
-let not_ t f = ite t f zero one
-let and_ t f g = ite t f g zero
-let or_ t f g = ite t f one g
-let xor t f g = ite t f (not_ t g) g
+let not_ t f = apply t op_not f f
+let and_ t f g = apply t op_and f g
+let or_ t f g = apply t op_or f g
+let xor t f g = apply t op_xor f g
+
+(* f ? g : h as (f & g) | (~f & h); ~a & b is 0b0010. *)
+let ite t f g h = or_ t (and_ t f g) (apply t 0b0010 f h)
 
 let rec eval t f env =
   if f = zero then false
@@ -433,7 +479,7 @@ let any_sat t f =
     Some (go f [])
 
 let clear_caches t =
-  Array.fill t.ite_k1 0 (Array.length t.ite_k1) (-1);
+  Array.fill t.op_k1 0 (Array.length t.op_k1) (-1);
   t.cache_clean <- true
 
 (* ------------------------------------------------------------------ *)
@@ -469,7 +515,7 @@ let clear_caches t =
    lists from the case analysis above. Nodes die only on level i+1
    (see [swap_adjacent]), so no other level's list goes stale.
 
-   The lossy ITE cache mixes pre- and post-exchange meanings of dead
+   The lossy apply cache mixes pre- and post-exchange meanings of dead
    handles, so a reordering session invalidates it (once per burst,
    counted in [cache_invalidations]).  Array and table growth happen
    before any node is touched, so the only allocation points (including

@@ -24,17 +24,17 @@ type stats = {
   unique_lookups : int;  (** [mk] calls that consulted the unique table *)
   unique_hits : int;  (** lookups answered by an existing node *)
   unique_collisions : int;  (** linear-probe steps past occupied slots *)
-  cache_lookups : int;  (** ITE cache probes *)
+  cache_lookups : int;  (** apply-cache probes *)
   cache_hits : int;
-  growths : int;  (** unique-table rehashes (the ITE cache grows along) *)
+  growths : int;  (** unique-table rehashes (the apply cache grows along) *)
   peak_nodes : int;  (** [allocated], never decreases *)
   level_swaps : int;  (** adjacent-level exchanges done by reordering *)
   sift_passes : int;  (** full sifting passes over the variables *)
   cache_invalidations : int;
-      (** ITE-cache wipes forced by reordering sessions *)
+      (** apply-cache wipes forced by reordering sessions *)
 }
-(** Counters of the packed unique table and the lossy direct-mapped ITE
-    cache; cheap to read at any time. *)
+(** Counters of the packed unique table and the lossy direct-mapped
+    apply cache; cheap to read at any time. *)
 
 val create : ?node_limit:int -> num_vars:int -> unit -> t
 (** [create ~num_vars ()] prepares a manager for variables
@@ -67,11 +67,31 @@ val allocated : t -> int
 
 (** {1 Boolean operations} (all memoised) *)
 
-val ite : t -> node -> node -> node -> node
+val apply : t -> int -> node -> node -> node
+(** [apply t op f g] is Bryant's apply: the diagram of op(f, g) for the
+    binary operator whose 4-bit code has op(a, b) at bit [2a + b]
+    (0b1000 is and, 0b1110 or, 0b0110 xor, 0b0011 not-f). It is the
+    manager's one recursive operation. Each step normalises before it
+    probes the one cache, keyed (op, f, g): a terminal operand goes
+    second, otherwise the smaller handle goes first with the operator
+    transposed to match, and a step that depends on one operand only
+    (a terminal, f = g, or an operator blind to one side) is a
+    terminal, that operand, or its complement, which is the one unary
+    key (not-f, f, f). Any code in [0, 15] is accepted. *)
+
+val op_and : int
+val op_or : int
+val op_xor : int
+(** The codes of and, or and xor. *)
+
 val not_ : t -> node -> node
 val and_ : t -> node -> node -> node
 val or_ : t -> node -> node -> node
 val xor : t -> node -> node -> node
+
+val ite : t -> node -> node -> node -> node
+(** [ite t f g h] is (f and g) or (not f and h), derived from three
+    applies. *)
 
 (** {1 Queries} *)
 
@@ -94,7 +114,7 @@ val iter_edges : t -> node list -> (node -> node -> bool -> unit) -> unit
     edge of the sub-diagram reachable from [roots]. *)
 
 val clear_caches : t -> unit
-(** Drop the ITE cache (the unique table is kept). *)
+(** Drop the apply cache (the unique table is kept). *)
 
 (** {1 Dynamic reordering}
 
@@ -106,7 +126,7 @@ val clear_caches : t -> unit
     {b Contract.} [roots] must cover {e every} handle the caller intends
     to keep using: reordering garbage-collects the rest of the manager
     (handles outside the cone of [roots] become invalid), and the lossy
-    ITE cache is dropped.  Handles in the cone stay valid but
+    apply cache is dropped.  Handles in the cone stay valid but
     their meaning is permuted — after the call, the variable at level
     [l] is the one that was at level [perm.(l)] when the call began,
     where [perm] is the returned permutation.  Callers that name

@@ -11,9 +11,14 @@ let check_order (nl : Logic.Netlist.t) order =
 
 let build_roots ?(budget = Resilience.Budget.unlimited) man ~levels
     (nl : Logic.Netlist.t) =
+  (* Wire values keep their polarity: an inverted wire is stored as a
+     pending negation, folded into the operator of each gate that reads
+     it, and built only if an output is that inverted wire. *)
   let values = Hashtbl.create 64 in
   List.iter
-    (fun v -> Hashtbl.replace values v (Manager.var man (Hashtbl.find levels v)))
+    (fun v ->
+       Hashtbl.replace values v
+         (Build.positive (Manager.var man (Hashtbl.find levels v))))
     nl.inputs;
   let env w = Hashtbl.find values w in
   List.iter
@@ -21,9 +26,9 @@ let build_roots ?(budget = Resilience.Budget.unlimited) man ~levels
        (* One poll per netlist gate: BDD construction cannot return a
           partial diagram, so exhaustion raises instead of degrading. *)
        Resilience.Budget.check budget;
-       Hashtbl.replace values node.wire (Build.expr_with_env man ~env node.func))
+       Hashtbl.replace values node.wire (Build.signed_expr man ~env node.func))
     nl.nodes;
-  List.map (fun o -> o, env o) nl.outputs
+  List.map (fun o -> o, Build.to_node man (env o)) nl.outputs
 
 let levels_of_order order =
   let levels = Hashtbl.create 16 in

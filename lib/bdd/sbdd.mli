@@ -76,7 +76,7 @@ val improve :
     expiry just stops improving. [budget] defaults to unlimited. *)
 
 val stats : t -> Manager.stats
-(** Unique-table / ITE-cache counters of the underlying manager. *)
+(** Unique-table / apply-cache counters of the underlying manager. *)
 
 val num_edges : t -> int
 (** Decision edges of the reachable sub-diagram (2 per internal node). *)

@@ -55,7 +55,7 @@ type t = {
           the full-effort result. The CLI maps this to a non-zero exit
           code. *)
   bdd_stats : Bdd.Manager.stats option;
-      (** unique-table / ITE-cache counters of the manager the circuit's
+      (** unique-table / apply-cache counters of the manager the circuit's
           SBDD was built in; [None] when synthesis started from a
           pre-built graph with no live manager *)
   analog : analog_summary option;

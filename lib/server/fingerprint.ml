@@ -1,26 +1,43 @@
-(* FNV-1a over the canonical form of the diagram.  64-bit arithmetic on
-   Int64 keeps the hash identical on every host word size. *)
+(* FNV-1a over the canonical form of the diagram.  The 64-bit state is
+   kept as two 32-bit halves in native ints, so the hash is identical on
+   every host word size and no step allocates.  The prime 0x100000001b3
+   is 2^40 + 0x1b3, so a multiply is one small product per half plus the
+   low half shifted into the high one. *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+type state = { mutable hi : int; mutable lo : int }
 
-let fnv_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
+let fresh () = { hi = 0xcbf29ce4; lo = 0x84222325 }
 
-let fnv_int h n =
-  (* Mix all 63 bits, low byte first. *)
-  let rec go h n i =
-    if i = 8 then h else go (fnv_byte h (n lsr (8 * i))) n (i + 1)
-  in
-  go h n 0
+(* Mix the eight low bytes of each of [count] ints, low byte first: one
+   [int] for [count] 1, a node's (level, low, high) for 3. *)
+let ints st count a b c =
+  let hi = ref st.hi and lo = ref st.lo in
+  for k = 0 to (8 * count) - 1 do
+    let v = if k < 8 then a else if k < 16 then b else c in
+    let x = !lo lxor ((v lsr (8 * (k land 7))) land 0xff) in
+    let m = x * 0x1b3 in
+    hi := ((!hi * 0x1b3) + (m lsr 32) + (x lsl 8)) land 0xffffffff;
+    lo := m land 0xffffffff
+  done;
+  st.hi <- !hi;
+  st.lo <- !lo
 
-let fnv_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+let int st n = ints st 1 n 0 0
+
+let string st s =
+  let hi = ref st.hi and lo = ref st.lo in
+  for i = 0 to String.length s - 1 do
+    let x = !lo lxor Char.code (String.unsafe_get s i) in
+    let m = x * 0x1b3 in
+    hi := ((!hi * 0x1b3) + (m lsr 32) + (x lsl 8)) land 0xffffffff;
+    lo := m land 0xffffffff
+  done;
+  st.hi <- !hi;
+  st.lo <- !lo;
   (* A length terminator keeps concatenated strings unambiguous. *)
-  fnv_int !h (String.length s)
+  int st (String.length s)
 
-let hex h = Printf.sprintf "%016Lx" h
+let hex st = Printf.sprintf "%08x%08x" st.hi st.lo
 
 let sbdd (s : Bdd.Sbdd.t) =
   let man = s.Bdd.Sbdd.man in
@@ -29,27 +46,26 @@ let sbdd (s : Bdd.Sbdd.t) =
      roots.  Handle values themselves are allocation-order artifacts and
      never enter the hash. *)
   let order = Bdd.Manager.reachable man roots in
-  let id = Hashtbl.create (List.length order) in
-  List.iteri (fun i n -> Hashtbl.replace id n i) order;
-  let h = ref fnv_offset in
-  Array.iter (fun name -> h := fnv_string !h name) s.Bdd.Sbdd.input_order;
+  let id = Array.make (Bdd.Manager.allocated man) 0 in
+  List.iteri (fun i n -> id.(n) <- i) order;
+  let st = fresh () in
+  Array.iter (string st) s.Bdd.Sbdd.input_order;
   List.iter
     (fun n ->
        if Bdd.Manager.is_terminal n then
          (* Terminals hash as themselves: handle 0 / 1 are canonical. *)
-         h := fnv_int !h (-1 - n)
-       else begin
-         h := fnv_int !h (Bdd.Manager.level man n);
-         h := fnv_int !h (Hashtbl.find id (Bdd.Manager.low man n));
-         h := fnv_int !h (Hashtbl.find id (Bdd.Manager.high man n))
-       end)
+         int st (-1 - n)
+       else
+         ints st 3 (Bdd.Manager.level man n)
+           id.(Bdd.Manager.low man n)
+           id.(Bdd.Manager.high man n))
     order;
   List.iter
     (fun (name, root) ->
-       h := fnv_string !h name;
-       h := fnv_int !h (Hashtbl.find id root))
+       string st name;
+       int st id.(root))
     s.Bdd.Sbdd.roots;
-  hex !h
+  hex st
 
 let options (o : Compact.Pipeline.options) =
   let opt_int = function None -> "-" | Some n -> string_of_int n in
@@ -64,7 +80,8 @@ let options (o : Compact.Pipeline.options) =
     o.Compact.Pipeline.race_orders
 
 let key ~options:o s =
-  let h = fnv_string fnv_offset Version.engine in
-  let h = fnv_string h (options o) in
-  let h = fnv_string h (sbdd s) in
-  hex h
+  let st = fresh () in
+  string st Version.engine;
+  string st (options o);
+  string st (sbdd s);
+  hex st

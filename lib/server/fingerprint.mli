@@ -16,9 +16,14 @@
     degraded results are never cached). *)
 
 val sbdd : Bdd.Sbdd.t -> string
-(** 16-hex-digit FNV-1a hash of the canonical diagram: input order,
-    per-node (level, low, high) triples in discovery order, and the
-    named roots. *)
+(** 16-hex-digit FNV-1a hash of the canonical diagram: the input order,
+    then every reachable node in discovery order, an internal node as
+    its (level, low id, high id) triple and a terminal as the one int
+    [-1 - handle], then the named roots. Each int is mixed as its eight
+    low bytes, low byte first, and each string as its bytes and then its
+    length. Discovery ids live in an int array over the manager's
+    handles, and the 64-bit state in two native ints, so hashing a
+    diagram allocates only that array and the discovery list. *)
 
 val options : Compact.Pipeline.options -> string
 (** Canonical one-line rendering of the output-relevant option fields

@@ -360,10 +360,13 @@ let reorder_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Pinned diagrams. Every counter of [Manager.stats] and the canonical
-   fingerprint of the diagram move if the ITE cache, the unique table's
-   hash or its growth schedule changes, or if the order step picks or
-   sifts another diagram. *)
+(* Pinned diagrams. Every counter of [Manager.stats] moves if apply's
+   normalisation or cache, the build's folding of negations, the unique
+   table's hash or its growth schedule changes; the size and the
+   canonical fingerprint move only if the order step picks or sifts
+   another diagram, or the build computes another function. Sizes and
+   fingerprints were recorded before the build moved from ITE to apply,
+   the stats rows after it. *)
 
 let stats_row (s : Bdd.Manager.stats) =
   [ s.unique_lookups; s.unique_hits; s.unique_collisions; s.cache_lookups;
@@ -385,24 +388,67 @@ let fingerprint_tests =
              let nl = (Circuits.Suite.find name).generate () in
              check_pinned name (Bdd.Sbdd.of_netlist nl) pinned)
           [
+            ( "c432",
+              ( 483, [ 5061; 154; 7067; 7023; 1963; 1; 4909; 0; 0; 0 ],
+                "575bb14062cd3a2c" ) );
             ( "c499",
               ( 19951,
-                [ 28989; 5206; 59451; 53526; 24578; 3; 23785; 0; 0; 0 ],
+                [ 31115; 7905; 58221; 58389; 27315; 3; 23212; 0; 0; 0 ],
+                "6d3636c5e82461a4" ) );
+            ( "c880",
+              ( 2110, [ 11696; 1034; 21595; 19578; 7845; 2; 10664; 0; 0; 0 ],
+                "52bb35c84f7e2794" ) );
+            ( "c1355",
+              ( 19951,
+                [ 31115; 7905; 58221; 58389; 27315; 3; 23212; 0; 0; 0 ],
                 "6d3636c5e82461a4" ) );
             ( "c1908",
               ( 25365,
-                [ 68351; 38344; 84881; 130405; 62030; 4; 30009; 0; 0; 0 ],
+                [ 70045; 40384; 81850; 134842; 64757; 4; 29663; 0; 0; 0 ],
                 "fbc9983d2d12ad94" ) );
-            ( "cavlc",
-              ( 122, [ 605; 91; 42; 688; 75; 0; 516; 0; 0; 0 ],
-                "4f27041dfd505d1e" ) );
-            ( "ctrl",
-              ( 76, [ 167; 1; 4; 489; 319; 0; 168; 0; 0; 0 ],
-                "bda0550985672fe9" ) );
+            ( "c2670",
+              ( 7235,
+                [ 51100; 4955; 123109; 89316; 38043; 4; 46147; 0; 0; 0 ],
+                "9d54a29ea38fb9de" ) );
+            ( "c3540",
+              ( 2821,
+                [ 17715; 1558; 37739; 30155; 12381; 3; 16159; 0; 0; 0 ],
+                "bb4af424a2c738b0" ) );
+            ( "c5315",
+              ( 9567,
+                [ 68452; 4897; 153192; 120559; 51964; 5; 63557; 0; 0; 0 ],
+                "ab5642cc915f3cdc" ) );
             ( "c7552",
               ( 6907,
-                [ 52481; 1076; 130061; 102508; 49895; 5; 51407; 0; 0; 0 ],
+                [ 37612; 860; 80860; 73091; 35362; 4; 36754; 0; 0; 0 ],
                 "3fdc4df22e76331d" ) );
+            ( "arbiter",
+              ( 32519,
+                [ 96258; 15992; 193724; 147519; 40104; 5; 80268; 0; 0; 0 ],
+                "bae9ffcb0863db2a" ) );
+            ( "cavlc",
+              ( 122, [ 583; 86; 37; 652; 62; 0; 499; 0; 0; 0 ],
+                "4f27041dfd505d1e" ) );
+            ( "ctrl",
+              ( 76, [ 154; 1; 5; 340; 183; 0; 155; 0; 0; 0 ],
+                "bda0550985672fe9" ) );
+            ( "dec",
+              ( 512, [ 1066; 63; 175; 2828; 1770; 0; 1005; 0; 0; 0 ],
+                "add89af19ad99b6b" ) );
+            ( "i2c",
+              ( 6317,
+                [ 14099; 160; 32480; 20186; 6216; 3; 13941; 0; 0; 0 ],
+                "fd967aaeae487e1c" ) );
+            ( "int2float",
+              ( 347, [ 933; 41; 138; 1323; 375; 0; 894; 0; 0; 0 ],
+                "2493b356617f25a3" ) );
+            ( "priority",
+              ( 899,
+                [ 55585; 2721; 134915; 55645; 188; 5; 52866; 0; 0; 0 ],
+                "6799818430dc848f" ) );
+            ( "router",
+              ( 4172, [ 4583; 42; 7867; 8378; 3818; 1; 4543; 0; 0; 0 ],
+                "62b682658f3a6c43" ) );
           ]);
     (* No budget: the search keeps the smallest candidate's own diagram,
        which has the counters of a fresh build under its order. *)
@@ -414,15 +460,15 @@ let fingerprint_tests =
               check_pinned name (Bdd.Sbdd.improve ~node_limit:20_000 nl) pinned)
            [
              ( "cavlc",
-               ( 103, [ 7786; 2043; 188; 688; 75; 1; 5745; 510; 3; 1 ],
+               ( 103, [ 7764; 2038; 176; 652; 62; 1; 5728; 510; 3; 1 ],
                  "12593cbdda5ac477" ) );
              ( "c432",
                ( 294,
-                 [ 34891; 10754; 8154; 7083; 1954; 3; 24139; 2052; 2; 1 ],
+                 [ 34822; 10719; 7582; 7023; 1963; 3; 24105; 2052; 2; 1 ],
                  "787692cf58ca26c6" ) );
              ( "router",
                ( 377,
-                 [ 101594; 40179; 3808; 3731; 951; 5; 61417; 11480; 3; 1 ],
+                 [ 101499; 40139; 3446; 3586; 901; 5; 61362; 11480; 3; 1 ],
                  "ebb5ed1340cf25d3" ) );
            ]);
     (* An expired deadline stops the candidate search before any
@@ -535,6 +581,166 @@ let sift_tests =
           [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Apply against truth tables, and the build against the ITE-based one
+   it replaced ([Ite_build]) and its keys against the boxed hash
+   ([Boxed_fingerprint]). *)
+
+let apply_tests =
+  [
+    (* Every operator on the same manager, so two operators that shared
+       a cache entry would answer each other's probes. *)
+    qcheck_case "apply matches all 16 truth tables"
+      QCheck2.Gen.(pair expr_gen expr_gen)
+      (fun (ef, eg) ->
+         let man = fresh_man () in
+         let f = build man ef and g = build man eg in
+         let zero = Bdd.Manager.zero and one = Bdd.Manager.one in
+         let operands =
+           [ f, g; g, f; f, f; g, g; f, zero; f, one; zero, g; one, g;
+             zero, zero; zero, one; one, zero; one, one ]
+         in
+         List.for_all
+           (fun op ->
+              List.for_all
+                (fun (a, b) ->
+                   let r = Bdd.Manager.apply man op a b in
+                   List.for_all
+                     (fun env ->
+                        let bit n = Bool.to_int (Bdd.Manager.eval man n env) in
+                        Bdd.Manager.eval man r env
+                        = ((op lsr ((2 * bit a) + bit b)) land 1 = 1))
+                     envs)
+                operands)
+           (List.init 16 Fun.id));
+  ]
+
+(* Loadgen's expression generator, draw for draw, and its default
+   stream: with probability 0.4 one of 4 hot expressions, otherwise a
+   fresh depth-4 tree over 8 variables. *)
+let rec loadgen_expr st depth =
+  if depth = 0 then
+    (if Random.State.bool st then "~" else "")
+    ^ [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |].(Random.State.int st 8)
+  else
+    let op = [| " & "; " | "; " ^ " |].(Random.State.int st 3) in
+    "(" ^ loadgen_expr st (depth - 1) ^ op ^ loadgen_expr st (depth - 1) ^ ")"
+
+let loadgen_hot =
+  List.init 4 (fun i ->
+      loadgen_expr (Crossbar.Rng.state Crossbar.Rng.default_seed ("loadgen-hot", i)) 4)
+
+(* serve-mix's requests: the 66 distinct expressions among the first
+   100 of the default stream. *)
+let serve_mix_exprs =
+  let hot = Array.of_list loadgen_hot in
+  List.sort_uniq compare
+    (List.init 100 (fun i ->
+         let st = Crossbar.Rng.state Crossbar.Rng.default_seed ("loadgen-req", i + 1) in
+         if Random.State.float st 1. < 0.4 then hot.(Random.State.int st 4)
+         else loadgen_expr st 4))
+
+(* An expression request's netlist, as compactd builds it. *)
+let expr_netlist s = Logic.Netlist.of_expr ~name:"expr" (Logic.Parse.expr s)
+
+(* Raw expressions, as the smart constructors would not leave them:
+   [Not] over compound terms, nested [Xor], constants, [And []] and
+   [Or []]. *)
+let raw_expr_gen names =
+  let open QCheck2.Gen in
+  let leaf =
+    frequency
+      [ 6, map (fun v -> Logic.Expr.Var v) (oneofl names);
+        1, map (fun b -> Logic.Expr.Const b) bool;
+        1, pure (Logic.Expr.And []);
+        1, pure (Logic.Expr.Or []) ]
+  in
+  sized_size (int_bound 10)
+  @@ fix (fun self n ->
+      if n <= 0 then leaf
+      else
+        frequency
+          [ 1, leaf;
+            3, map (fun e -> Logic.Expr.Not e) (self (n - 1));
+            2, map (fun es -> Logic.Expr.And es)
+              (list_size (int_range 1 3) (self (n / 2)));
+            2, map (fun es -> Logic.Expr.Or es)
+              (list_size (int_range 1 3) (self (n / 2)));
+            2, map2 (fun a b -> Logic.Expr.Xor (a, b)) (self (n / 2)) (self (n / 2)) ])
+
+(* Netlists of one to five wires over four inputs. A wire reads inputs
+   and earlier wires, or inverts an earlier wire, so gates read wires
+   stored negated and outputs can be negated wires. *)
+let netlist_gen =
+  let open QCheck2.Gen in
+  let inputs = [ "x0"; "x1"; "x2"; "x3" ] in
+  let wire i = Printf.sprintf "w%d" i in
+  int_range 1 5 >>= fun k ->
+  let rec wires i acc =
+    if i = k then pure (List.rev acc)
+    else
+      let earlier = List.init i wire in
+      let func =
+        if i = 0 then raw_expr_gen inputs
+        else
+          frequency
+            [ 3, raw_expr_gen (inputs @ earlier);
+              1, map (fun w -> Logic.Expr.Not (Logic.Expr.Var w)) (oneofl earlier) ]
+      in
+      func >>= fun e -> wires (i + 1) (Logic.Netlist.n_expr (wire i) e :: acc)
+  in
+  wires 0 [] >>= fun nodes ->
+  list_size (int_range 1 k) (int_bound (k - 1)) >>= fun picks ->
+  let outputs = List.sort_uniq compare (List.map wire picks) in
+  pure (Logic.Netlist.create ~name:"random" ~inputs ~outputs nodes)
+
+let netlist_print nl =
+  String.concat "; "
+    (List.map
+       (fun (n : Logic.Netlist.node) ->
+          n.wire ^ " = " ^ Logic.Expr.to_string n.func)
+       nl.Logic.Netlist.nodes)
+  ^ " -> " ^ String.concat "," nl.Logic.Netlist.outputs
+
+(* The apply build and the ITE build agree on size and canonical
+   fingerprint, each side hashed with its own generation's code; and on
+   the apply build the boxed hash gives the same fingerprint and cache
+   key. compactd's journal and snapshot store these keys, so a moved key
+   would orphan every entry of a durable cache. *)
+let check_same_as_ite name nl =
+  let sbdd = Bdd.Sbdd.of_netlist nl and old = Ite_build.of_netlist nl in
+  let options = Compact.Pipeline.default_options in
+  check ti (name ^ " size") (Ite_build.size old) (Bdd.Sbdd.size sbdd);
+  check Alcotest.string (name ^ " fingerprint") (Ite_build.fingerprint old)
+    (Server.Fingerprint.sbdd sbdd);
+  check Alcotest.string (name ^ " boxed fingerprint")
+    (Boxed_fingerprint.sbdd sbdd) (Server.Fingerprint.sbdd sbdd);
+  check Alcotest.string (name ^ " key")
+    (Boxed_fingerprint.key ~options sbdd)
+    (Server.Fingerprint.key ~options sbdd)
+
+let oracle_tests =
+  [
+    (* serve-hot's three circuits, c7552, dec and ctrl, are among them. *)
+    Alcotest.test_case "the 17 Table-I circuits match the ITE build" `Quick
+      (fun () ->
+         List.iter
+           (fun (entry : Circuits.Suite.entry) ->
+              check_same_as_ite entry.name (entry.generate ()))
+           Circuits.Suite.all);
+    Alcotest.test_case "serve-mix's expressions match the ITE build" `Quick
+      (fun () ->
+         check ti "distinct expressions" 66 (List.length serve_mix_exprs);
+         List.iter
+           (fun s -> check_same_as_ite s (expr_netlist s))
+           (serve_mix_exprs @ loadgen_hot));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:(300 * qcheck_mult) ~print:netlist_print
+         ~name:"random netlists match the ITE build" netlist_gen (fun nl ->
+             check_same_as_ite "random" nl;
+             true));
+  ]
+
 let () =
   Alcotest.run "bdd"
     [
@@ -545,4 +751,6 @@ let () =
       "fingerprint", fingerprint_tests;
       "reorder", reorder_tests;
       "sift", sift_tests;
+      "apply", apply_tests;
+      "oracle", oracle_tests;
     ]

@@ -6,8 +6,16 @@ let check = Alcotest.check
 let tb = Alcotest.bool
 let ti = Alcotest.int
 
+(* The @proptest alias re-runs the property tests with QCHECK_MULT-times
+   the default case count (see test/dune). *)
+let qcheck_mult =
+  match Option.bind (Sys.getenv_opt "QCHECK_MULT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 let qcheck_case ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:(count * qcheck_mult) ~name gen prop)
 
 (* Evaluate a netlist on an integer-encoded input point (bit i of [bits]
    feeds input i in declaration order) and decode selected outputs as an

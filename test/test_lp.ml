@@ -5,8 +5,16 @@ let check = Alcotest.check
 let tb = Alcotest.bool
 let tf = Alcotest.float 1e-6
 
+(* The @proptest alias re-runs the property tests with QCHECK_MULT-times
+   the default case count (see test/dune). *)
+let qcheck_mult =
+  match Option.bind (Sys.getenv_opt "QCHECK_MULT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 let qcheck_case ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:(count * qcheck_mult) ~name gen prop)
 
 let solve_min ~a ~rel ~b ~c = Lp.Simplex.minimize ~a ~rel ~b ~c
 let solve_max ~a ~rel ~b ~c = Lp.Simplex.maximize ~a ~rel ~b ~c

@@ -4,8 +4,16 @@ let check = Alcotest.check
 let tb = Alcotest.bool
 let tf = Alcotest.float 1e-6
 
+(* The @proptest alias re-runs the property tests with QCHECK_MULT-times
+   the default case count (see test/dune). *)
+let qcheck_mult =
+  match Option.bind (Sys.getenv_opt "QCHECK_MULT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 let qcheck_case ?(count = 60) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:(count * qcheck_mult) ~name gen prop)
 
 let knapsack () =
   (* max 5a + 4b + 3c  st  2a + 3b + c <= 5, binaries -> a=b=1: 9 *)
