@@ -11,6 +11,7 @@ type t = {
   mutable nrows : int;
   mutable objective : (float * var) list;
   mutable sense : [ `Minimize | `Maximize ];
+  mutable dense : Simplex.lp option;  (* built on first use; edits clear it *)
 }
 
 let create () =
@@ -23,6 +24,7 @@ let create () =
     nrows = 0;
     objective = [];
     sense = `Minimize;
+    dense = None;
   }
 
 let add_var ?(ub = infinity) ?(integer = false) t name =
@@ -31,6 +33,7 @@ let add_var ?(ub = infinity) ?(integer = false) t name =
   t.ubs <- ub :: t.ubs;
   t.ints <- integer :: t.ints;
   t.nvars <- t.nvars + 1;
+  t.dense <- None;
   v
 
 let add_binary t name = add_var ~ub:1. ~integer:true t name
@@ -41,11 +44,13 @@ let add_constraint t coeffs rel rhs =
        if v < 0 || v >= t.nvars then invalid_arg "Problem.add_constraint: bad var")
     coeffs;
   t.rows <- { coeffs; rel; rhs } :: t.rows;
-  t.nrows <- t.nrows + 1
+  t.nrows <- t.nrows + 1;
+  t.dense <- None
 
 let set_objective t ~sense coeffs =
   t.sense <- sense;
-  t.objective <- coeffs
+  t.objective <- coeffs;
+  t.dense <- None
 
 let sense t = t.sense
 let num_vars t = t.nvars
@@ -64,38 +69,43 @@ let integer_vars t =
 let objective_value t x =
   List.fold_left (fun acc (c, v) -> acc +. (c *. x.(v))) 0. t.objective
 
-let solve_relaxation ?(budget = Resilience.Budget.unlimited) ?(bounds = [])
-    ?(workspace = Simplex.workspace ()) t =
+(* The dense rows, costs (negated when maximising) and column bounds,
+   in the order the rows were added. *)
+let build t =
   let n = t.nvars in
-  let ubs = Array.of_list (List.rev t.ubs) in
-  let extra_rows =
-    List.concat_map
-      (fun (v, lb, ub) ->
-         let rows = ref [] in
-         if lb > 0. then rows := ([ 1., v ], Simplex.Ge, lb) :: !rows;
-         if ub < infinity then rows := ([ 1., v ], Simplex.Le, ub) :: !rows;
-         !rows)
-      bounds
+  let rows = Array.of_list (List.rev t.rows) in
+  let a =
+    Array.map
+      (fun r ->
+         let row = Array.make n 0. in
+         List.iter (fun (c, v) -> row.(v) <- row.(v) +. c) r.coeffs;
+         row)
+      rows
   in
-  let ub_rows = ref [] in
-  Array.iteri
-    (fun v ub ->
-       if ub < infinity then ub_rows := ([ 1., v ], Simplex.Le, ub) :: !ub_rows)
-    ubs;
-  let all_rows =
-    List.rev_map (fun r -> r.coeffs, r.rel, r.rhs) t.rows
-    @ !ub_rows @ extra_rows
-  in
-  let m = List.length all_rows in
-  let a = Array.make_matrix m n 0. in
-  let rel = Array.make m Simplex.Eq in
-  let b = Array.make m 0. in
-  List.iteri
-    (fun i (coeffs, r, rhs) ->
-       List.iter (fun (c, v) -> a.(i).(v) <- a.(i).(v) +. c) coeffs;
-       rel.(i) <- r;
-       b.(i) <- rhs)
-    all_rows;
   let c = Array.make n 0. in
   List.iter (fun (k, v) -> c.(v) <- c.(v) +. k) t.objective;
-  Simplex.solve ~workspace ~budget ~sense:t.sense ~a ~rel ~b ~c
+  if t.sense = `Maximize then Array.iteri (fun j k -> c.(j) <- -.k) c;
+  Simplex.lp ~a
+    ~rel:(Array.map (fun r -> r.rel) rows)
+    ~b:(Array.map (fun r -> r.rhs) rows)
+    ~c
+    ~ub:(Array.of_list (List.rev t.ubs))
+
+let lp t =
+  match t.dense with
+  | Some lp -> lp
+  | None ->
+    let lp = build t in
+    t.dense <- Some lp;
+    lp
+
+let solve_relaxation ?(budget = Resilience.Budget.unlimited) ?(bounds = [])
+    ?(workspace = Simplex.workspace ()) t =
+  let tableau = Simplex.start workspace (lp t) in
+  List.iter (fun (v, lo, hi) -> Simplex.tighten tableau v ~lo ~hi) bounds;
+  let outcome = Simplex.optimise ~budget workspace tableau in
+  Simplex.release workspace tableau;
+  match t.sense, outcome with
+  | `Maximize, Simplex.Optimal { objective; solution } ->
+    Simplex.Optimal { objective = -.objective; solution }
+  | _ -> outcome

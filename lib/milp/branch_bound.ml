@@ -86,14 +86,25 @@ module Heap = struct
     top
 end
 
-(* A node is a conjunction of variable-bound tightenings; its [score] is
-   the parent's LP value in minimisation direction (a valid bound). *)
+(* A node is a conjunction of variable-bound tightenings, newest first;
+   its [score] is the parent's LP value in minimisation direction (a
+   valid bound). [parent] is the parent's final tableau, shared with the
+   sibling: a child re-optimises it after its one new bound. *)
 type node = {
   fixings : (Lp.Problem.var * float * float) list;
   score : float;
+  parent : saved option;
 }
 
+and saved = { tableau : Lp.Simplex.tableau; mutable holders : int }
+
+(* The floats the saved tableaux may keep alive at once (about 8 MB); a
+   node solved past it hands no tableau down, and its children start
+   from the slack basis. *)
+let max_saved_floats = 1_000_000
+
 let c_nodes = Obs.Counter.make "bb.nodes"
+let c_pivots = Obs.Counter.make "lp.pivots"
 
 let status_name = function
   | Optimal -> "optimal"
@@ -111,7 +122,8 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
     match Lp.Problem.sense problem with `Minimize -> 1.0 | `Maximize -> -1.0
   in
   let integer_vars = Array.of_list (Lp.Problem.integer_vars problem) in
-  (* Scores are dir·objective so the search always minimises. *)
+  (* Scores are dir·objective so the search always minimises; the
+     relaxations' objectives (Problem.lp's costs) already are. *)
   let incumbent_score = ref infinity in
   let have_incumbent = ref false in
   let incumbent_point = ref None in
@@ -132,7 +144,8 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
   let trace = ref [] in
   let nodes = ref 0 in
   let heap = Heap.create () in
-  Heap.push heap neg_infinity { fixings = []; score = neg_infinity };
+  Heap.push heap neg_infinity
+    { fixings = []; score = neg_infinity; parent = None };
   let best_bound = ref neg_infinity in
   let incumbent () =
     if !have_incumbent then Some (dir *. !incumbent_score) else None
@@ -160,42 +173,96 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
           "bound", Printf.sprintf "%.9g" bound_obj;
           "gap", Printf.sprintf "%.4f" gap ]
   in
-  (* Expansion of one node given its LP relaxation outcome. *)
-  let process node outcome =
-    match outcome with
-    | Lp.Simplex.Unbounded ->
-      invalid_arg "Branch_bound.solve: relaxation unbounded"
-    | Lp.Simplex.Infeasible -> ()
-    | Lp.Simplex.Optimal { objective; solution } ->
-      let score = dir *. objective in
-      if not (!have_incumbent && score >= !incumbent_score -. 1e-9) then begin
-        let branch_var = ref None in
-        let best_frac = ref integer_tolerance in
-        Array.iter
-          (fun (v : Lp.Problem.var) ->
-             let x = solution.((v :> int)) in
-             let frac = abs_float (x -. Float.round x) in
-             if frac > !best_frac then begin
-               best_frac := frac;
-               branch_var := Some (v, x)
-             end)
-          integer_vars;
-        match !branch_var with
-        | None ->
-          (* Integral solution: round off tolerance noise and accept. *)
-          if (not !have_incumbent) || score < !incumbent_score -. 1e-9 then begin
-            incumbent_score := score;
-            have_incumbent := true;
-            incumbent_point := Some (Array.copy solution);
-            record ()
-          end
-        | Some (v, x) ->
-          let lo = floor x in
-          Heap.push heap score
-            { fixings = (v, 0., lo) :: node.fixings; score };
-          Heap.push heap score
-            { fixings = (v, lo +. 1., infinity) :: node.fixings; score }
-      end
+  let lp = Lp.Problem.lp problem in
+  (* One workspace for every relaxation of this search; it is dropped
+     with the search, so racing searches never share one. *)
+  let workspace = Lp.Simplex.workspace () in
+  let saved_floats = ref 0 in
+  let let_go s =
+    s.holders <- s.holders - 1;
+    if s.holders = 0 then begin
+      saved_floats := !saved_floats - Lp.Simplex.floats s.tableau;
+      Lp.Simplex.release workspace s.tableau
+    end
+  in
+  (* The node's starting tableau: its parent's with the one new bound
+     (copied unless this is the last holder), or the slack basis under
+     every fixing. *)
+  let tableau_of node =
+    match node.parent, node.fixings with
+    | Some s, (v, lo, hi) :: _ ->
+      let t =
+        if s.holders > 1 then begin
+          s.holders <- s.holders - 1;
+          Lp.Simplex.copy workspace s.tableau
+        end
+        else begin
+          s.holders <- 0;
+          saved_floats := !saved_floats - Lp.Simplex.floats s.tableau;
+          s.tableau
+        end
+      in
+      Lp.Simplex.tighten t (v :> int) ~lo ~hi;
+      t
+    | _ ->
+      let t = Lp.Simplex.start workspace lp in
+      List.iter
+        (fun ((v : Lp.Problem.var), lo, hi) ->
+           Lp.Simplex.tighten t (v :> int) ~lo ~hi)
+        node.fixings;
+      t
+  in
+  (* Expansion of one node given its LP relaxation outcome; [tableau]
+     is released or handed to the children. *)
+  let process node tableau outcome =
+    let branched =
+      match outcome with
+      | Lp.Simplex.Unbounded ->
+        invalid_arg "Branch_bound.solve: relaxation unbounded"
+      | Lp.Simplex.Infeasible -> false
+      | Lp.Simplex.Optimal { objective = score; solution } ->
+        if !have_incumbent && score >= !incumbent_score -. 1e-9 then false
+        else begin
+          let branch_var = ref None in
+          let best_frac = ref integer_tolerance in
+          Array.iter
+            (fun (v : Lp.Problem.var) ->
+               let x = solution.((v :> int)) in
+               let frac = abs_float (x -. Float.round x) in
+               if frac > !best_frac then begin
+                 best_frac := frac;
+                 branch_var := Some (v, x)
+               end)
+            integer_vars;
+          match !branch_var with
+          | None ->
+            (* Integral solution: round off tolerance noise and accept. *)
+            if (not !have_incumbent) || score < !incumbent_score -. 1e-9
+            then begin
+              incumbent_score := score;
+              have_incumbent := true;
+              incumbent_point := Some (Array.copy solution);
+              record ()
+            end;
+            false
+          | Some (v, x) ->
+            let size = Lp.Simplex.floats tableau in
+            let parent =
+              if !saved_floats + size <= max_saved_floats then begin
+                saved_floats := !saved_floats + size;
+                Some { tableau; holders = 2 }
+              end
+              else None
+            in
+            let lo = floor x in
+            Heap.push heap score
+              { fixings = (v, 0., lo) :: node.fixings; score; parent };
+            Heap.push heap score
+              { fixings = (v, lo +. 1., infinity) :: node.fixings; score; parent };
+            parent <> None
+        end
+    in
+    if not branched then Lp.Simplex.release workspace tableau
   in
   (* The best surviving node of the frontier, best-bound-first; nodes
      the incumbent already prunes are popped and dropped. *)
@@ -206,15 +273,14 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
       let bound_improved = node.score > !best_bound +. 1e-9 in
       best_bound := max !best_bound node.score;
       if bound_improved || !nodes land 63 = 0 then record ();
-      if !have_incumbent && node.score >= !incumbent_score -. 1e-9 then
+      if !have_incumbent && node.score >= !incumbent_score -. 1e-9 then begin
+        Option.iter let_go node.parent;
         next_node ()
+      end
       else Some node
     end
   in
   let hit_limit = ref false in
-  (* One tableau for every relaxation of this search; it is dropped with
-     the search, so racing searches never share one. *)
-  let workspace = Lp.Simplex.workspace () in
   Obs.Span.with_ "branch-bound" @@ fun () ->
   (* The budget is checked before each expansion. A relaxation the
      budget stops leaves its node on the frontier, so the final bound
@@ -228,18 +294,16 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
       | Some node ->
         incr nodes;
         Resilience.Budget.consume_nodes budget 1;
+        let tableau = tableau_of node in
         (match
            Obs.Span.with_ "lp-relax" (fun () ->
-               match
-                 Lp.Problem.solve_relaxation ~budget ~bounds:node.fixings
-                   ~workspace problem
-               with
+               match Lp.Simplex.optimise ~budget workspace tableau with
                | outcome -> Some outcome
                | exception Resilience.Budget.Exhausted _ -> None)
          with
-         | Some outcome -> process node outcome
+         | Some outcome -> process node tableau outcome
          | None ->
-           Heap.push heap node.score node;
+           Heap.push heap node.score { node with parent = None };
            hit_limit := true)
   done;
   let closed = meets_known () in
@@ -268,6 +332,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
   best_bound := final_score_bound;
   record ();
   Obs.Counter.add c_nodes !nodes;
+  Obs.Counter.add c_pivots (Lp.Simplex.pivots workspace);
   Obs.Span.add_attr "status" (status_name status);
   Obs.Span.add_attr "nodes" (string_of_int !nodes);
   Obs.Span.add_attr "stop"

@@ -87,6 +87,16 @@ val solve :
     most [k + 1] nodes: the charge that trips it stops the last one's
     relaxation in flight.
 
+    Each node re-optimises its parent's final simplex tableau after the
+    one bound that made it ({!Lp.Simplex.tighten}), so a relaxation
+    takes a few dual pivots instead of a solve from scratch. The two
+    children share the tableau: the first popped copies it, the last
+    takes it. Saved tableaux alive at once are capped at 1M floats
+    (about 8 MB); a node solved past the cap hands none down, and its
+    children start from the slack basis under all their fixings. The
+    pivots of a search are added to the [lp.pivots] Obs counter beside
+    [bb.nodes].
+
     The search is sequential and deterministic: the same problem,
     [initial] and [known_bound] give the same result, nodes and trace
     (but for [elapsed] and the trace's times). Its node relaxations share

@@ -282,6 +282,34 @@ let sbdd_tests =
                 in
                 find 0))
           nl.outputs);
+    Alcotest.test_case "dot export does not depend on handles" `Quick
+      (fun () ->
+         (* f = (x0 & x1) | (x2 ^ ~x3) and g = x1 ^ x3, built once in a
+            fresh manager and once after unrelated nodes took the first
+            handles. *)
+         let build ~clutter =
+           let man = Bdd.Manager.create ~num_vars:4 () in
+           let x = Bdd.Manager.var man in
+           if clutter then
+             ignore
+               Bdd.Manager.(
+                 and_ man (xor man (x 0) (x 2)) (or_ man (x 1) (not_ man (x 3))));
+           let f =
+             Bdd.Manager.(
+               or_ man (and_ man (x 0) (x 1)) (xor man (x 2) (not_ man (x 3))))
+           in
+           let g = Bdd.Manager.xor man (x 1) (x 3) in
+           {
+             Bdd.Sbdd.man;
+             input_order = [| "x0"; "x1"; "x2"; "x3" |];
+             roots = [ "f", f; "g", g ];
+           }
+         in
+         let fresh = build ~clutter:false and cluttered = build ~clutter:true in
+         check tb "handles differ" true
+           (List.assoc "f" fresh.roots <> List.assoc "f" cluttered.roots);
+         check Alcotest.string "same text" (Bdd.Dot.sbdd fresh)
+           (Bdd.Dot.sbdd cluttered));
     qcheck_case "expression round trip through a 1-output netlist" expr_gen
       (fun f ->
          let inputs = [ "x0"; "x1"; "x2"; "x3" ] in

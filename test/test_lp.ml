@@ -1,5 +1,6 @@
-(* Tests for the two-phase simplex and the LP model builder, with a
-   differential battery against the dense reference in Dense_simplex. *)
+(* Tests for the bounded dual simplex and the LP model builder, with a
+   differential battery against the dense primal reference in
+   Dense_simplex and a check of warm-started re-optimisation. *)
 
 let check = Alcotest.check
 let tb = Alcotest.bool
@@ -12,9 +13,9 @@ let qcheck_mult =
   | Some n when n > 0 -> n
   | Some _ | None -> 1
 
-let qcheck_case ?(count = 100) name gen prop =
+let qcheck_case ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:(count * qcheck_mult) ~name gen prop)
+    (QCheck2.Test.make ~count:(count * qcheck_mult) ?print ~name gen prop)
 
 let solve_min ~a ~rel ~b ~c = Lp.Simplex.minimize ~a ~rel ~b ~c
 let solve_max ~a ~rel ~b ~c = Lp.Simplex.maximize ~a ~rel ~b ~c
@@ -199,26 +200,61 @@ let simplex_property_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential battery: Lp.Simplex against the dense reference kept in
-   Dense_simplex. The sparse pivot takes the same pivots, so outcome,
-   objective and solution must agree bit for bit, up to the sign of a
-   zero. *)
+(* Differential battery: Lp.Simplex against the dense two-phase primal
+   kept in Dense_simplex. The two take different pivots and can stop at
+   different optimal vertices, so they must agree on the outcome class
+   and, when optimal, on the objective within 1e-7 (relative); the
+   point Lp.Simplex returns must satisfy every row and bound within 1e-7
+   and reproduce its objective. *)
 
-let bits x = Int64.bits_of_float (x +. 0.) (* -0. +. 0. = 0. *)
+let tol = 1e-7
+let close x y = abs_float (x -. y) <= tol *. Float.max 1. (abs_float y)
 
-let same_outcome (got : Lp.Simplex.outcome) (want : Lp.Simplex.outcome) =
+let dot c x =
+  let s = ref 0. in
+  Array.iteri (fun j k -> s := !s +. (k *. x.(j))) c;
+  !s
+
+(* [x] satisfies rows [a x rel b] and [x >= 0] within [tol]. *)
+let satisfies (a, rel, b) x =
+  Array.for_all (fun v -> v >= -.tol) x
+  && Array.for_all2
+       (fun (row, r) bi ->
+          let lhs = dot row x in
+          match r with
+          | Lp.Simplex.Le -> lhs <= bi +. tol
+          | Lp.Simplex.Ge -> lhs >= bi -. tol
+          | Lp.Simplex.Eq -> abs_float (lhs -. bi) <= tol)
+       (Array.map2 (fun row r -> row, r) a rel)
+       b
+
+let same_outcome ~lp:(_, a, rel, b, c) (got : Lp.Simplex.outcome)
+    (want : Lp.Simplex.outcome) =
   match got, want with
   | Optimal g, Optimal w ->
-    bits g.objective = bits w.objective
-    && Array.length g.solution = Array.length w.solution
-    && Array.for_all2 (fun x y -> bits x = bits y) g.solution w.solution
+    close g.objective w.objective
+    && Array.length g.solution = Array.length c
+    && satisfies (a, rel, b) g.solution
+    && close (dot c g.solution) g.objective
   | Infeasible, Infeasible | Unbounded, Unbounded -> true
   | _ -> false
 
 let unlimited = Resilience.Budget.unlimited
 
-let agrees ~workspace (sense, a, rel, b, c) =
-  same_outcome
+let print_lp (sense, a, rel, b, c) =
+  let row r = String.concat " " (Array.to_list (Array.map string_of_float r)) in
+  let rel_s = function Lp.Simplex.Le -> "<=" | Ge -> ">=" | Eq -> "=" in
+  Printf.sprintf "%s [%s]\n%s"
+    (match sense with `Minimize -> "min" | `Maximize -> "max")
+    (row c)
+    (String.concat "\n"
+       (Array.to_list
+          (Array.mapi
+             (fun i r -> Printf.sprintf "  [%s] %s %g" (row r) (rel_s rel.(i)) b.(i))
+             a)))
+
+let agrees ~workspace ((sense, a, rel, b, c) as lp) =
+  same_outcome ~lp
     (Lp.Simplex.solve ~workspace ~budget:unlimited ~sense ~a ~rel ~b ~c)
     (Dense_simplex.solve ~budget:unlimited ~sense ~a ~rel ~b ~c)
 
@@ -357,7 +393,7 @@ let vh_gen =
 let differential_tests =
   [
     qcheck_case "random LPs: same outcome as the dense reference" ~count:500
-      general_lp_gen
+      ~print:print_lp general_lp_gen
       (fun lp -> agrees ~workspace:(Lp.Simplex.workspace ()) lp);
     qcheck_case "one workspace through LPs that grow and shrink" ~count:200
       QCheck2.Gen.(list_size (int_range 2 8) general_lp_gen)
@@ -374,12 +410,124 @@ let differential_tests =
               let bounds =
                 List.map (fun (v, lb, ub) -> vars.(v), lb, ub) fixings
               in
-              let _, a, rel, b, c = vh_dense model fixings in
-              same_outcome
+              let (_, a, rel, b, c) as lp = vh_dense model fixings in
+              same_outcome ~lp
                 (Lp.Problem.solve_relaxation ~bounds ~workspace p)
                 (Dense_simplex.solve ~budget:unlimited ~sense:`Minimize ~a
                    ~rel ~b ~c))
            fixing_sets);
+  ]
+
+(* Warm starts: a solved tableau re-optimised after one more bound
+   against a solve from the slack basis under all the bounds. Each step
+   branches as the search does: one child re-optimises a copy of the
+   parent's tableau, and its sibling, under the opposite bound, takes
+   the parent's own, so a copy that shared storage would show. *)
+
+let with_bound_rows (sense, a, rel, b, c) bounds =
+  let n = Array.length c in
+  let unit v = Array.init n (fun j -> if j = v then 1. else 0.) in
+  let rows =
+    List.concat_map
+      (fun (v, lo, hi) ->
+         (if hi < infinity then [ (unit v, Lp.Simplex.Le, hi) ] else [])
+         @ if lo > 0. then [ (unit v, Lp.Simplex.Ge, lo) ] else [])
+      bounds
+  in
+  let extra f = Array.of_list (List.map f rows) in
+  ( sense,
+    Array.append a (extra (fun (r, _, _) -> r)),
+    Array.append rel (extra (fun (_, r, _) -> r)),
+    Array.append b (extra (fun (_, _, k) -> k)),
+    c )
+
+(* Branch along [path] from an optimal [root] of [lp_of []], checking
+   both children of every step against [fresh bounds]. *)
+let warm_walk ~ws ~lp_of ~fresh ~to_sense root path =
+  let optimise t = to_sense (Lp.Simplex.optimise ~budget:unlimited ws t) in
+  let rec walk parent bounds = function
+    | [] -> true
+    | (((v, lo, hi) as bound), ((sv, slo, shi) as sibling)) :: rest ->
+      let child = Lp.Simplex.copy ws parent in
+      Lp.Simplex.tighten child v ~lo ~hi;
+      let here = bound :: bounds and there = sibling :: bounds in
+      let got = optimise child in
+      Lp.Simplex.tighten parent sv ~lo:slo ~hi:shi;
+      same_outcome ~lp:(lp_of here) got (fresh here)
+      && same_outcome ~lp:(lp_of there) (optimise parent) (fresh there)
+      &&
+      match got with
+      | Lp.Simplex.Optimal _ -> walk child here rest
+      | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> true
+  in
+  match optimise root with
+  | Lp.Simplex.Optimal _ -> walk root [] path
+  | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> true
+
+(* A general LP with random column bounds to tighten, each paired with a
+   sibling bound on the other side of a split point. *)
+let bounded_lp_gen =
+  QCheck2.Gen.(
+    let* lp = general_lp_gen in
+    let _, _, _, _, c = lp in
+    let n = Array.length c in
+    let* path =
+      list_size (int_range 1 6)
+        (let* v = int_bound (n - 1) in
+         let* k = int_bound 3 in
+         return ((v, 0., float_of_int k), (v, float_of_int (k + 1), infinity)))
+    in
+    return (lp, path))
+
+let warm_tests =
+  [
+    qcheck_case "VH relaxations: a saved tableau plus one bound = fresh solve"
+      ~count:200 vh_gen
+      (fun (model, fixing_sets) ->
+         let p, vars = vh_problem model in
+         let ws = Lp.Simplex.workspace () in
+         (* Problem numbers the variables in order: vars.(v) is v. *)
+         let path =
+           List.map
+             (fun ((v, lo, _) as bound) ->
+                bound, if lo > 0. then v, 0., 0. else v, 1., infinity)
+             (List.concat fixing_sets)
+         in
+         let fresh bounds =
+           Lp.Problem.solve_relaxation
+             ~bounds:(List.map (fun (v, lo, hi) -> vars.(v), lo, hi) bounds)
+             p
+         in
+         warm_walk ~ws ~lp_of:(vh_dense model) ~fresh ~to_sense:Fun.id
+           (Lp.Simplex.start ws (Lp.Problem.lp p))
+           path);
+    qcheck_case "general LPs: a saved tableau plus one bound = fresh solve"
+      ~count:300 bounded_lp_gen
+      (fun (((sense, a, rel, b, c) as lp), path) ->
+         let ws = Lp.Simplex.workspace () in
+         let min_c =
+           match sense with
+           | `Minimize -> c
+           | `Maximize -> Array.map ( ~-. ) c
+         in
+         let simplex_lp =
+           Lp.Simplex.lp ~a ~rel ~b ~c:min_c
+             ~ub:(Array.make (Array.length c) infinity)
+         in
+         let to_sense (o : Lp.Simplex.outcome) =
+           match sense, o with
+           | `Maximize, Optimal { objective; solution } ->
+             Lp.Simplex.Optimal { objective = -.objective; solution }
+           | _ -> o
+         in
+         let fresh bounds =
+           let t = Lp.Simplex.start ws simplex_lp in
+           List.iter (fun (v, lo, hi) -> Lp.Simplex.tighten t v ~lo ~hi) bounds;
+           to_sense (Lp.Simplex.optimise ~budget:unlimited ws t)
+         in
+         warm_walk ~ws ~lp_of:(with_bound_rows lp) ~fresh ~to_sense
+           (Lp.Simplex.start ws simplex_lp)
+           path);
   ]
 
 let problem_tests =
@@ -439,4 +587,5 @@ let () =
       "simplex-properties", simplex_property_tests;
       "problem", problem_tests;
       "differential", differential_tests;
+      "warm", warm_tests;
     ]

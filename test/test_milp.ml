@@ -235,6 +235,130 @@ let milp_property_tests =
              [ 0.; 1.5 ]);
   ]
 
+(* VH-labeling models as Label_mip builds them (a label per node, both
+   label kinds covering every edge, D above the row and column counts,
+   the cut rows S >= n + k and D >= ceil((n + k)/2), an optional
+   wordline capacity, alignment forcing some nodes onto wordlines,
+   objective gamma*S + (1-gamma)*D), against every labeling. Their
+   searches branch several levels deep, so children re-optimise their
+   parents' tableaux. *)
+type vh = {
+  nodes : int;
+  edges : (int * int) list;
+  cut : int;
+  cap : int option;
+  aligned : int list;
+  gamma : float;
+}
+
+let vh_gen =
+  QCheck2.Gen.(
+    let* nodes = int_range 2 6 in
+    let pairs =
+      List.concat (List.init nodes (fun i -> List.init i (fun j -> j, i)))
+    in
+    let* keep = list_repeat (List.length pairs) bool in
+    let edges = List.filteri (fun k _ -> List.nth keep k) pairs in
+    let* cut = int_bound 2 in
+    let* cap = opt (int_range 1 nodes) in
+    let* alignment = bool in
+    let* aligned =
+      if alignment then list_size (int_range 1 2) (int_bound (nodes - 1))
+      else return []
+    in
+    let* gamma = oneofl [ 0.; 0.5; 1. ] in
+    return { nodes; edges; cut; cap; aligned; gamma })
+
+let vh_problem m =
+  let p = Lp.Problem.create () in
+  let n = m.nodes in
+  let xv = Array.init n (fun i -> Lp.Problem.add_binary p (Printf.sprintf "v%d" i)) in
+  let xh = Array.init n (fun i -> Lp.Problem.add_binary p (Printf.sprintf "h%d" i)) in
+  let d = Lp.Problem.add_var p "D" in
+  let all x = Array.to_list (Array.map (fun v -> 1., v) x) in
+  let minus = List.map (fun (k, v) -> -.k, v) in
+  Array.iteri
+    (fun i v -> Lp.Problem.add_constraint p [ (1., v); (1., xh.(i)) ] Ge 1.)
+    xv;
+  List.iter
+    (fun (i, j) ->
+       Lp.Problem.add_constraint p [ (1., xh.(i)); (1., xh.(j)) ] Ge 1.;
+       Lp.Problem.add_constraint p [ (1., xv.(i)); (1., xv.(j)) ] Ge 1.)
+    m.edges;
+  Lp.Problem.add_constraint p ((1., d) :: minus (all xh)) Ge 0.;
+  Lp.Problem.add_constraint p ((1., d) :: minus (all xv)) Ge 0.;
+  let s_lb = float_of_int (n + m.cut) in
+  Lp.Problem.add_constraint p (all xv @ all xh) Ge s_lb;
+  Lp.Problem.add_constraint p [ (1., d) ] Ge (ceil (s_lb /. 2.));
+  Option.iter
+    (fun k -> Lp.Problem.add_constraint p (all xh) Le (float_of_int k))
+    m.cap;
+  List.iter (fun i -> Lp.Problem.add_constraint p [ (1., xh.(i)) ] Ge 1.) m.aligned;
+  Lp.Problem.set_objective p ~sense:`Minimize
+    ((1. -. m.gamma, d)
+     :: List.map (fun (_, v) -> m.gamma, v) (all xv @ all xh));
+  p
+
+(* The least objective over every labeling (V, H or VH per node), with
+   D at its least value max(R, C, ceil((n + k)/2)); [None] when no
+   labeling satisfies the rows. *)
+let vh_brute m =
+  let n = m.nodes in
+  let best = ref None in
+  let rec go i v h =
+    if i = n then begin
+      let covered =
+        List.for_all (fun (a, b) -> (h.(a) || h.(b)) && (v.(a) || v.(b))) m.edges
+      in
+      let count x = Array.fold_left (fun k b -> if b then k + 1 else k) 0 x in
+      let r = count h and c = count v in
+      let s = r + c in
+      if
+        covered
+        && List.for_all (fun i -> h.(i)) m.aligned
+        && (match m.cap with Some k -> r <= k | None -> true)
+        && s >= n + m.cut
+      then begin
+        let d = max (max r c) ((n + m.cut + 1) / 2) in
+        let obj =
+          (m.gamma *. float_of_int s) +. ((1. -. m.gamma) *. float_of_int d)
+        in
+        match !best with
+        | Some b when b <= obj -> ()
+        | _ -> best := Some obj
+      end
+    end
+    else
+      List.iter
+        (fun (vi, hi) ->
+           v.(i) <- vi;
+           h.(i) <- hi;
+           go (i + 1) v h)
+        [ (true, false); (false, true); (true, true) ]
+  in
+  go 0 (Array.make n false) (Array.make n false);
+  !best
+
+let vh_property_tests =
+  [
+    qcheck_case "VH-labeling models match brute force" ~count:150 vh_gen
+      (fun m ->
+         (* A search here expands at most a few hundred nodes; the
+            allowance turns a search that never closes into a failure. *)
+         let budget = Resilience.Budget.create ~nodes:20_000 () in
+         let r = Milp.Branch_bound.solve ~budget (vh_problem m) in
+         match vh_brute m, r.objective with
+         | None, None -> r.status = Milp.Branch_bound.Infeasible
+         | Some expected, Some got ->
+           r.status = Milp.Branch_bound.Optimal
+           && abs_float (expected -. got) < 1e-6
+         | None, Some _ | Some _, None -> false);
+  ]
+
 let () =
   Alcotest.run "milp"
-    [ "branch_bound", milp_tests; "properties", milp_property_tests ]
+    [
+      "branch_bound", milp_tests;
+      "properties", milp_property_tests;
+      "vh-labeling", vh_property_tests;
+    ]

@@ -258,9 +258,17 @@ let string_gen =
        ])
     (int_range 0 12)
 
+(* The @proptest alias re-runs the property tests with QCHECK_MULT-times
+   the default case count (see test/dune). *)
+let qcheck_mult =
+  match Option.bind (Sys.getenv_opt "QCHECK_MULT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 let json_fast_path_tests =
   let case name gen prop =
-    QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen prop)
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:(500 * qcheck_mult) ~name gen prop)
   in
   [
     case "numbers print as before" number_gen (fun f ->
