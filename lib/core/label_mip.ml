@@ -15,6 +15,24 @@ let labeling_to_point ~num_point_vars ~xv ~xh (labeling : Types.labeling) =
 
 exception Infeasible of string
 
+(* Odd-cycle rows go into models of at most this many nodes, the graphs
+   Auto's MIP rung labels ([Pipeline.mip_node_threshold]). *)
+let cycle_rows_node_limit = 160
+
+let c_cycle_rows = Obs.Counter.make "mip.cycle_rows"
+
+let max_step_denominator = 16
+
+let objective_step ~gamma =
+  let rec find q =
+    if q > max_step_denominator then None
+    else
+      let p = gamma *. float_of_int q in
+      if abs_float (p -. Float.round p) < 1e-9 then Some (1. /. float_of_int q)
+      else find (q + 1)
+  in
+  if gamma < 0. || gamma > 1. then None else find 1
+
 let solve ?budget ?(alignment = false) ?(gamma = 0.5) ?warm_start
     ?(oct_cut = 0) ?max_rows ?max_cols (bg : Types.bdd_graph) =
   let start = Obs.Clock.now () in
@@ -115,7 +133,37 @@ let solve ?budget ?(alignment = false) ?(gamma = 0.5) ?warm_start
     if warm.Types.gamma = gamma then max cut_bound warm.Types.lower_bound
     else cut_bound
   in
-  let result = Milp.Branch_bound.solve ?budget ?initial ~known_bound p in
+  (* Odd-cycle rows: the H labels and the V labels each cover every
+     edge, and covering an odd cycle of 2m + 1 nodes takes m + 1 of
+     them, so each packed cycle C gives Σ_C xH ≥ (|C| + 1)/2 and the
+     same for xV, under alignment and capacities alike. A warm start
+     that already meets the bound closes the search before any
+     relaxation, so it gets none. *)
+  let closes =
+    match initial with
+    | Some (_, value) -> value <= known_bound +. 1e-9
+    | None -> false
+  in
+  let cycles =
+    if n <= cycle_rows_node_limit && not closes then
+      Graphs.Oct.odd_cycle_packing bg.graph
+    else []
+  in
+  List.iter
+    (fun cycle ->
+       let half = float_of_int ((List.length cycle + 1) / 2) in
+       List.iter
+         (fun x ->
+            Lp.Problem.add_constraint p
+              (List.map (fun i -> 1., x.(i)) cycle)
+              Lp.Simplex.Ge half)
+         [ xh; xv ])
+    cycles;
+  Obs.Counter.add c_cycle_rows (2 * List.length cycles);
+  let result =
+    Milp.Branch_bound.solve ?budget ?initial ~known_bound
+      ?objective_step:(objective_step ~gamma) p
+  in
   if result.status = Milp.Branch_bound.Infeasible then
     raise
       (Infeasible

@@ -9,9 +9,23 @@
     shows this admits exactly the label pairs realisable on a crossbar,
     so the feasible sets coincide while the LP relaxation is no weaker.
     Two optional cutting planes tighten the relaxation: [S ≥ n + k_lb]
-    from an OCT lower bound, and [D ≥ ⌈S_lb / 2⌉].
+    from an OCT lower bound, and [D ≥ ⌈S_lb / 2⌉]. On graphs of at
+    most 160 nodes (those Auto's MIP rung labels) two odd-cycle rows
+    per cycle of {!Graphs.Oct.odd_cycle_packing} tighten it further:
+    [Σ_C xH ≥ (|C| + 1)/2] and [Σ_C xV ≥ (|C| + 1)/2], valid because
+    the H labels and the V labels each cover every edge, and covering
+    an odd cycle of 2m + 1 nodes takes m + 1 of them. Their number is
+    added to the [mip.cycle_rows] Obs counter.
 
     Alignment (Eq 7) adds [xH_i = 1] for the terminal and all roots. *)
+
+val objective_step : gamma:float -> float option
+(** The lattice of the objective γ·S + (1 − γ)·D: [Some (1/q)] for the
+    least [q ≤ 16] with γ = p/q (0.5 at the default γ), [None] for
+    other γ and outside [0, 1]. S and D are integers at every labeling,
+    and at a relaxation optimum with integral labels D sits at
+    max(R, C, its cut row), so every labeling's objective lies on this
+    lattice; {!solve} hands it to the branch & bound to prune on. *)
 
 exception Infeasible of string
 (** Raised by {!solve} when user-imposed row/column capacity constraints
@@ -42,11 +56,13 @@ val solve :
     [oct_cut = c], and the warm start's [lower_bound] when the warm
     start was labelled at the same [gamma]. A warm start from the exact
     OCT carries γ(n + k{^ *}) + (1 − γ)⌈(n + k{^ *})/2⌉ (Lemma 1), so when
-    it meets that bound no relaxation is solved. The warm start's
-    [lower_bound] is trusted to bound this solve's optimum. Bounds of
-    unconstrained labelings qualify, because capacities and alignment
-    only remove labelings; the reverse does not hold, so a labeling this
-    function solved under capacities or alignment must not warm-start a
-    solve without them. The result carries the solver's convergence
-    [trace].
+    it meets that bound, no relaxation is solved and neither the
+    odd-cycle rows nor the dense simplex form is built. The branch &
+    bound also prunes on the objective's lattice ({!objective_step}).
+    The warm start's [lower_bound] is trusted to bound this solve's
+    optimum. Bounds of unconstrained labelings qualify, because
+    capacities and alignment only remove labelings; the reverse does
+    not hold, so a labeling this function solved under capacities or
+    alignment must not warm-start a solve without them. The result
+    carries the solver's convergence [trace].
     @raise Infeasible when capacity constraints cannot be met. *)

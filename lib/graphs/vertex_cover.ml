@@ -50,12 +50,15 @@ let greedy_cover g = fst (greedy g)
 
 exception Out_of_time
 
+(* The incumbent met the bound the caller proved: no cover is smaller. *)
+exception Closed
+
 (* Branch & bound on an explicit mutable subproblem. Vertices have three
    states: Undecided, In (in cover), Out (excluded). Excluding a vertex
    forces all its undecided neighbours In. *)
 let c_nodes = Obs.Counter.make "vc.nodes"
 
-let solve ?(budget = Resilience.Budget.unlimited) g =
+let solve ?(budget = Resilience.Budget.unlimited) ?lower_bound g =
   let n = Ugraph.num_nodes g in
   let start, adj = Ugraph.slices g in
   (* [f] on v's neighbours, in insertion order. *)
@@ -64,7 +67,11 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
       f adj.(i)
     done
   in
-  let best_cover, root_lb = greedy g in
+  let best_cover, matching = greedy g in
+  let root_lb = max matching (Option.value lower_bound ~default:0) in
+  (* Only a caller's bound stops the search early, so a search without
+     one expands the nodes it always has. *)
+  let closes size = lower_bound <> None && size <= root_lb in
   let best_size = ref (count best_cover) in
   let explored = ref 0 in
   let timed_out = ref false in
@@ -126,7 +133,8 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
     let size = count cover in
     if size < !best_size then begin
       best_size := size;
-      Array.blit cover 0 best_cover 0 n
+      Array.blit cover 0 best_cover 0 n;
+      if closes size then raise Closed
     end
   in
   (* Reduction: degree-0 vertices excluded; degree-1 vertices excluded with
@@ -201,7 +209,8 @@ let solve ?(budget = Resilience.Budget.unlimited) g =
       end
     end
   in
-  (try branch () with Out_of_time -> ());
+  if not (closes !best_size) then
+    (try branch () with Out_of_time | Closed -> ());
   Obs.Counter.add c_nodes !explored;
   let optimal = (not !timed_out) || !best_size <= root_lb in
   let lower_bound = if optimal then !best_size else root_lb in

@@ -21,15 +21,25 @@ type result = {
   optimal : bool;  (** [size = lower_bound] *)
 }
 
-val solve : ?budget:Resilience.Budget.t -> Ugraph.t -> result
+val solve :
+  ?budget:Resilience.Budget.t -> ?lower_bound:int -> Ugraph.t -> result
 (** [solve g] computes a minimum vertex cover, stopping early when
     [budget] (default: [Resilience.Budget.unlimited]) exhausts — polled
     every 256 branch & bound nodes, which are also charged against the
     budget's node allowance — and returning the best cover found so far
     ([optimal = false]). The returned [cover] is always a valid vertex
     cover; the solver never raises on exhaustion. On exhaustion the
-    lower bound is the size of the greedy maximal matching
-    ({!Matching.greedy_maximal}) taken at the root. *)
+    lower bound is the larger of [lower_bound] and the size of the
+    greedy maximal matching ({!Matching.greedy_maximal}) taken at the
+    root.
+
+    [lower_bound] is a bound on the minimum cover proved outside the
+    search, and trusted. The search ends as soon as its incumbent meets
+    the larger of it and the root matching, before the first node when
+    the greedy cover already does. The incumbent is replaced only on a
+    strict improvement, so the cover returned is the one the exhaustive
+    search returns. Without [lower_bound] the search expands the same
+    nodes as before, and adds them to the [vc.nodes] Obs counter. *)
 
 val is_cover : Ugraph.t -> bool array -> bool
 (** Checks that every edge has a covered endpoint. *)

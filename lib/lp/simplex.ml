@@ -46,13 +46,31 @@ let lp ~a ~rel ~b ~c ~ub =
     rel;
   { m; n; a; c; lo; hi }
 
+(* Far above every solve measured: the largest, a root relaxation of
+   one of Table III's router ROBDDs (699 rows, 271 columns), takes
+   1,721 pivots. A solve that reaches it cycles. *)
+let max_pivots = 100_000
+
+exception Pivot_limit of { rows : int; cols : int }
+
+let () =
+  Printexc.register_printer (function
+    | Pivot_limit { rows; cols } ->
+      Some
+        (Printf.sprintf
+           "Lp.Simplex.Pivot_limit: a solve on %d rows and %d columns took \
+            %d pivots"
+           rows cols max_pivots)
+    | _ -> None)
+
 type workspace = {
   mutable spare : float array;  (* cells a released tableau left behind *)
   mutable nz : int array;  (* the pivot row's nonzero columns *)
   mutable pivots : int;
+  mutable ceiling : int;  (* [pivots] at which the current solve stops *)
 }
 
-let workspace () = { spare = [||]; nz = [||]; pivots = 0 }
+let workspace () = { spare = [||]; nz = [||]; pivots = 0; ceiling = max_int }
 let pivots ws = ws.pivots
 
 (* Where each column is: its row when basic, or the bound a nonbasic
@@ -255,6 +273,8 @@ let entering_col t r ~up ~bland =
    other row is updated at those columns only. *)
 let pivot ~budget ws t ~r ~q ~target ~status =
   Resilience.Budget.check budget;
+  if ws.pivots >= ws.ceiling then
+    raise (Pivot_limit { rows = t.lp.m; cols = t.lp.n });
   ws.pivots <- ws.pivots + 1;
   let w = t.w and m = t.lp.m in
   let cells = t.cells in
@@ -394,6 +414,7 @@ let finish t =
   Optimal { objective = cost t; solution = Array.sub t.x 0 t.lp.n }
 
 let optimise ~budget ws t =
+  ws.ceiling <- ws.pivots + max_pivots;
   let empty = ref false in
   for j = 0 to t.w - 1 do
     if t.lo.(j) > t.hi.(j) then empty := true

@@ -51,6 +51,17 @@ val lp :
     b.(i)] and columns [0 ≤ x_j ≤ ub.(j)]. [a] is kept, not copied.
     @raise Invalid_argument on dimension mismatches. *)
 
+val max_pivots : int
+(** The pivots one solve may take: 100,000, far above the 1,721 of the
+    largest measured solve (a root relaxation of 699 rows and 271
+    columns). *)
+
+exception Pivot_limit of { rows : int; cols : int }
+(** Raised by a solve that reaches {!max_pivots}: the iteration cycles,
+    which the tie rules should make impossible, so this is a bug to
+    report, not a hard problem to wait out. [rows] and [cols] are the
+    problem's. *)
+
 type workspace
 (** What a sequence of solves shares: the storage of the last released
     tableau, which the next tableau reuses when it fits, and a pivot
@@ -79,7 +90,8 @@ val optimise :
 (** Re-optimise [t] from its basis, polling [budget] before every pivot.
     The objective is the minimum of [c·x]; an [Optimal] tableau can be
     copied and re-optimised again after further {!tighten}s.
-    @raise Resilience.Budget.Exhausted when [budget] runs out. *)
+    @raise Resilience.Budget.Exhausted when [budget] runs out.
+    @raise Pivot_limit after {!max_pivots} pivots. *)
 
 val copy : workspace -> tableau -> tableau
 (** An independent copy, in the workspace's spare storage when it fits. *)
@@ -123,4 +135,5 @@ val solve :
     [budget] before every pivot, with the tableau in [workspace]'s
     storage. What earlier solves left there does not change the pivots,
     and so the outcome.
-    @raise Resilience.Budget.Exhausted when [budget] runs out. *)
+    @raise Resilience.Budget.Exhausted when [budget] runs out.
+    @raise Pivot_limit after {!max_pivots} pivots. *)

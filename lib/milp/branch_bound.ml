@@ -105,6 +105,7 @@ let max_saved_floats = 1_000_000
 
 let c_nodes = Obs.Counter.make "bb.nodes"
 let c_pivots = Obs.Counter.make "lp.pivots"
+let c_lattice_pruned = Obs.Counter.make "bb.lattice_pruned"
 
 let status_name = function
   | Optimal -> "optimal"
@@ -115,7 +116,7 @@ let status_name = function
 let integer_tolerance = 1e-6
 
 let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
-    problem =
+    ?objective_step problem =
   let start = Obs.Clock.now () in
   let elapsed () = Obs.Clock.now () -. start in
   let dir =
@@ -140,6 +141,27 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
      optimal: no node can improve on it by more than the tolerance. *)
   let meets_known () =
     !have_incumbent && !incumbent_score <= known_score +. 1e-9
+  in
+  (* Every integer point's score lies on step·ℤ, so a node whose score,
+     rounded up to that lattice, meets the incumbent holds no strictly
+     better point. [lattice_pruned] counts the nodes this rule prunes
+     that the plain comparison would have kept. *)
+  let lattice_pruned = ref 0 in
+  let lift =
+    match objective_step with
+    | None -> Fun.id
+    | Some step when step > 0. ->
+      fun score -> step *. ceil ((score /. step) -. integer_tolerance)
+    | Some _ ->
+      invalid_arg "Branch_bound.solve: objective_step must be positive"
+  in
+  let prunes score =
+    !have_incumbent
+    && (score >= !incumbent_score -. 1e-9
+        ||
+        let on_lattice = lift score >= !incumbent_score -. 1e-9 in
+        if on_lattice then incr lattice_pruned;
+        on_lattice)
   in
   let trace = ref [] in
   let nodes = ref 0 in
@@ -173,7 +195,9 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
           "bound", Printf.sprintf "%.9g" bound_obj;
           "gap", Printf.sprintf "%.4f" gap ]
   in
-  let lp = Lp.Problem.lp problem in
+  (* Built on the first relaxation: a search the warm start closes
+     builds no dense form. *)
+  let lp = lazy (Lp.Problem.lp problem) in
   (* One workspace for every relaxation of this search; it is dropped
      with the search, so racing searches never share one. *)
   let workspace = Lp.Simplex.workspace () in
@@ -205,7 +229,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
       Lp.Simplex.tighten t (v :> int) ~lo ~hi;
       t
     | _ ->
-      let t = Lp.Simplex.start workspace lp in
+      let t = Lp.Simplex.start workspace (Lazy.force lp) in
       List.iter
         (fun ((v : Lp.Problem.var), lo, hi) ->
            Lp.Simplex.tighten t (v :> int) ~lo ~hi)
@@ -221,7 +245,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
         invalid_arg "Branch_bound.solve: relaxation unbounded"
       | Lp.Simplex.Infeasible -> false
       | Lp.Simplex.Optimal { objective = score; solution } ->
-        if !have_incumbent && score >= !incumbent_score -. 1e-9 then false
+        if prunes score then false
         else begin
           let branch_var = ref None in
           let best_frac = ref integer_tolerance in
@@ -273,7 +297,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
       let bound_improved = node.score > !best_bound +. 1e-9 in
       best_bound := max !best_bound node.score;
       if bound_improved || !nodes land 63 = 0 then record ();
-      if !have_incumbent && node.score >= !incumbent_score -. 1e-9 then begin
+      if prunes node.score then begin
         Option.iter let_go node.parent;
         next_node ()
       end
@@ -333,6 +357,7 @@ let solve ?(budget = Resilience.Budget.unlimited) ?initial ?known_bound
   record ();
   Obs.Counter.add c_nodes !nodes;
   Obs.Counter.add c_pivots (Lp.Simplex.pivots workspace);
+  Obs.Counter.add c_lattice_pruned !lattice_pruned;
   Obs.Span.add_attr "status" (status_name status);
   Obs.Span.add_attr "nodes" (string_of_int !nodes);
   Obs.Span.add_attr "stop"

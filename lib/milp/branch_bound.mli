@@ -60,6 +60,7 @@ val solve :
   ?budget:Resilience.Budget.t ->
   ?initial:float array * float ->
   ?known_bound:float ->
+  ?objective_step:float ->
   Lp.Problem.t ->
   result
 (** [solve p] minimises or maximises [p] (per its objective sense) with all
@@ -77,6 +78,17 @@ val solve :
     an exhaustive search would report, since no node can beat the
     incumbent by more than the tolerance. A search stopped by its budget
     reports the stronger of [known_bound] and its own frontier bound.
+    When [initial] meets [known_bound], the dense form of [p]
+    ({!Lp.Problem.lp}) is never built.
+
+    [objective_step] is a property of the model, trusted like
+    [known_bound]: every integer point's objective lies on
+    [objective_step]·ℤ. A node is then pruned, when it is expanded and
+    when it is popped, once [step·⌈score/step − 1e-6⌉] meets the
+    incumbent within [1e-9], since no integer point below it can beat
+    the incumbent. Such a node is added to the [bb.lattice_pruned] Obs
+    counter when the plain comparison would have kept it.
+    @raise Invalid_argument if [objective_step] is not positive.
 
     [budget] (default unlimited) is polled before every expansion and
     before every simplex pivot, and each expanded node is charged
@@ -98,10 +110,11 @@ val solve :
     [bb.nodes].
 
     The search is sequential and deterministic: the same problem,
-    [initial] and [known_bound] give the same result, nodes and trace
-    (but for [elapsed] and the trace's times). Its node relaxations share
-    one {!Lp.Simplex.workspace}, created by the call and dropped on
-    return, so concurrent searches never share a tableau. *)
+    [initial], [known_bound] and [objective_step] give the same result,
+    nodes and trace (but for [elapsed] and the trace's times). Its node
+    relaxations share one {!Lp.Simplex.workspace}, created by the call
+    and dropped on return, so concurrent searches never share a
+    tableau. *)
 
 val relative_gap : incumbent:float option -> bound:float -> float
 (** CPLEX-style gap: |incumbent − bound| / max(1e-10, |incumbent|);

@@ -1294,6 +1294,19 @@ let brute_force_objective ~alignment ~gamma (bg : Compact.Types.bdd_graph) =
   go 0;
   !best
 
+(* The MIP rung at default options on [nl]'s graph, its branch & bound
+   under an allowance of [nodes]; the warm start runs as in the rung. *)
+let mip_rung_within ~nodes nl =
+  let bg = Compact.Preprocess.of_sbdd (Bdd.Sbdd.of_netlist nl) in
+  let alignment = true and gamma = 0.5 in
+  let warm = Compact.Label_heuristic.solve ~alignment ~gamma bg in
+  Compact.Label_mip.solve
+    ~budget:(Resilience.Budget.create ~nodes ())
+    ~alignment ~gamma ~warm_start:warm bg
+
+let graph_of_circuit nl =
+  (Compact.Preprocess.of_sbdd (Bdd.Sbdd.of_netlist nl)).graph
+
 let mip_bound_tests =
   [
     Alcotest.test_case "MIP reaches the brute-force optimum" `Quick
@@ -1368,6 +1381,76 @@ let mip_bound_tests =
                d) & (e & ~h)) & ((c | ~f) & (e | ~h))))"
           in
           check Alcotest.string "payload" (payload 1) (payload 4));
+    (* Both took over 600 nodes before the odd-cycle rows and the
+       objective lattice (655 and 1,289). *)
+    Alcotest.test_case "request 112 and the adder close in 100 nodes" `Quick
+      (fun () ->
+         let request_112 =
+           mip_rung_within ~nodes:100
+             (Logic.Netlist.of_expr ~name:"expr"
+                (e
+                   "((((~h ^ g) & (~g | b)) & ((~h | h) & (~d ^ f))) ^ (((~a \
+                    & e) | (h ^ a)) & ((d | a) ^ (e & c))))"))
+         in
+         check tb "112 optimal" true request_112.optimal;
+         check ti "112 S" 57 (Compact.Types.semiperimeter request_112);
+         check ti "112 D" 30 (Compact.Types.max_dimension request_112);
+         let adder =
+           mip_rung_within ~nodes:100 (Circuits.Arith.ripple_adder ~bits:4 ())
+         in
+         check tb "adder optimal" true adder.optimal;
+         check ti "adder S" 51 (Compact.Types.semiperimeter adder));
+    (* Its packing holds 14 cycles, which is k*: the search stops at the
+       first 103-vertex cover of G□K2, found at node 4,308 (the whole
+       proof takes 505,159). The cover search polls its budget every
+       256 nodes. *)
+    Alcotest.test_case "addcmp4's exact OCT proves 14 in 5,000 nodes" `Quick
+      (fun () ->
+         let g =
+           graph_of_circuit (Circuits.Arith.adder_comparator ~bits:4 ())
+         in
+         let budget = Resilience.Budget.create ~nodes:5_000 () in
+         let r = Graphs.Oct.solve ~budget g in
+         check tb "optimal" true r.optimal;
+         check ti "size" 14 (List.length r.transversal);
+         check ti "bound" 14 r.lower_bound);
+    Alcotest.test_case "a stopped exact OCT reports its packing" `Quick
+      (fun () ->
+         List.iter
+           (fun (name, packed) ->
+              let g =
+                graph_of_circuit ((Circuits.Suite.find name).generate ())
+              in
+              check ti (name ^ " packing") packed
+                (List.length (Graphs.Oct.odd_cycle_packing g));
+              let budget = Resilience.Budget.create ~nodes:1 () in
+              let r = Graphs.Oct.solve ~budget g in
+              check tb (name ^ " stopped") false r.optimal;
+              check ti (name ^ " bound") packed r.lower_bound)
+           [ "int2float", 15; "c432", 58 ]);
+    Alcotest.test_case "the objective lattice of gamma" `Quick (fun () ->
+        List.iter
+          (fun (gamma, step) ->
+             let name = Printf.sprintf "gamma %g" gamma in
+             check
+               (Alcotest.option (Alcotest.float 1e-12))
+               name step
+               (Compact.Label_mip.objective_step ~gamma);
+             (* Every labeling's objective lies on the lattice. *)
+             Option.iter
+               (fun step ->
+                  for rows = 0 to 9 do
+                    for cols = 0 to 9 do
+                      let k =
+                        Compact.Types.objective_of ~gamma ~rows ~cols /. step
+                      in
+                      check tb name true (abs_float (k -. Float.round k) < 1e-9)
+                    done
+                  done)
+               step)
+          [ 0.5, Some 0.5; 0., Some 1.; 1., Some 1.; 0.25, Some 0.25;
+            0.3, Some 0.1; 1. /. 3., Some (1. /. 3.); 0.123456, None;
+            1.5, None ]);
   ]
 
 let metamorphic_tests =

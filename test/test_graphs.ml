@@ -291,6 +291,18 @@ let vc_tests =
     qcheck_case "greedy cover is a cover" graph_gen (fun spec ->
         let g = make_graph spec in
         Graphs.Vertex_cover.is_cover g (Graphs.Vertex_cover.greedy_cover g));
+    (* The incumbent is replaced only on a strict improvement, so a
+       search stopped by a valid bound returns the exhaustive cover. *)
+    qcheck_case "a valid lower bound keeps the cover" ~count:60 graph_gen
+      (fun spec ->
+         let g = make_graph spec in
+         let plain = Graphs.Vertex_cover.solve g in
+         List.for_all
+           (fun lower_bound ->
+              let r = Graphs.Vertex_cover.solve ~lower_bound g in
+              r.optimal && r.cover = plain.cover && r.size = plain.size
+              && r.lower_bound = plain.size)
+           [ 0; plain.size - 1; plain.size ]);
   ]
 
 let oct_tests =
@@ -333,6 +345,89 @@ let oct_tests =
          >= List.length (Graphs.Oct.solve g).transversal);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The odd-cycle packing that bounds the exact OCT. *)
+
+(* Random simple graph on [3, 12] vertices, each pair an edge with
+   probability 1/4, 1/2 or 3/4. *)
+let dense_graph_gen =
+  QCheck2.Gen.(
+    let* n = int_range 3 12 in
+    let* quarters = int_range 1 3 in
+    let all_pairs =
+      List.concat (List.init n (fun u -> List.init u (fun v -> u, v)))
+    in
+    let edge = map (fun k -> k < quarters) (int_bound 3) in
+    let* keep = list_repeat (List.length all_pairs) edge in
+    return (n, List.filteri (fun i _ -> List.nth keep i) all_pairs))
+
+(* Random bipartite graph on [2, 12] vertices: random sides, and each
+   pair across them an edge at random. *)
+let bipartite_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 12 in
+    let* side = list_repeat n bool in
+    let side = Array.of_list side in
+    let cross =
+      List.concat (List.init n (fun u -> List.init u (fun v -> u, v)))
+      |> List.filter (fun (u, v) -> side.(u) <> side.(v))
+    in
+    let* keep = list_repeat (List.length cross) bool in
+    return (n, List.filteri (fun i _ -> List.nth keep i) cross))
+
+(* At least three vertices, an odd number of them, none twice, each
+   adjacent to the next and the last to the first. *)
+let is_odd_cycle g cycle =
+  let c = Array.of_list cycle in
+  let k = Array.length c in
+  k >= 3 && k mod 2 = 1
+  && List.length (List.sort_uniq compare cycle) = k
+  && List.for_all
+       (fun i -> Graphs.Ugraph.has_edge g c.(i) c.((i + 1) mod k))
+       (List.init k Fun.id)
+
+let vertex_disjoint cycles =
+  let all = List.concat cycles in
+  List.length (List.sort_uniq compare all) = List.length all
+
+let packing = Graphs.Oct.odd_cycle_packing
+
+let packing_tests =
+  [
+    Alcotest.test_case "two triangles and a pentagon" `Quick (fun () ->
+        (* Triangles 0-1-2 and 3-4-5, joined by the edge 2-3, and the
+           pentagon 6..10, joined to the second triangle by 5-6. *)
+        let g =
+          make_graph
+            ( 11,
+              [ 0, 1; 1, 2; 2, 0; 2, 3; 3, 4; 4, 5; 5, 3; 5, 6; 6, 7; 7, 8;
+                8, 9; 9, 10; 10, 6 ] )
+        in
+        check (Alcotest.list (Alcotest.list ti)) "cycles"
+          [ [ 1; 0; 2 ]; [ 4; 3; 5 ]; [ 8; 7; 6; 10; 9 ] ]
+          (packing g);
+        check ti "OCT" 3 (List.length (Graphs.Oct.solve g).transversal));
+    Alcotest.test_case "the BFS closes cycles of up to 17 vertices" `Quick
+      (fun () ->
+         check ti "C17" 1 (List.length (packing (cycle 17)));
+         check ti "C19" 0 (List.length (packing (cycle 19))));
+    qcheck_case "packed cycles are odd cycles of the graph" dense_graph_gen
+      (fun spec ->
+         let g = make_graph spec in
+         List.for_all (is_odd_cycle g) (packing g));
+    qcheck_case "packed cycles are vertex-disjoint" dense_graph_gen
+      (fun spec -> vertex_disjoint (packing (make_graph spec)));
+    qcheck_case "the packing is deterministic" dense_graph_gen (fun spec ->
+        let g = make_graph spec in
+        packing g = packing g && packing g = packing (make_graph spec));
+    qcheck_case "bipartite graphs pack no cycle" bipartite_gen (fun spec ->
+        packing (make_graph spec) = []);
+    qcheck_case "the packing never exceeds the minimum OCT" ~count:60
+      dense_graph_gen (fun spec ->
+        let g = make_graph spec in
+        List.length (packing g) <= brute_oct g);
+  ]
+
 let () =
   Alcotest.run "graphs"
     [
@@ -341,4 +436,5 @@ let () =
       "matching", matching_tests;
       "vertex_cover", vc_tests;
       "oct", oct_tests;
+      "packing", packing_tests;
     ]

@@ -15,6 +15,11 @@ let qcheck_case ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:(count * qcheck_mult) ~name gen prop)
 
+(* The searches of the [branch_bound] and [properties] groups expand a
+   few dozen nodes at most; the allowance turns a search that never
+   closes into a failure instead of a hang. *)
+let allowance () = Resilience.Budget.create ~nodes:1_000 ()
+
 let knapsack () =
   (* max 5a + 4b + 3c  st  2a + 3b + c <= 5, binaries -> a=b=1: 9 *)
   let p = Lp.Problem.create () in
@@ -28,13 +33,13 @@ let knapsack () =
 let milp_tests =
   [
     Alcotest.test_case "knapsack optimum" `Quick (fun () ->
-        let r = Milp.Branch_bound.solve (knapsack ()) in
+        let r = Milp.Branch_bound.solve ~budget:(allowance ()) (knapsack ()) in
         check tb "optimal" true (r.status = Milp.Branch_bound.Optimal);
         check tf "objective" 9. (Option.get r.objective);
         check tf "gap" 0. r.gap);
     Alcotest.test_case "solution is integral" `Quick (fun () ->
         let p = knapsack () in
-        let r = Milp.Branch_bound.solve p in
+        let r = Milp.Branch_bound.solve ~budget:(allowance ()) p in
         let sol = Option.get r.solution in
         List.iter
           (fun (v : Lp.Problem.var) ->
@@ -48,14 +53,14 @@ let milp_tests =
         let y = Lp.Problem.add_binary p "y" in
         Lp.Problem.add_constraint p [ (1., x); (1., y) ] Lp.Simplex.Ge 1.5;
         Lp.Problem.set_objective p ~sense:`Minimize [ (1., x); (1., y) ];
-        let r = Milp.Branch_bound.solve p in
+        let r = Milp.Branch_bound.solve ~budget:(allowance ()) p in
         check tf "objective" 2. (Option.get r.objective));
     Alcotest.test_case "infeasible" `Quick (fun () ->
         let p = Lp.Problem.create () in
         let x = Lp.Problem.add_binary p "x" in
         Lp.Problem.add_constraint p [ (1., x) ] Lp.Simplex.Ge 2.;
         Lp.Problem.set_objective p ~sense:`Minimize [ (1., x) ];
-        let r = Milp.Branch_bound.solve p in
+        let r = Milp.Branch_bound.solve ~budget:(allowance ()) p in
         check tb "infeasible" true (r.status = Milp.Branch_bound.Infeasible));
     Alcotest.test_case "general integer variable" `Quick (fun () ->
         (* max x st 2x <= 7, x integer -> 3 *)
@@ -63,13 +68,15 @@ let milp_tests =
         let x = Lp.Problem.add_var ~ub:10. ~integer:true p "x" in
         Lp.Problem.add_constraint p [ (2., x) ] Lp.Simplex.Le 7.;
         Lp.Problem.set_objective p ~sense:`Maximize [ (1., x) ];
-        let r = Milp.Branch_bound.solve p in
+        let r = Milp.Branch_bound.solve ~budget:(allowance ()) p in
         check tf "objective" 3. (Option.get r.objective));
     Alcotest.test_case "warm start prunes to the same optimum" `Quick
       (fun () ->
          let p = knapsack () in
          let point = [| 1.; 1.; 0. |] in
-         let r = Milp.Branch_bound.solve ~initial:(point, 9.) p in
+         let r =
+           Milp.Branch_bound.solve ~budget:(allowance ()) ~initial:(point, 9.) p
+         in
          check tf "objective" 9. (Option.get r.objective);
          check tb "optimal" true (r.status = Milp.Branch_bound.Optimal));
     Alcotest.test_case "node limit yields a bound and gap" `Quick (fun () ->
@@ -95,7 +102,7 @@ let milp_tests =
          check tb "no bound from an unsolved root" true (r.bound = infinity));
     Alcotest.test_case "trace is chronological with shrinking gap" `Quick
       (fun () ->
-         let r = Milp.Branch_bound.solve (knapsack ()) in
+         let r = Milp.Branch_bound.solve ~budget:(allowance ()) (knapsack ()) in
          let times = List.map (fun t -> t.Milp.Branch_bound.t_elapsed) r.trace in
          check tb "sorted" true (List.sort compare times = times);
          match List.rev r.trace with
@@ -166,7 +173,7 @@ let milp_property_tests =
       milp_gen
       (fun spec ->
          let p = build spec in
-         let r = Milp.Branch_bound.solve p in
+         let r = Milp.Branch_bound.solve ~budget:(allowance ()) p in
          match brute spec, r.objective with
          | None, None -> r.status = Milp.Branch_bound.Infeasible
          | Some (expected, _), Some got -> abs_float (expected -. got) < 1e-6
@@ -174,7 +181,7 @@ let milp_property_tests =
     qcheck_case "bound is valid" ~count:150 milp_gen (fun spec ->
         let (_, _, _, _, maximize) = spec in
         let p = build spec in
-        let r = Milp.Branch_bound.solve p in
+        let r = Milp.Branch_bound.solve ~budget:(allowance ()) p in
         match r.objective with
         | None -> true
         | Some obj ->
@@ -185,8 +192,8 @@ let milp_property_tests =
         | None -> true
         | Some (opt, point) ->
           let r =
-            Milp.Branch_bound.solve ~initial:(point, opt) ~known_bound:opt
-              (build spec)
+            Milp.Branch_bound.solve ~budget:(allowance ()) ~initial:(point, opt)
+              ~known_bound:opt (build spec)
           in
           r.status = Milp.Branch_bound.Optimal
           && r.nodes = 0
@@ -199,9 +206,12 @@ let milp_property_tests =
         | None -> true
         | Some (opt, _) ->
           let weaker = if maximize then opt +. 1. else opt -. 1. in
-          let plain = Milp.Branch_bound.solve (build spec) in
+          let plain =
+            Milp.Branch_bound.solve ~budget:(allowance ()) (build spec)
+          in
           let bounded =
-            Milp.Branch_bound.solve ~known_bound:weaker (build spec)
+            Milp.Branch_bound.solve ~budget:(allowance ()) ~known_bound:weaker
+              (build spec)
           in
           plain.status = bounded.status && plain.objective = bounded.objective);
     (* A node allowance of [k] expands up to [k + 1] nodes: the charge
@@ -353,6 +363,23 @@ let vh_property_tests =
            r.status = Milp.Branch_bound.Optimal
            && abs_float (expected -. got) < 1e-6
          | None, Some _ | Some _, None -> false);
+    (* γ·S + (1 − γ)·D lies on 0.5·ℤ at γ = 0.5 and on ℤ at γ = 0 or 1
+       (Label_mip.objective_step). *)
+    qcheck_case "the objective lattice keeps the status and objective"
+      ~count:150 vh_gen (fun m ->
+        let solve objective_step =
+          Milp.Branch_bound.solve
+            ~budget:(Resilience.Budget.create ~nodes:20_000 ())
+            ?objective_step (vh_problem m)
+        in
+        let plain = solve None in
+        let lattice = solve (Some (if m.gamma = 0.5 then 0.5 else 1.)) in
+        plain.status = lattice.status
+        &&
+        match plain.objective, lattice.objective with
+        | Some a, Some b -> abs_float (a -. b) < 1e-9
+        | None, None -> true
+        | Some _, None | None, Some _ -> false);
   ]
 
 let () =
