@@ -1,5 +1,5 @@
 .PHONY: all test examples bench smoke proptest margin trace chaos server \
-	server-restart restart-recovery portfolio portfolio-bench \
+	server-restart restart-recovery sift-bench \
 	metrics metrics-overhead perfbench ci clean
 
 all:
@@ -44,17 +44,10 @@ server:
 server-restart:
 	dune build @server-restart
 
-# Portfolio battery: the racing determinism contract (byte-identical
-# design and solver path at jobs=1 and jobs=4, winner reproducible
-# standalone, clean races cacheable).
-portfolio:
-	dune build @portfolio
-
-# Race and sifting kernels; regenerates BENCH_pr9.json (portfolio vs
-# sequential Auto wall time on a budget-exhausting kernel, the in-place
-# sifting step on the 8-bit multiplier).
-portfolio-bench:
-	dune exec bench/main.exe -- portfolio -j 4
+# Sifting kernel; regenerates BENCH_pr9.json (the in-place sifting
+# step on the 8-bit multiplier).
+sift-bench:
+	dune exec bench/main.exe -- sift
 
 # Telemetry battery: metrics/health wire goldens, histogram byte-
 # determinism across jobs counts, flight-recorder dump round-trips.
@@ -99,7 +92,6 @@ ci:
 	dune build @smoke
 	dune build @trace
 	dune build @chaos
-	dune build @portfolio
 	dune build @server
 	dune build @metrics
 	dune build @server-restart

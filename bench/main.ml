@@ -3,17 +3,14 @@
    document: the kernel's fields plus a [host] block.
 
    Usage:
-     main.exe [--json FILE] [-j N] KERNEL...
+     main.exe [--json FILE] KERNEL...
 
    KERNEL is restart-recovery (BENCH_pr8.json), metrics-overhead
-   (BENCH_pr10.json) or portfolio (BENCH_pr9.json).  --json FILE writes
-   the document there instead; -j N is the racing portfolio's width
-   (default COMPACT_JOBS, then 1).  The paper's tables and figures come
-   from [compact_cli experiments]. *)
+   (BENCH_pr10.json) or sift (BENCH_pr9.json).  --json FILE writes the
+   document there instead.  The paper's tables and figures come from
+   [compact_cli experiments]. *)
 
 module J = Obs.Json
-
-let bench_jobs = ref (Parallel.default_jobs ())
 
 let int n = J.Num (float_of_int n)
 
@@ -262,54 +259,13 @@ let run_metrics_overhead ?json () =
       "budget_pct", fixed 5. ]
 
 (* ------------------------------------------------------------------ *)
-(* The racing portfolio and in-place sifting.
+(* In-place sifting (bdd/sift-mult8): the variable-order step on the
+   8-bit multiplier.  Build under the best static candidate order, then
+   sift in place by adjacent level exchanges inside the packed manager;
+   the timing leaves out the candidate search itself. *)
 
-   Kernel 1 — portfolio/synth: wall time of sequential [Auto] versus the
-   racing [Portfolio] on the kernel whose first Auto rung (the MIP)
-   used to exhaust its time limit.  Auto then paid the failed rung and
-   the heuristic rung back to back, and the portfolio overlapped them.
-   Since the exact OCT stops at its odd-cycle packing bound (14, which
-   is k* here), the MIP rung's warm start meets the bound and Auto
-   closes through [mip] in milliseconds; the race only adds its
-   entrants' start-up, so the speedup reads below 1.  The document
-   records both semiperimeters alongside the speedup.
-
-   Kernel 2 — bdd/sift-mult8: the variable-order step on the 8-bit
-   multiplier: build under the best static candidate order, then sift
-   in place by adjacent level exchanges inside the packed manager. *)
-
-let run_portfolio_bench ?json () =
+let run_sift_bench ?json () =
   Resilience.Inject.disable ();
-  (* The race kernel: a MIP-primary graph (<= 160 nodes), the 4-bit
-     adder/comparator's 89-node conflict graph, at a 0.2 s limit. *)
-  let nl = Circuits.Arith.adder_comparator ~bits:4 () in
-  let time_limit = 0.2 in
-  let auto_opts =
-    { Compact.Pipeline.default_options with time_limit; jobs = 1 }
-  in
-  let pf_opts =
-    { auto_opts with
-      Compact.Pipeline.solver = Compact.Pipeline.Portfolio;
-      jobs = max 2 !bench_jobs }
-  in
-  let r_auto, w_auto =
-    best_of 5 (fun () -> Compact.Pipeline.synthesize ~options:auto_opts nl)
-  in
-  let r_pf, w_pf =
-    best_of 5 (fun () -> Compact.Pipeline.synthesize ~options:pf_opts nl)
-  in
-  let speedup = w_auto /. w_pf in
-  let path (r : Compact.Pipeline.result) =
-    String.concat "->" r.report.Compact.Report.solver_path
-  in
-  Printf.printf
-    "portfolio/synth-%s (t=%.3fs): auto %.1f ms (%s) vs portfolio %.1f ms \
-     (%s) -> %.2fx\n\
-     %!"
-    nl.Logic.Netlist.name time_limit (w_auto *. 1e3) (path r_auto)
-    (w_pf *. 1e3) (path r_pf) speedup;
-  (* The sift kernel: the order step from the best static candidate
-     order, timed without the candidate search itself. *)
   let mult = Circuits.Arith.multiplier ~bits:8 () in
   let order, initial_size = Bdd.Sbdd.best_order mult in
   let (sift_size, sift_swaps, sift_passes), w_sift =
@@ -325,23 +281,8 @@ let run_portfolio_bench ?json () =
      swaps, %d passes)\n\
      %!"
     initial_size sift_size (w_sift *. 1e3) sift_swaps sift_passes;
-  let semiperimeter (r : Compact.Pipeline.result) =
-    int r.report.Compact.Report.semiperimeter
-  in
-  write_doc ?json ~default:"BENCH_pr9.json" ~jobs:pf_opts.jobs
-    [ "bench", J.Str "portfolio";
-      "synth",
-      J.Obj
-        [ "circuit", J.Str nl.Logic.Netlist.name;
-          "time_limit_s", fixed time_limit;
-          "jobs", int pf_opts.jobs;
-          "auto_ms", fixed (w_auto *. 1e3);
-          "auto_path", J.Str (path r_auto);
-          "portfolio_ms", fixed (w_pf *. 1e3);
-          "portfolio_path", J.Str (path r_pf);
-          "auto_semiperimeter", semiperimeter r_auto;
-          "portfolio_semiperimeter", semiperimeter r_pf;
-          "speedup", fixed speedup ];
+  write_doc ?json ~default:"BENCH_pr9.json" ~jobs:1
+    [ "bench", J.Str "sift";
       "sift",
       J.Obj
         [ "circuit", J.Str "mult8";
@@ -356,10 +297,10 @@ let run_portfolio_bench ?json () =
 let kernels =
   [ "restart-recovery", run_restart_recovery;
     "metrics-overhead", run_metrics_overhead;
-    "portfolio", run_portfolio_bench ]
+    "sift", run_sift_bench ]
 
 let usage () =
-  Printf.eprintf "usage: main.exe [--json FILE] [-j N] (%s)...\n"
+  Printf.eprintf "usage: main.exe [--json FILE] (%s)...\n"
     (String.concat "|" (List.map fst kernels));
   exit 1
 
@@ -368,11 +309,6 @@ let () =
   let rec parse = function
     | "--json" :: path :: rest ->
       json := Some path;
-      parse rest
-    | "-j" :: v :: rest ->
-      (match int_of_string_opt v with
-       | Some n when n >= 1 -> bench_jobs := n
-       | Some _ | None -> usage ());
       parse rest
     | name :: rest ->
       (match List.assoc_opt name kernels with

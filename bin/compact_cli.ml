@@ -169,9 +169,9 @@ let jobs_term =
              ~env:(Cmd.Env.info "COMPACT_JOBS"
                      ~doc:"Default worker-domain count when $(b,-j) is absent.")
              ~doc:"Worker domains for the parallel stages (harden candidate \
-                   scoring, Monte-Carlo sampling, the portfolio race). \
-                   Results are identical for every jobs count; 1 (the \
-                   default) is the sequential path.")
+                   scoring, Monte-Carlo sampling, compactd's solve \
+                   batches). Results are identical for every jobs count; \
+                   1 (the default) is the sequential path.")
   in
   Term.(const (Option.value ~default:1) $ arg)
 
@@ -271,18 +271,9 @@ let options_term =
   let solver =
     Arg.(value & opt solver_conv Compact.Pipeline.Auto
          & info [ "solver" ] ~docv:"S"
-             ~doc:"VH-labeling solver: auto, oct, oct-greedy, mip, \
-                   heuristic, or portfolio (the auto ladder raced \
-                   concurrently on the -j domain pool; deterministic \
-                   winner, so the design is identical for any jobs \
-                   count).")
-  in
-  let race_orders =
-    Arg.(value & opt positive_int 1
-         & info [ "race-orders" ] ~docv:"K"
-             ~doc:"Under --solver portfolio, race each solver rung on up \
-                   to $(docv) candidate variable orders (default 1: the \
-                   build order only).")
+             ~doc:"VH-labeling solver: auto (the labeling ladder: MIP or \
+                   heuristic, then oct-greedy), oct, oct-greedy, mip or \
+                   heuristic.")
   in
   let time_limit =
     Arg.(value & opt float 30.
@@ -315,13 +306,12 @@ let options_term =
     Arg.(value & opt (some int) None
          & info [ "max-cols" ] ~docv:"N" ~doc:"Hard bitline capacity.")
   in
-  let make gamma solver race_orders time_limit deadline no_alignment max_rows
-      max_cols jobs =
+  let make gamma solver time_limit deadline no_alignment max_rows max_cols
+      jobs =
     {
       Compact.Pipeline.default_options with
       gamma;
       solver;
-      race_orders;
       time_limit;
       deadline;
       alignment = not no_alignment;
@@ -331,8 +321,8 @@ let options_term =
     }
   in
   Term.(
-    const make $ gamma $ solver $ race_orders $ time_limit $ deadline
-    $ no_alignment $ max_rows $ max_cols $ jobs_term)
+    const make $ gamma $ solver $ time_limit $ deadline $ no_alignment
+    $ max_rows $ max_cols $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* Subcommand wiring *)

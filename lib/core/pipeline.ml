@@ -1,4 +1,4 @@
-type solver = Oct_exact | Oct_greedy | Mip | Heuristic | Auto | Portfolio
+type solver = Oct_exact | Oct_greedy | Mip | Heuristic | Auto
 
 type options = {
   gamma : float;
@@ -11,7 +11,6 @@ type options = {
   max_rows : int option;
   max_cols : int option;
   jobs : int;
-  race_orders : int;
 }
 
 let mip_node_threshold = 160
@@ -28,7 +27,6 @@ let default_options =
     max_rows = None;
     max_cols = None;
     jobs = 1;
-    race_orders = 1;
   }
 
 (* The run's global budget: an explicit one from the caller wins,
@@ -55,7 +53,6 @@ let solver_name = function
   | Mip -> "mip"
   | Heuristic -> "heuristic"
   | Auto -> "auto"
-  | Portfolio -> "portfolio"
 
 let solver_of_name = function
   | "oct" -> Some Oct_exact
@@ -63,7 +60,6 @@ let solver_of_name = function
   | "mip" -> Some Mip
   | "heuristic" -> Some Heuristic
   | "auto" -> Some Auto
-  | "portfolio" -> Some Portfolio
   | _ -> None
 
 let run_one ~budget options bg solver =
@@ -91,9 +87,9 @@ let run_one ~budget options bg solver =
     in
     Label_mip.solve ~budget ~alignment ~gamma
       ~warm_start:warm ~oct_cut ?max_rows ?max_cols bg
-  | Auto | Portfolio -> assert false
+  | Auto -> assert false
 
-(* The Auto/Portfolio rung ladder for a given graph: MIP while the
+(* The Auto rung ladder for a given graph: MIP while the
    branch & bound is tractable, the combinatorial heuristic above that,
    and the linear-time greedy transversal as the terminal rung that
    always completes. *)
@@ -114,130 +110,52 @@ let run_rung ~budget options bg s =
       l)
 
 (* ------------------------------------------------------------------ *)
-(* The labeling ladder behind [Auto] and [Portfolio]: the rungs of
-   [auto_ladder] — times the candidate orders under the portfolio — run
-   as entrants of one {!Parallel.race}. The race's staged rule picks the
-   labeling (rung priority, then semiperimeter, then order index), never
-   wall-clock, so the result is byte-identical at any [-j].
+(* The labeling ladder behind [Auto]: the rungs of [auto_ladder], in
+   order, until one is accepted.
 
-   Auto is the one-order case on a 1-job pool: the race then evaluates
-   rung by rung and stops at the first accepted one — the sequential
-   watchdog. Portfolio races on an [options.jobs] pool; every entrant
-   is sequential.
-
-   One budget rule for both: a non-terminal rung gets half the race's
-   remaining wall budget, never more than [time_limit]; the terminal
-   rung keeps the race's cancel but no wall deadline, so it always
-   completes. A rung is accepted when it proved optimality or finished
-   inside its own wall deadline; a rung that spent its budget has only
-   a best-so-far incumbent and the next cheaper rung is preferred.
-   Acceptance reads the deadline alone ([Budget.remaining] ignores the
-   cancel latch), so a winner's cancel landing just as a loser finishes
-   cannot flip that loser's verdict. *)
-
-let c_races = Obs.Counter.make "portfolio.races"
-let c_entrants = Obs.Counter.make "portfolio.entrants"
-let c_entrants_cut = Obs.Counter.make "portfolio.entrants_cut"
-let c_entrants_failed = Obs.Counter.make "portfolio.entrants_failed"
-
-type entrant_result = { er_labeling : Types.labeling; er_accepted : bool }
-
-let run_ladder ~budget options (graphs : Types.bdd_graph array) =
-  let racing = options.solver = Portfolio in
-  (* One ladder for the whole race, derived from the order-0 graph, so
-     the group structure does not depend on which candidate orders
-     happened to be available. *)
-  let ladder = auto_ladder graphs.(0) in
-  let terminal = List.length ladder - 1 in
-  let norders = if racing then Array.length graphs else 1 in
-  let entrants =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun rung s -> List.init norders (fun oi -> rung, s, oi))
-            ladder))
+   A non-terminal rung gets half the run's remaining wall budget, never
+   more than [time_limit]; the terminal rung keeps the run's
+   cancellation but no wall deadline, so it always completes. A rung is
+   skipped while the run's budget is exhausted. A rung is accepted when
+   it proved optimality or finished inside its own wall deadline; a
+   rung that spent its budget has only a best-so-far incumbent, and one
+   that raised has nothing, so the next cheaper rung runs. The path
+   lists the rungs that ran ("mip->heuristic"). *)
+let run_ladder ~budget options bg =
+  let ladder = auto_ladder bg in
+  let rec climb path = function
+    | [] ->
+      (* Rescue: every rung was skipped, spent its budget or raised
+         (e.g. the caller's deadline expired before or during the
+         ladder). Run the terminal rung directly and unbudgeted, so the
+         ladder always ends with a labeling. *)
+      Obs.Span.event "ladder-rescue"
+        ~attrs:[ "rungs", string_of_int (List.length ladder) ];
+      ( run_rung ~budget:Resilience.Budget.unlimited options bg Oct_greedy,
+        List.rev (solver_name Oct_greedy :: path) )
+    | _ :: rest when Resilience.Budget.exhausted budget -> climb path rest
+    | s :: rest ->
+      let rb =
+        if rest = [] then Resilience.Budget.untimed budget
+        else
+          Resilience.Budget.limited
+            (Resilience.Budget.slice budget ~frac:0.5)
+            options.time_limit
+      in
+      let path = solver_name s :: path in
+      (match run_rung ~budget:rb options bg s with
+       | l when l.Types.optimal || Resilience.Budget.remaining rb > 0. ->
+         l, List.rev path
+       | _ | (exception _) -> climb path rest)
   in
-  let pool_jobs = if racing then options.jobs else 1 in
-  let thunk (rung, s, oi) rb =
-    let eb =
-      if rung = terminal then Resilience.Budget.untimed rb
-      else
-        Resilience.Budget.limited
-          (Resilience.Budget.slice rb ~frac:0.5)
-          options.time_limit
-    in
-    let l = run_rung ~budget:eb options graphs.(oi) s in
-    {
-      er_labeling = l;
-      er_accepted = l.Types.optimal || Resilience.Budget.remaining eb > 0.;
-    }
-  in
-  let semiperimeter er = Types.semiperimeter er.er_labeling in
-  let winner, outcomes =
-    Parallel.with_pool ~jobs:pool_jobs (fun pool ->
-        Parallel.race ~budget
-          ~groups:(Array.map (fun (rung, _, _) -> rung) entrants)
-          ~prefer:(fun a b -> compare (semiperimeter a) (semiperimeter b))
-          pool (Array.map thunk entrants)
-          ~acceptable:(fun er -> er.er_accepted))
-  in
-  if racing then begin
-    Obs.Counter.incr c_races;
-    Obs.Counter.add c_entrants (Array.length entrants);
-    Array.iter
-      (function
-        | Parallel.Cut -> Obs.Counter.incr c_entrants_cut
-        | Parallel.Failed _ -> Obs.Counter.incr c_entrants_failed
-        | Parallel.Finished _ -> ())
-      outcomes
-  end;
-  (* Auto lists the rungs that ran ("mip->heuristic"); the portfolio
-     lists every entrant with its outcome ("mip@0:win"), so a race is
-     as auditable as the watchdog. *)
-  let entry (_, s, oi) tag =
-    if racing then Some (Printf.sprintf "%s@%d:%s" (solver_name s) oi tag)
-    else if tag = "cut" then None
-    else Some (solver_name s)
-  in
-  let path =
-    List.filter_map
-      (fun i ->
-         entry entrants.(i)
-           (match outcomes.(i) with
-            | Parallel.Cut -> "cut"
-            | Parallel.Failed _ -> "error"
-            | Parallel.Finished er ->
-              if Some i = winner then "win"
-              else if er.er_accepted then "ok"
-              else "partial"))
-      (List.init (Array.length entrants) Fun.id)
-  in
-  match winner with
-  | Some w ->
-    let _, _, oi = entrants.(w) in
-    (match outcomes.(w) with
-     | Parallel.Finished er -> er.er_labeling, oi, path
-     | Parallel.Cut | Parallel.Failed _ -> assert false)
-  | None ->
-    (* Rescue: every entrant spent its budget, failed or was cut (e.g.
-       the caller's deadline expired before or during the ladder). Run
-       the terminal rung directly and unbudgeted, so the ladder always
-       ends with a labeling. *)
-    Obs.Span.event "ladder-rescue"
-      ~attrs:[ "entrants", string_of_int (Array.length entrants) ];
-    let l =
-      run_rung ~budget:Resilience.Budget.unlimited options graphs.(0)
-        Oct_greedy
-    in
-    l, 0, path @ Option.to_list (entry (terminal, Oct_greedy, 0) "win")
+  climb [] ladder
 
-(* Returns the labeling, the index of the graph it labels (always 0
-   outside the portfolio), and the path of solver rungs attempted.
-   [Auto] and [Portfolio] run the ladder above. Explicitly chosen
-   solvers run exactly once — the user asked for that method and a
-   substitution would be silent — and capacity-constrained runs always
-   use the MIP, the only formulation that can express them. *)
-let run_labeler ~budget options (graphs : Types.bdd_graph array) =
+(* Returns the labeling and the path of solver rungs attempted. [Auto]
+   runs the ladder above. Explicitly chosen solvers run exactly once —
+   the user asked for that method and a substitution would be silent —
+   and capacity-constrained runs always use the MIP, the only
+   formulation that can express them. *)
+let run_labeler ~budget options bg =
   let { time_limit; max_rows; max_cols; _ } = options in
   let single s =
     (* A deterministic share of the run's remaining wall budget, never
@@ -248,18 +166,14 @@ let run_labeler ~budget options (graphs : Types.bdd_graph array) =
         (Resilience.Budget.slice budget ~frac:1.0)
         time_limit
     in
-    run_rung ~budget:b options graphs.(0) s, 0, [ solver_name s ]
+    run_rung ~budget:b options bg s, [ solver_name s ]
   in
   if max_rows <> None || max_cols <> None then single Mip
   else
     match options.solver with
     | (Oct_exact | Oct_greedy | Mip | Heuristic) as s -> single s
-    | Auto | Portfolio -> run_ladder ~budget options graphs
+    | Auto -> run_ladder ~budget options bg
 
-(* The shared back half of every entry point: label (racing across
-   [graphs] under the portfolio, on [graphs.(0)] otherwise), map the
-   winning graph, report. Returns the winning graph index so SBDD-level
-   wrappers can attribute engine stats to the diagram that won. *)
 (* Stage-duration histograms mirroring the stage spans, so a serving
    process exposes per-stage latency distributions without tracing. *)
 let h_labeling = Obs.Hist.make_ms "pipeline.labeling-ms"
@@ -267,17 +181,18 @@ let h_mapping = Obs.Hist.make_ms "pipeline.mapping-ms"
 let h_preprocess = Obs.Hist.make_ms "pipeline.preprocess-ms"
 let h_bdd_build = Obs.Hist.make_ms "pipeline.bdd-build-ms"
 
-let synthesize_graphs ~options ~budget ~name graphs =
+(* The shared back half of every entry point: label, map, report. *)
+let synthesize_graph ?(options = default_options) ?budget ~name bg =
+  let budget = budget_of_options ?budget options in
   Resilience.Budget.protect_oom @@ fun () ->
   let start = Obs.Clock.now () in
-  let labeling, widx, solver_path =
+  let labeling, solver_path =
     Obs.Hist.time h_labeling @@ fun () ->
     Obs.Span.with_ "labeling" (fun () ->
-        let labeling, widx, solver_path = run_labeler ~budget options graphs in
+        let labeling, solver_path = run_labeler ~budget options bg in
         Obs.Span.add_attr "solver_path" (String.concat "->" solver_path);
-        labeling, widx, solver_path)
+        labeling, solver_path)
   in
-  let bg = graphs.(widx) in
   let design =
     Obs.Hist.time h_mapping @@ fun () ->
     Obs.Span.with_ "mapping" (fun () -> Mapping.run bg labeling)
@@ -288,33 +203,25 @@ let synthesize_graphs ~options ~budget ~name graphs =
     Report.of_design ~solver_path ~deadline_hit ~circuit:name ~bdd_graph:bg
       ~labeling ~synthesis_time design
   in
-  { design; labeling; bdd_graph = bg; report }, widx
+  { design; labeling; bdd_graph = bg; report }
 
-let synthesize_graph ?(options = default_options) ?budget ~name bg =
+let synthesize_sbdd ?(options = default_options) ?budget ~name sbdd =
   let budget = budget_of_options ?budget options in
-  fst (synthesize_graphs ~options ~budget ~name [| bg |])
-
-let synthesize_sbdds ~options ~budget ~name sbdds =
   let start = Obs.Clock.now () in
-  let graphs =
+  let bg =
     Obs.Hist.time h_preprocess @@ fun () ->
-    Obs.Span.with_ "preprocess" (fun () ->
-        Array.map Preprocess.of_sbdd sbdds)
+    Obs.Span.with_ "preprocess" (fun () -> Preprocess.of_sbdd sbdd)
   in
-  let inner, widx = synthesize_graphs ~options ~budget ~name graphs in
+  let inner = synthesize_graph ~options ~budget ~name bg in
   let synthesis_time = Obs.Clock.now () -. start in
   let report =
     {
       inner.report with
       Report.synthesis_time;
-      bdd_stats = Some (Bdd.Sbdd.stats sbdds.(widx));
+      bdd_stats = Some (Bdd.Sbdd.stats sbdd);
     }
   in
   { inner with report }
-
-let synthesize_sbdd ?(options = default_options) ?budget ~name sbdd =
-  let budget = budget_of_options ?budget options in
-  synthesize_sbdds ~options ~budget ~name [| sbdd |]
 
 (* Snapshot the BDD engine's raw stats counters into the metric
    registry at a span boundary — the engine's own hot loops stay on
@@ -354,53 +261,24 @@ let synthesize ?(options = default_options) ?budget ?(sift = false) netlist =
      degrade the labeling rungs — which can return incumbents — rather
      than abort with no output. *)
   let build_budget = Resilience.Budget.untimed budget in
-  let build ?(sift = false) ?order () =
-    let node_limit = options.bdd_node_limit in
-    let sbdd =
-      (* The order step's candidate search and sift stop at the
-         deadline and keep the smallest diagram built so far; with no
-         complete candidate it builds the default order untimed. *)
-      if sift then Bdd.Sbdd.improve ~budget ?order ~node_limit netlist
-      else Bdd.Sbdd.of_netlist ~budget:build_budget ?order ~node_limit netlist
-    in
-    record_bdd_stats (Bdd.Sbdd.stats sbdd);
-    sbdd
-  in
-  let sbdds =
+  let sbdd =
     Obs.Hist.time h_bdd_build @@ fun () ->
     Obs.Span.with_ "bdd-build" (fun () ->
-        let first = build ~sift ?order:options.order () in
-        (* Portfolio order racing: build up to [race_orders - 1] further
-           diagrams under the remaining static candidate orders (skipping
-           any that duplicates the first build's order) so the race can
-           pit (solver, order) entrants against each other. Extra builds
-           are bounded by the same node limit; one that blows it is
-           simply not an entrant. *)
-        let extra =
-          if options.solver <> Portfolio || options.race_orders <= 1 then []
-          else begin
-            let first_order =
-              Array.to_list first.Bdd.Sbdd.input_order
-            in
-            let picked = ref [] in
-            let n = ref 0 in
-            List.iter
-              (fun order ->
-                 if !n < options.race_orders - 1 && order <> first_order then begin
-                   match build ~order () with
-                   | sbdd ->
-                     incr n;
-                     picked := sbdd :: !picked
-                   | exception Bdd.Manager.Size_limit _ -> ()
-                 end)
-              (Bdd.Order.candidates netlist);
-            List.rev !picked
-          end
+        let node_limit = options.bdd_node_limit and order = options.order in
+        let sbdd =
+          (* The order step's candidate search and sift stop at the
+             deadline and keep the smallest diagram built so far; with no
+             complete candidate it builds the default order untimed. *)
+          if sift then Bdd.Sbdd.improve ~budget ?order ~node_limit netlist
+          else
+            Bdd.Sbdd.of_netlist ~budget:build_budget ?order ~node_limit
+              netlist
         in
-        Array.of_list (first :: extra))
+        record_bdd_stats (Bdd.Sbdd.stats sbdd);
+        sbdd)
   in
   let inner =
-    synthesize_sbdds ~options ~budget ~name:netlist.Logic.Netlist.name sbdds
+    synthesize_sbdd ~options ~budget ~name:netlist.Logic.Netlist.name sbdd
   in
   let synthesis_time = Obs.Clock.now () -. start in
   let report = { inner.report with Report.synthesis_time } in

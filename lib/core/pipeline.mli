@@ -21,38 +21,24 @@ type solver =
   | Auto
       (** the labeling ladder: [Mip] below {!mip_node_threshold} graph
           nodes, otherwise [Heuristic], then the cheaper rungs down to
-          [Oct_greedy], which always completes. A rung that spends its
-          budget without an optimality proof has only a best-so-far
-          incumbent, so the next rung runs instead; a rung that raises
-          also falls through. {!Report.t.solver_path} lists the rungs
-          that ran, e.g. ["mip->heuristic"]. [Auto] is the one-order,
-          one-job case of the [Portfolio] race: the race then runs rung
-          by rung and stops at the first accepted one. *)
-  | Portfolio
-      (** the [Auto] ladder raced on a [jobs]-wide domain pool,
-          optionally across several candidate variable orders
-          ([race_orders]); each entrant runs sequentially. Wall time is
-          the slowest entrant the decision waits for, not the sum of the
-          rungs that ran. The winner is picked by {!Parallel.race}'s
-          deterministic staged rule (rung priority, then semiperimeter,
-          then order index — never wall-clock), so the design is
-          byte-identical at any [jobs] count. With [race_orders = 1] the
-          entrants are [Auto]'s rungs under [Auto]'s budgets (see
-          [time_limit]), so the two pick the same rung unless a time
-          limit decides. Every entrant and its outcome is recorded in
-          {!Report.t.solver_path} as ["solver@order:outcome"]. *)
+          [Oct_greedy], which always completes. The rungs run one after
+          another until one is accepted: a rung that spends its budget
+          without an optimality proof has only a best-so-far incumbent,
+          so the next rung runs instead, and a rung that raises also
+          falls through. {!Report.t.solver_path} lists the rungs that
+          ran, e.g. ["mip->heuristic"]. *)
 
 type options = {
   gamma : float;  (** objective weight (default 0.5, §VIII-A) *)
   solver : solver;  (** default [Auto] *)
   alignment : bool;  (** Eq 7 port alignment (default true, §VIII) *)
   time_limit : float;
-      (** per-rung labeling cap in seconds (default 60). One rule covers
-          [Auto] and [Portfolio]: each non-terminal rung gets half the
-          run's remaining wall budget, never more than [time_limit], and
-          the terminal [Oct_greedy] rung runs untimed. A rung that
-          exhausts its budget without an optimality proof is discarded
-          in favour of the next rung. Explicit solver choices and
+      (** per-rung labeling cap in seconds (default 60). Under [Auto]
+          each non-terminal rung gets half the run's remaining wall
+          budget, never more than [time_limit], and the terminal
+          [Oct_greedy] rung runs untimed. A rung that exhausts its
+          budget without an optimality proof is discarded in favour of
+          the next rung. Explicit solver choices and
           capacity-constrained runs get the whole remaining budget up
           to [time_limit] and are never substituted — a different
           method there would be silent. *)
@@ -61,11 +47,11 @@ type options = {
           (default [None]). Opens a {!Resilience.Budget} that every
           stage receives a deterministic slice of: the BDD build keeps
           the budget's resource bounds but not the wall deadline (it
-          must complete to produce anything), each non-terminal labeling
+          must complete to produce anything), each non-terminal [Auto]
           rung gets half the remaining wall time (still capped by
           [time_limit]), and the terminal [Oct_greedy] rung always
-          completes. A rung is not started once the deadline has
-          passed; if none produced a labeling, [Oct_greedy] runs
+          completes. A rung is skipped once the deadline has passed; if
+          no rung produced an accepted labeling, [Oct_greedy] runs
           unbudgeted — so an expired deadline yields a verified degraded
           design with {!Report.t.deadline_hit} set, never a wedged run.
           An explicit [?budget] argument to the entry points overrides
@@ -77,18 +63,9 @@ type options = {
           {!Compact.Label_mip.Infeasible} escapes when unsatisfiable *)
   max_cols : int option;  (** same for bitlines *)
   jobs : int;
-      (** domain-pool width of the [Portfolio] race, whose entrants run
-          sequentially (default 1, the exact sequential path); every
-          other labeling is sequential at any width. See
-          {!Parallel.race} for the determinism contract. *)
-  race_orders : int;
-      (** under [Portfolio], how many candidate variable orders to race
-          per solver rung (default 1: the build order only). Additional
-          entrants build separate SBDDs under the remaining
-          {!Bdd.Order.candidates} orders; only {!synthesize} (which
-          holds the netlist) can build them — the SBDD- and graph-level
-          entry points race solvers on the single diagram they were
-          given. *)
+      (** a worker-domain count carried for callers that size their own
+          pools from the options (default 1); no synthesis path reads
+          it, and every labeling is sequential. *)
 }
 
 val default_options : options
@@ -96,7 +73,7 @@ val mip_node_threshold : int
 
 val solver_name : solver -> string
 (** Stable lowercase name (["oct"], ["oct-greedy"], ["mip"],
-    ["heuristic"], ["auto"], ["portfolio"]) — the spelling used in
+    ["heuristic"], ["auto"]) — the spelling used in
     {!Report.t.solver_path}, the CLI [--solver] flag, and the [compactd]
     wire protocol / cache key. *)
 
@@ -138,9 +115,7 @@ val synthesize :
     With [~sift:true] (default false) the diagram comes from the
     variable-order step {!Bdd.Sbdd.improve}: built under
     [options.order] (default: the best static candidate, searched under
-    the run's budget), then sifted under the run's budget; the
-    portfolio's [race_orders] adds the other candidate orders beside it
-    as usual.
+    the run's budget), then sifted under the run's budget.
     @raise Bdd.Manager.Size_limit if the BDD exceeds the node budget.
     @raise Resilience.Budget.Exhausted on cancellation or node/memory
     budget exhaustion during the BDD build (wall-deadline expiry instead

@@ -44,25 +44,11 @@ let analog_of_analysis (a : Crossbar.Margin.analysis) =
 
 let with_analog r a = { r with analog = Some (analog_of_analysis a) }
 
-(* A raced path entry is ["solver@order:outcome"]; a watchdog path
-   entry is a bare solver name. *)
-let outcome_of_entry e =
-  match String.index_opt e '@', String.rindex_opt e ':' with
-  | Some a, Some c when c > a ->
-    Some (String.sub e (c + 1) (String.length e - c - 1))
-  | _ -> None
-
-(* The single home of the [solver_retries] invariant: the rungs that ran
-   and lost. Every rung of a watchdog path but the last did; in a race,
-   only the entrants that spent their budget ("partial") or raised
-   ("error") did — a clean race retried nothing. Constructors derive
-   retries here and [check] asserts it, so call sites never recompute
-   (or drift from) the relation. *)
-let retries_of_path p =
-  match List.filter_map outcome_of_entry p with
-  | [] -> max 0 (List.length p - 1)
-  | outcomes ->
-    List.length (List.filter (fun o -> o = "partial" || o = "error") outcomes)
+(* The single home of the [solver_retries] invariant: every rung of the
+   path but the last ran and lost. Constructors derive retries here and
+   [check] asserts it, so call sites never recompute (or drift from) the
+   relation. *)
+let retries_of_path p = max 0 (List.length p - 1)
 
 let check r =
   assert (r.solver_retries = retries_of_path r.solver_path);
@@ -71,23 +57,9 @@ let check r =
 let rungs r = String.concat "->" r.solver_path
 
 (* A solver path safe to serve from a cache to any future identical
-   request: nothing in it is timing-dependent. A sequential path
-   qualifies only as a single rung — a watchdog fallback means an
-   earlier rung ran out of wall time, which another run might not.
-   A portfolio path qualifies when every entrant's outcome follows from
-   the deterministic staged decision — "win", "ok" and "cut" do;
-   "partial" (an entrant hit its own wall deadline) and "error" do
-   not. *)
-let path_pristine = function
-  | [] -> false
-  | [ _ ] -> true
-  | entries ->
-    List.for_all
-      (fun e ->
-         match outcome_of_entry e with
-         | Some ("win" | "ok" | "cut") -> true
-         | _ -> false)
-      entries
+   request: a single rung. A fallback means an earlier rung ran out of
+   wall time or raised, which another run might not. *)
+let path_pristine = function [ _ ] -> true | _ -> false
 
 let of_design ?solver_path ?(deadline_hit = false) ?bdd_stats ~circuit
     ~bdd_graph ~labeling ~synthesis_time design =

@@ -38,17 +38,11 @@ type t = {
   method_name : string;
   gamma : float;
   solver_path : string list;
-      (** solver rungs attempted by the pipeline's watchdog, in order;
-          the last produced this labeling. Singleton when the first
-          choice succeeded. Under the portfolio solver every raced
-          entrant appears as ["solver@order:outcome"] with outcome one
-          of [win] (the deterministic winner), [ok] (acceptable loser),
-          [partial] (hit its own wall deadline), [error] (raised) or
-          [cut] (deterministically skipped). *)
+      (** solver rungs attempted by the pipeline's labeling ladder, in
+          order; the last produced this labeling. Singleton when the
+          first choice succeeded. *)
   solver_retries : int;
-      (** the rungs that ran and lost: [List.length solver_path - 1] for
-          a watchdog path; the [partial] and [error] entrants of a
-          portfolio path, so a clean race retried nothing *)
+      (** the rungs that ran and lost: [List.length solver_path - 1] *)
   deadline_hit : bool;
       (** the run's work budget (e.g. a [--deadline]) exhausted during
           synthesis: the design is the verified degraded incumbent, not
@@ -86,9 +80,8 @@ val rungs : t -> string
 
 val path_pristine : string list -> bool
 (** Whether a {!t.solver_path} is free of timing-dependent degradation —
-    a single sequential rung, or a portfolio field whose entrants all
-    ended [win]/[ok]/[cut] — and its result therefore safe to cache for
-    any future identical request. *)
+    a single rung — and its result therefore safe to cache for any
+    future identical request. *)
 
 val check : t -> t
 (** Assert that [solver_retries] counts the rungs of [solver_path] that

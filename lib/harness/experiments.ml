@@ -92,7 +92,6 @@ let synth ?(gamma = 0.5) ?solver ?max_cols config (e : Circuits.Suite.entry) =
           time_limit = config.time_limit;
           bdd_node_limit = config.bdd_node_limit;
           max_cols;
-          jobs = config.jobs;
           solver =
             (match solver with
              | Some s -> s

@@ -105,20 +105,18 @@ let seq_poll budget =
   Resilience.Inject.poison_pool ();
   Resilience.Budget.check budget
 
-(* The pooled batch machinery shared by [run] and [race].  [record]
-   stores a task's outcome into its slot exactly once (the async
-   second-chance recorder may race the first), runs [k] under the mutex
-   after a fresh store, and wakes the submitter when the batch's last
+(* The pooled batch machinery of [run].  [record] stores a task's
+   outcome into its slot exactly once (the async second-chance recorder
+   may race the first) and wakes the submitter when the batch's last
    slot lands.  [submit_and_help] queues the batch and has the submitter
    execute queued tasks until the batch drains, then wait for the
    in-flight stragglers on the other domains. *)
-let record p ~remaining slots i v k =
+let record p ~remaining slots i v =
   Mutex.lock p.mutex;
   (match slots.(i) with
    | None ->
      slots.(i) <- Some v;
      decr remaining;
-     k ();
      if !remaining = 0 then Condition.broadcast p.batch_done
    | Some _ -> ());
   Mutex.unlock p.mutex
@@ -190,13 +188,13 @@ let run (type a) ?(budget = Resilience.Budget.unlimited) p
                Resilience.Budget.cancel budget;
                Error (e, Printexc.get_raw_backtrace ()))
         in
-        record outcome ignore
+        record outcome
       with
       | () -> ()
       | exception e ->
         (* Async exception escaped even the handler above; make sure the
            slot still lands so the batch drains. *)
-        record (Error (e, Printexc.get_raw_backtrace ())) ignore
+        record (Error (e, Printexc.get_raw_backtrace ()))
     in
     submit_and_help p ~remaining (Array.init n task);
     (* Re-raise the earliest root failure.  Cancellation skips are a
@@ -226,140 +224,6 @@ let run (type a) ?(budget = Resilience.Budget.unlimited) p
         | Some (Error _) | None -> assert false)
       results
   end
-
-(* ------------------------------------------------------------------ *)
-(* First-acceptable racing.
-
-   Entrants are grouped (nondecreasing [groups]; default one group per
-   entrant, i.e. a pure priority order).  [decide] is the staged
-   decision rule, and the only statement of it: the sequential path
-   applies it after each group, the pooled path after every recorded
-   outcome (its first decision latches a cancel on the race-local
-   budget fork, so unstarted losers skip), and both apply it once more
-   after the drain to name the winner and reclassify every entrant
-   after the deciding group as [Cut] — even one that happened to finish
-   first, since a sequential evaluation would never have started it.
-   The rule only ever reads a fully recorded prefix of groups, so the
-   outcome array and the winner are jobs-independent.
-
-   Entrant exceptions never escape: they land as [Failed] and cannot
-   wedge the pool or the race (chaos-battery contract). *)
-
-type 'a outcome = Finished of 'a | Cut | Failed of exn
-
-let group_end groups n s =
-  let e = ref s in
-  while !e < n && groups.(!e) = groups.(s) do
-    incr e
-  done;
-  !e
-
-(* Scan the groups in priority order over [results] ([None]: not yet
-   recorded).  A group with an unrecorded member ends the scan
-   undecided.  A fully recorded group decides iff none of its members
-   was cut and it holds an acceptable [Finished] result; its winner is
-   the acceptable result [prefer] ranks first, ties to the lower index.
-   Otherwise the scan moves on to the next group. *)
-let decide groups ~acceptable ~prefer results =
-  let n = Array.length results in
-  let rec scan s =
-    if s >= n then None
-    else begin
-      let e = group_end groups n s in
-      let recorded = ref true and cut = ref false and best = ref None in
-      for j = s to e - 1 do
-        match results.(j) with
-        | None -> recorded := false
-        | Some Cut -> cut := true
-        | Some (Finished v) when acceptable v ->
-          (match !best with
-           | Some (_, b) when prefer v b >= 0 -> ()
-           | _ -> best := Some (j, v))
-        | Some (Finished _ | Failed _) -> ()
-      done;
-      if not !recorded then None
-      else
-        match !best with
-        | Some (j, _) when not !cut -> Some j
-        | _ -> scan e
-    end
-  in
-  scan 0
-
-let race (type a) ?(budget = Resilience.Budget.unlimited) ?groups
-    ?(prefer = fun _ _ -> 0) p (thunks : (Resilience.Budget.t -> a) array)
-    ~(acceptable : a -> bool) : int option * a outcome array =
-  if p.closed then invalid_arg "Parallel.race: pool is shut down";
-  let n = Array.length thunks in
-  let groups =
-    match groups with
-    | Some g ->
-      if Array.length g <> n then
-        invalid_arg "Parallel.race: groups length mismatch";
-      Array.iteri
-        (fun i gi ->
-           if i > 0 && gi < g.(i - 1) then
-             invalid_arg "Parallel.race: groups must be nondecreasing")
-        g;
-      g
-    | None -> Array.init n (fun i -> i)
-  in
-  (* The race-local latch: cancelling [rb] stops the losers without
-     touching the caller's budget, which still reaches every entrant
-     through the fork's parent link. *)
-  let rb = Resilience.Budget.fork budget in
-  let results : a outcome option array = Array.make n None in
-  let decide () = decide groups ~acceptable ~prefer results in
-  (* One entrant, started only while the race is undecided and the
-     caller's budget lives. *)
-  let start i =
-    match Resilience.Budget.state rb with
-    | Some _ -> Cut
-    | None ->
-      (match
-         Resilience.Inject.poison_pool ();
-         thunks.(i) rb
-       with
-       | v -> Finished v
-       | exception exn -> Failed exn)
-  in
-  if p.n_jobs = 1 || n <= 1 then begin
-    (* Priority-order sequential evaluation with early exit: a group
-       runs completely, then the rule decides — no domain, mutex or
-       cancellation involved. *)
-    let rec go s =
-      if s < n then begin
-        let e = group_end groups n s in
-        for j = s to e - 1 do
-          results.(j) <- Some (start j)
-        done;
-        if decide () = None then go e
-      end
-    in
-    go 0
-  end
-  else begin
-    let remaining = ref n in
-    let ctx = Obs.context () in
-    let latch () = if decide () <> None then Resilience.Budget.cancel rb in
-    let task i () =
-      let record = record p ~remaining results i in
-      match
-        let outcome = Obs.with_context ctx (fun () -> start i) in
-        (match outcome with Cut -> Obs.Counter.incr c_skipped | _ -> ());
-        record outcome latch
-      with
-      | () -> ()
-      | exception exn -> record (Failed exn) latch
-    in
-    submit_and_help p ~remaining (Array.init n task)
-  end;
-  let winner = decide () in
-  let last = match winner with Some w -> group_end groups n w | None -> n in
-  ( winner,
-    Array.mapi
-      (fun i o -> match o with Some o when i < last -> o | _ -> Cut)
-      results )
 
 let chunks_of ~chunk xs =
   let rec take k acc rest =

@@ -31,7 +31,8 @@
     The pool is not re-entrant: calling {!run}/{!map} from inside a
     task of the same pool (or submitting from two domains at once) is
     not supported — parallelism in this codebase lives at one level
-    (candidates, Monte-Carlo chunks, branch & bound rounds) by design. *)
+    (compactd's solve batches, harden candidates, Monte-Carlo chunks) by
+    design. *)
 
 type pool
 
@@ -65,53 +66,6 @@ val run :
     [Resilience.Budget.unlimited]; at jobs = 1 the budget is polled
     between elements so sequential and pooled runs share one abort
     surface. *)
-
-type 'a outcome =
-  | Finished of 'a  (** the entrant ran to completion *)
-  | Cut
-      (** never started: a sequential evaluation would not have reached
-          it (deterministically discarded loser, skipped after the
-          race's cancel latch, or caller-budget exhaustion) *)
-  | Failed of exn  (** the entrant raised; never re-raised by the race *)
-
-val race :
-  ?budget:Resilience.Budget.t ->
-  ?groups:int array ->
-  ?prefer:('a -> 'a -> int) ->
-  pool ->
-  (Resilience.Budget.t -> 'a) array ->
-  acceptable:('a -> bool) ->
-  int option * 'a outcome array
-(** First-acceptable racing with a jobs-independent winner and outcome
-    array.
-
-    Entrants are partitioned by [groups] (nondecreasing ints, same
-    length as the thunk array; default: one group per entrant, a pure
-    priority order). Each thunk receives the race-local budget — a
-    {!Resilience.Budget.fork} of [budget] — and should derive its own
-    slice from it so the winner's cancel reaches the losers
-    cooperatively.
-
-    Decision rule: the {e earliest} group that ran completely (every
-    member [Finished] or [Failed] — none cut) and contains an
-    acceptable [Finished] result decides the race, and its winner is
-    the acceptable member that [prefer] ranks first (a negative
-    [prefer a b] puts [a] ahead; ties and the default go to the lower
-    index). Once a group decides, the race budget is cancelled,
-    unstarted entrants are skipped, and after the drain every entrant
-    in a later group is reported [Cut] even if it happened to finish —
-    exactly the set a sequential evaluation would never have started.
-    The result pairs the winner's index ([None] when no group decided)
-    with every entrant's outcome.
-
-    At jobs = 1 (or a single entrant) this degrades to priority-order
-    sequential evaluation with early exit after the first deciding
-    group — no domain, mutex, or cancellation involved — so results are
-    byte-comparable across jobs counts for deterministic thunks. An
-    entrant is [Cut] without starting whenever the race budget is
-    already exhausted (e.g. the caller's deadline passed). Entrant
-    exceptions land as [Failed] and never wedge the pool; the race
-    itself never raises. *)
 
 val map :
   ?budget:Resilience.Budget.t ->

@@ -22,7 +22,6 @@ type t = {
   nodes_used : int Atomic.t;  (* shared with every slice *)
   mem_limit_words : int;  (* max_int = none *)
   tripped : bool Atomic.t;  (* per-value first-exhaustion latch *)
-  parent : t option;  (* [fork] parent, consulted at every poll *)
 }
 
 let unlimited =
@@ -34,7 +33,6 @@ let unlimited =
     nodes_used = Atomic.make 0;
     mem_limit_words = max_int;
     tripped = Atomic.make false;
-    parent = None;
   }
 
 let create ?deadline ?nodes ?memory_words () =
@@ -50,7 +48,6 @@ let create ?deadline ?nodes ?memory_words () =
     mem_limit_words =
       (match memory_words with Some w -> w | None -> max_int);
     tripped = Atomic.make false;
-    parent = None;
   }
 
 let seconds s = create ~deadline:s ()
@@ -79,24 +76,6 @@ let untimed t =
   if t.deadline = infinity then t
   else { t with deadline = infinity; tripped = Atomic.make false }
 
-(* Unlike [slice], a fork gets a *fresh* cancellation token: cancelling
-   the fork stops the fork's slices and nothing else, while the parent's
-   cancellation (and deadline / node / memory exhaustion) still reaches
-   the fork through the parent link at every poll.  This is the
-   race-local latch: the portfolio cancels its losers without tearing
-   down the run that raced them. *)
-let fork t =
-  {
-    deadline = t.deadline;
-    cancel_flag = Atomic.make false;
-    cancellable = true;
-    node_limit = t.node_limit;
-    nodes_used = t.nodes_used;
-    mem_limit_words = t.mem_limit_words;
-    tripped = Atomic.make false;
-    parent = (if t == unlimited then None else Some t);
-  }
-
 let limited t s =
   if s = infinity then t
   else
@@ -122,7 +101,7 @@ let trip t r =
   end;
   Some r
 
-let rec state t =
+let state t =
   if Inject.fire Inject.Timeout then trip t Injected
   else if Atomic.get t.cancel_flag then trip t Cancelled
   else if t.deadline < infinity && Obs.Clock.now () > t.deadline then
@@ -133,12 +112,7 @@ let rec state t =
     t.mem_limit_words < max_int
     && (Gc.quick_stat ()).Gc.heap_words > t.mem_limit_words
   then trip t Memory
-  else
-    (* A fork observes its parent's exhaustion (with the parent's
-       reason) but never the other way round. *)
-    match t.parent with
-    | None -> None
-    | Some p -> (match state p with Some r -> trip t r | None -> None)
+  else None
 
 let exhausted t = state t <> None
 

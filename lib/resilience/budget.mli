@@ -77,16 +77,6 @@ val untimed : t -> t
     already-expired deadline then degrades the {e later} anytime stages
     instead of leaving the pipeline with no output. *)
 
-val fork : t -> t
-(** A child budget with a {e fresh} cancellation token: {!cancel} on the
-    fork stops the fork (and every slice cut from it) without touching
-    the parent, while the parent's own cancellation, deadline and
-    resource exhaustion still reach the fork at every poll through a
-    parent link.  This is the race-local latch used by
-    [Parallel.race] — the winner cancels the losers' slices, and the
-    surrounding run's budget is unaffected.  [fork unlimited] is a
-    plain fresh cancellable budget. *)
-
 val remaining : t -> float
 (** Seconds until the deadline ([infinity] when none, [0.] once
     passed). *)

@@ -189,11 +189,10 @@ let netlist_of_source = function
        raise (Logic.Parse.Error (Printf.sprintf "unknown circuit %S" name)))
   | Protocol.Blif text -> Logic.Blif.parse_string text
 
-(* Inner solves always run sequentially and without their own global
-   deadline: batch-level parallelism and the per-request budget are the
-   server's to manage, not the request's. *)
+(* Inner solves run without their own global deadline: the per-request
+   budget is the server's to manage, not the request's. *)
 let solve_options (o : Compact.Pipeline.options) =
-  { o with Compact.Pipeline.jobs = 1; deadline = None }
+  { o with Compact.Pipeline.deadline = None }
 
 type prepared = {
   p_id : J.t;
@@ -254,14 +253,13 @@ let solve t p =
         ~design:result.Compact.Pipeline.design ~report
     in
     (* Pristine = safe to serve to any future identical request: the
-       solver path never degraded under time pressure (watchdog
-       fallbacks, expired deadlines and partial portfolio entrants are
-       timing-dependent — [Report.path_pristine] knows both path
-       shapes) and no solver-affecting fault injection was armed while
-       solving.  The disk points are deliberately exempt: they fault
-       the storage layer, whose CRCs catch the damage on recovery, and
-       blocking admission under them would leave the crash-restart
-       battery nothing to recover. *)
+       solver path never degraded under time pressure (ladder fallbacks
+       and expired deadlines are timing-dependent; a pristine path is a
+       single rung, [Report.path_pristine]) and no solver-affecting
+       fault injection was armed while solving.  The disk points are
+       deliberately exempt: they fault the storage layer, whose CRCs
+       catch the damage on recovery, and blocking admission under them
+       would leave the crash-restart battery nothing to recover. *)
     let solver_injection_armed =
       List.exists Resilience.Inject.armed
         [

@@ -70,14 +70,13 @@ let sbdd (s : Bdd.Sbdd.t) =
 let options (o : Compact.Pipeline.options) =
   let opt_int = function None -> "-" | Some n -> string_of_int n in
   Printf.sprintf "gamma=%.9g solver=%s alignment=%b time_limit=%.9g \
-                  bdd_node_limit=%d max_rows=%s max_cols=%s race_orders=%d"
+                  bdd_node_limit=%d max_rows=%s max_cols=%s"
     o.Compact.Pipeline.gamma
     (Compact.Pipeline.solver_name o.Compact.Pipeline.solver)
     o.Compact.Pipeline.alignment o.Compact.Pipeline.time_limit
     o.Compact.Pipeline.bdd_node_limit
     (opt_int o.Compact.Pipeline.max_rows)
     (opt_int o.Compact.Pipeline.max_cols)
-    o.Compact.Pipeline.race_orders
 
 let key ~options:o s =
   let st = fresh () in

@@ -77,10 +77,8 @@ let parse_options ~defaults json =
          | "max_cols", J.Num n when n >= 1. ->
            { o with Compact.Pipeline.max_cols = Some (int_of_float n) }
          | "max_cols", J.Null -> { o with Compact.Pipeline.max_cols = None }
-         | "race_orders", J.Num n when n >= 1. ->
-           { o with Compact.Pipeline.race_orders = int_of_float n }
          | ("gamma" | "solver" | "alignment" | "time_limit"
-           | "bdd_node_limit" | "max_rows" | "max_cols" | "race_orders"), _ ->
+           | "bdd_node_limit" | "max_rows" | "max_cols"), _ ->
            raise (Bad (Printf.sprintf "bad value for option %S" k))
          | k, _ ->
            (* [jobs] and [deadline] deliberately land here: both are

@@ -3,4 +3,4 @@
    (solver algorithms, mapping, canonicalisation) — stale entries from
    an older engine then simply miss instead of serving wrong bytes. *)
 
-let engine = "compact-engine/10"
+let engine = "compact-engine/11"

@@ -234,39 +234,6 @@ let deadline_tests =
            r.Compact.Pipeline.report.Compact.Report.deadline_hit);
   ]
 
-(* The racing portfolio under fire: a poisoned pool task lands as a
-   Failed entrant and a timeout degrades an entrant to partial — in
-   every case the race must settle into a verified design or a
-   structured error, never a wedged pool or a corrupted winner, and the
-   very next clean run must behave as if the storm never happened. *)
-let portfolio_options =
-  { options with
-    Compact.Pipeline.solver = Compact.Pipeline.Portfolio;
-    race_orders = 2 }
-
-let portfolio_scenario () =
-  verify_design small_nl
-    (Compact.Pipeline.synthesize ~options:portfolio_options small_nl)
-
-let portfolio_chaos_tests =
-  List.concat_map
-    (fun point ->
-       List.map
-         (fun seed ->
-            Alcotest.test_case
-              (Printf.sprintf "portfolio race under %s seed=%d (jobs=%d)"
-                 (Inject.name point) seed jobs)
-              `Quick
-              (fun () ->
-                 Inject.with_points ~seed [ point ] (fun () ->
-                     run_scenario "portfolio race" portfolio_scenario);
-                 (* The storm must leave nothing armed or wedged behind:
-                    the same race now runs clean. *)
-                 Inject.disable ();
-                 portfolio_scenario ()))
-         seeds)
-    [ Inject.Pool_poison; Inject.Timeout ]
-
 (* Injected faults must be visible in the PR-5 trace: each hit records
    an [inject] event and bumps the per-point counter. *)
 let trace_tests =
@@ -451,7 +418,6 @@ let () =
     [
       "points", point_tests;
       "all-armed", all_armed_tests;
-      "portfolio", portfolio_chaos_tests;
       "deadline", deadline_tests;
       "trace", trace_tests;
       "server", server_tests;

@@ -1177,6 +1177,13 @@ let pipeline_tests =
              ~reference:(Logic.Netlist.to_truth_table nl)
            = Crossbar.Verify.Ok
          end);
+    Alcotest.test_case "path_pristine classification" `Quick (fun () ->
+        (* Only a single rung is cacheable: a fallback means an earlier
+           rung ran out of wall time or raised. *)
+        let p = Compact.Report.path_pristine in
+        check tb "single rung" true (p [ "mip" ]);
+        check tb "empty" false (p []);
+        check tb "ladder fallback" false (p [ "mip"; "heuristic" ]));
   ]
 
 (* MD5 of [Protocol.synth_payload] for [Pipeline.synthesize] at default

@@ -419,7 +419,7 @@ let watchdog_tests =
       (fun () ->
          (* <=160 graph nodes so Auto starts on the MIP; a zero budget
             rejects both timed rungs, and Auto's path lists the bare
-            rung names, not the race's "solver@order:outcome". *)
+            rung names. *)
          List.iter
            (fun name ->
               let nl = (Circuits.Suite.find name).generate () in

@@ -67,138 +67,6 @@ let pool_tests =
                 (Parallel.map ~chunk:64 pool (fun x -> (3 * x) + 1) xs = expect)));
   ]
 
-(* --- First-acceptable racing --------------------------------------- *)
-
-let show_outcome = function
-  | Parallel.Finished v -> "F" ^ string_of_int v
-  | Parallel.Cut -> "C"
-  | Parallel.Failed _ -> "E"
-
-let show_outcomes a = String.concat "," (Array.to_list (Array.map show_outcome a))
-
-let race_at ~jobs ?groups thunks ~acceptable =
-  Parallel.with_pool ~jobs (fun pool ->
-      snd (Parallel.race ?groups pool thunks ~acceptable))
-
-let race_tests =
-  [
-    Alcotest.test_case "first acceptable entrant wins at jobs=1 and 4"
-      `Quick (fun () ->
-        let thunks = Array.map (fun v _rb -> v) [| 1; 3; 4; 5 |] in
-        let acceptable v = v mod 2 = 0 in
-        let expect = "F1,F3,F4,C" in
-        check ts "jobs=1" expect
-          (show_outcomes (race_at ~jobs:1 thunks ~acceptable));
-        check ts "jobs=4" expect
-          (show_outcomes (race_at ~jobs:4 thunks ~acceptable)));
-    Alcotest.test_case "no acceptable entrant: everything recorded" `Quick
-      (fun () ->
-        let thunks = Array.map (fun v _rb -> v) [| 1; 3; 5 |] in
-        let acceptable _ = false in
-        check ts "jobs=1" "F1,F3,F5"
-          (show_outcomes (race_at ~jobs:1 thunks ~acceptable));
-        check ts "jobs=4" "F1,F3,F5"
-          (show_outcomes (race_at ~jobs:4 thunks ~acceptable)));
-    Alcotest.test_case "jobs=1 exits early: losers never start" `Quick
-      (fun () ->
-        let ran = Array.make 4 false in
-        let thunks =
-          Array.init 4 (fun i _rb ->
-              ran.(i) <- true;
-              i)
-        in
-        let out = race_at ~jobs:1 thunks ~acceptable:(fun v -> v >= 1) in
-        check ts "outcomes" "F0,F1,C,C" (show_outcomes out);
-        check tb "2 skipped" true (not ran.(2) && not ran.(3)));
-    Alcotest.test_case "deciding group runs completely before deciding"
-      `Quick (fun () ->
-        let thunks = Array.map (fun v _rb -> v) [| 2; 4; 6 |] in
-        let groups = [| 0; 0; 1 |] in
-        let acceptable v = v mod 2 = 0 in
-        check ts "jobs=1" "F2,F4,C"
-          (show_outcomes (race_at ~jobs:1 ~groups thunks ~acceptable));
-        check ts "jobs=4" "F2,F4,C"
-          (show_outcomes (race_at ~jobs:4 ~groups thunks ~acceptable)));
-    Alcotest.test_case "winner is the preferred member of the deciding group"
-      `Quick (fun () ->
-        (* Group 0 holds 5, 3, 8 (8 unacceptable) and a tie at 3; the
-           preference ranks the smallest first and the tie goes to the
-           lower index. Group 1 is never reached. *)
-        let thunks = Array.map (fun v _rb -> v) [| 5; 3; 8; 3; 1 |] in
-        let groups = [| 0; 0; 0; 0; 1 |] in
-        let acceptable v = v < 8 in
-        List.iter
-          (fun jobs ->
-             let winner, out =
-               Parallel.with_pool ~jobs (fun pool ->
-                   Parallel.race ~groups ~prefer:compare pool thunks
-                     ~acceptable)
-             in
-             let label = Printf.sprintf "jobs=%d" jobs in
-             check ts label "F5,F3,F8,F3,C" (show_outcomes out);
-             check (Alcotest.option ti) (label ^ " winner") (Some 1) winner;
-             check (Alcotest.option ti) (label ^ " no preference") (Some 0)
-               (fst
-                  (Parallel.with_pool ~jobs (fun pool ->
-                       Parallel.race ~groups pool thunks ~acceptable))))
-          [ 1; 4 ];
-        check (Alcotest.option ti) "undecided race" None
-          (fst
-             (Parallel.with_pool ~jobs:4 (fun pool ->
-                  Parallel.race pool thunks ~acceptable:(fun _ -> false)))));
-    Alcotest.test_case "failed entrant lands as Failed, race unharmed"
-      `Quick (fun () ->
-        let thunks =
-          [| (fun _rb -> raise (Boom 0)); (fun _rb -> 2); (fun _rb -> 3) |]
-        in
-        let acceptable v = v = 2 in
-        let groups = [| 0; 0; 1 |] in
-        check ts "jobs=1" "E,F2,C"
-          (show_outcomes (race_at ~jobs:1 ~groups thunks ~acceptable));
-        Parallel.with_pool ~jobs:4 (fun pool ->
-            check ts "jobs=4" "E,F2,C"
-              (show_outcomes
-                 (snd (Parallel.race ~groups pool thunks ~acceptable)));
-            (* the pool survives a failing entrant *)
-            check tb "usable after race" true
-              (Parallel.run pool (Array.init 5 (fun i () -> i))
-               = [| 0; 1; 2; 3; 4 |])));
-    Alcotest.test_case "winner's cancel latch releases a spinning loser"
-      `Quick (fun () ->
-        (* The loser spins until the race budget trips — only the
-           winner's latch can end it, so termination proves the cancel
-           protocol (the test would hang otherwise). *)
-        let thunks =
-          [|
-            (fun _rb -> 1);
-            (fun rb ->
-               while Resilience.Budget.state rb = None do
-                 Domain.cpu_relax ()
-               done;
-               99);
-          |]
-        in
-        let out = race_at ~jobs:4 thunks ~acceptable:(fun v -> v = 1) in
-        check ts "loser cut" "F1,C" (show_outcomes out));
-    Alcotest.test_case "bad groups rejected" `Quick (fun () ->
-        Parallel.with_pool ~jobs:2 (fun pool ->
-            let thunks = Array.map (fun v _rb -> v) [| 1; 2 |] in
-            check tb "length mismatch" true
-              (match
-                 Parallel.race ~groups:[| 0 |] pool thunks
-                   ~acceptable:(fun _ -> true)
-               with
-               | exception Invalid_argument _ -> true
-               | _ -> false);
-            check tb "decreasing" true
-              (match
-                 Parallel.race ~groups:[| 1; 0 |] pool thunks
-                   ~acceptable:(fun _ -> true)
-               with
-               | exception Invalid_argument _ -> true
-               | _ -> false)));
-  ]
-
 let heap_tests =
   [
     Alcotest.test_case "push/pop yields keys in order" `Quick (fun () ->
@@ -328,7 +196,6 @@ let () =
   Alcotest.run "parallel"
     [
       "pool", pool_tests;
-      "race", race_tests;
       "heap", heap_tests;
       "determinism", determinism_tests;
     ]

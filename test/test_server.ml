@@ -113,6 +113,16 @@ let parse_tests =
          let j = J.parse resp in
          check tb "id preserved" true (J.member "id" j = Some (J.Num 42.));
          check tb "not ok" true (J.member "ok" j = Some (J.Bool false)));
+    Alcotest.test_case "retired portfolio names are bad-request" `Quick
+      (fun () ->
+         check ts "portfolio solver rejected" "bad-request"
+           (code_of
+              (parse
+                 {|{"op":"synth","id":1,"expr":"a","options":{"solver":"portfolio"}}|}));
+         check ts "race_orders rejected" "bad-request"
+           (code_of
+              (parse
+                 {|{"op":"synth","id":1,"expr":"a","options":{"race_orders":2}}|})));
   ]
 
 (* ------------------------------------------------------------------ *)
